@@ -1,0 +1,166 @@
+"""Print SHA-256 digests of landsel's outputs over a seeded random corpus.
+
+Two checkouts that print the same digests produce bit-identical feature
+vectors and kNN clouds, and byte-identical CLI outputs, on every design of
+the corpus; compare them to show that a refactor or an optimisation changed
+no output.
+
+The corpus, drawn from ``--seed``:
+
+* ``--designs`` continuous builtin designs with d in 1..8 and n in 3..260;
+  every fourth one repeats some of its rows;
+* the large designs (10, 500), (20, 1000) and (40, 2000);
+* a mixed hierarchical design (47 columns after one-hot encoding) at
+  n = 300, under ``one_hot`` and under ``target`` encoding.
+
+Each design contributes its ``compute_all`` JSON and its ``knn_cloud``
+records (k = 1 and k = min(8, n - 1)), and the CLI's ``features`` JSON and
+CSV and ``fitmap --mode cloud`` CSV, run in-process on the design's CSV.
+
+Usage:
+    PYTHONPATH=src python3 scripts/output_digest.py --seed 0 --designs 120
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from landsel import cli
+from landsel.ela import compute_all
+from landsel.fitmap import knn_cloud
+from landsel.preprocess import preprocess_pipeline
+from landsel.sampling import Design, create_initial_design, design_to_csv, evaluate_design
+from landsel.space import BUILTIN_FUNCTIONS, Condition, Problem, SearchSpace, VariableSpec, builtin_problem
+
+LARGE = ((10, 500), (20, 1000), (40, 2000))
+
+
+def mixed_problem(seed: int) -> Problem:
+    """Twenty variables, 47 one-hot columns: a categorical parent gating a
+    continuous block, an integer parent gating another, plain categoricals."""
+    V = VariableSpec
+    variables = [
+        V("opt", "categorical", categories=("a", "b", "c", "d")),
+        V("beta", "continuous", 0.0, 1.0, condition=Condition("opt", ("a",))),
+        V("gamma", "continuous", 0.0, 1.0, condition=Condition("opt", ("a",))),
+        V("mom", "continuous", 0.0, 1.0, condition=Condition("opt", ("b", "c"))),
+        V("nest", "categorical", categories=("y", "n"), condition=Condition("opt", ("b",))),
+        V("layers", "integer", 1, 4),
+        V("w3", "continuous", 16.0, 512.0, condition=Condition("layers", (3, 4))),
+        V("p3", "continuous", 0.0, 0.5, condition=Condition("layers", (3, 4))),
+        V("w4", "continuous", 16.0, 512.0, condition=Condition("layers", (4,))),
+        V("act4", "categorical", categories=("r", "t", "g"), condition=Condition("layers", (4,))),
+        V("lr", "continuous", -5.0, -1.0),
+        V("wd", "continuous", -6.0, -2.0),
+        V("batch", "integer", 16, 256),
+        V("warm", "integer", 0, 10),
+    ]
+    for j, size in enumerate((5, 4, 6, 5, 4, 3)):
+        variables.append(V(f"cat{j}", "categorical", categories=tuple(f"v{c}" for c in range(size))))
+    sp = SearchSpace(tuple(variables))
+    rng = np.random.default_rng([seed, 47])
+    weights = rng.uniform(0.5, 3.0, sp.dimension)
+    offsets = {v.name: dict(zip(v.categories, rng.uniform(0.0, 2.0, len(v.categories))))
+               for v in sp.variables if v.kind == "categorical"}
+
+    def objective(row: tuple) -> float:
+        total = 0.0
+        for v, w, cell in zip(sp.variables, weights, row):
+            if v.kind == "categorical":
+                total += offsets[v.name][cell]
+            else:
+                z = (cell - v.lower) / (v.upper - v.lower)
+                total += w * (z - 0.3) ** 2 + 0.1 * np.sin(7.0 * z)
+        return float(total)
+
+    return Problem(space=sp, objective=objective)
+
+
+def with_repeated_rows(design: Design, rng: np.random.Generator) -> Design:
+    """The design plus copies of some of its rows, appended at the end."""
+    picks = rng.integers(0, design.n, max(1, design.n // 5))
+    columns = {name: np.concatenate([col, np.asarray(col)[picks]]) for name, col in design.columns.items()}
+    y = np.concatenate([design.y, design.y[picks]])
+    return Design(space=design.space, columns=columns, y=y, meta=dict(design.meta))
+
+
+def corpus(seed: int, count: int):
+    """Yield (label, design, encoding) triples."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        fid = BUILTIN_FUNCTIONS[int(rng.integers(len(BUILTIN_FUNCTIONS)))]
+        d = int(rng.integers(1, 9))
+        n = int(rng.integers(3, 261))
+        problem = builtin_problem(fid, int(rng.integers(0, 5)), d)
+        design = evaluate_design(problem, create_initial_design(problem.space, n, seed=int(rng.integers(2**31))))
+        if i % 4 == 3:
+            design = with_repeated_rows(design, rng)
+        yield f"{fid} d={d} n={design.n}", design, "none"
+    for d, n in LARGE:
+        problem = builtin_problem("rastrigin", 3, d)
+        yield f"rastrigin d={d} n={n}", evaluate_design(problem, create_initial_design(problem.space, n, seed=seed)), "none"
+    problem = mixed_problem(seed)
+    mixed = evaluate_design(problem, create_initial_design(problem.space, 300, seed=seed))
+    for encoding in ("one_hot", "target"):
+        yield f"mixed {encoding} n=300", mixed, encoding
+
+
+def cli_bytes(design: Design, encoding: str, seed: int, k: int, workdir: Path) -> list[bytes]:
+    path = workdir / "design.csv"
+    design_to_csv(design, path)
+    outputs = []
+    for argv in (
+        ["features", path, "--encoding", encoding, "--seed", seed, "--out", workdir / "f.json"],
+        ["features", path, "--encoding", encoding, "--seed", seed, "--out", workdir / "f.csv"],
+        ["fitmap", path, "--encoding", encoding, "--mode", "cloud", "--k", k, "--out", workdir / "cloud.csv"],
+    ):
+        if cli.main([str(a) for a in argv]) != 0:
+            raise RuntimeError(f"landsel {' '.join(map(str, argv))} failed")
+        outputs.append(Path(argv[-1]).read_bytes())
+    return outputs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=0, help="corpus seed")
+    ap.add_argument("--designs", type=int, default=120, help="random continuous designs")
+    args = ap.parse_args(argv)
+
+    sections = {name: hashlib.sha256() for name in ("features", "knn_cloud", "cli")}
+    total = hashlib.sha256()
+
+    def feed(section: str, chunk: bytes) -> None:
+        for h in (sections[section], total):
+            h.update(len(chunk).to_bytes(8, "little"))
+            h.update(chunk)
+
+    start = time.perf_counter()
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for count, (label, design, encoding) in enumerate(corpus(args.seed, args.designs), start=1):
+            seed = count
+            pd = preprocess_pipeline(design, encoding=encoding)
+            feed("features", label.encode() + compute_all(pd, seed=seed).to_json().encode())
+            k = min(8, pd.n - 1)
+            for kk in sorted({1, k}):
+                for r in knn_cloud(pd, kk):
+                    feed("knn_cloud", np.asarray(r.neighbor_indices).tobytes())
+                    feed("knn_cloud", r.neighbor_distances.tobytes() + r.flatten().tobytes())
+            for chunk in cli_bytes(design, encoding, seed, k, Path(tmp)):
+                feed("cli", chunk)
+    for name, h in sections.items():
+        print(f"{name:10s} {h.hexdigest()}")
+    print(f"{'all':10s} {total.hexdigest()}")
+    print(f"{count} designs, seed {args.seed}, {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -207,9 +207,9 @@ def cmd_features(args: argparse.Namespace) -> int:
     fv = ela.compute_all(pd, ela_cfg, seed=int(cfg["seed"]))
     out = Path(_require(cfg, "out", "features"))
     if out.suffix == ".csv":
-        out.write_text(ela.features_to_csv(fv))
+        out.write_text(fv.to_csv())
     else:
-        out.write_text(ela.features_to_json(fv) + "\n")
+        out.write_text(fv.to_json() + "\n")
     return 0
 
 

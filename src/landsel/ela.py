@@ -19,6 +19,10 @@ and scaling of the raw objective:
 * ``fdc``        (7)  — fitness-distance correlation to the sample-best point
   and the moments feeding it.
 
+Dispersion, the information-content tour and nearest-better clustering all
+read the design's one shared distance matrix, ``ProcessedDesign.distances``,
+which is computed on first use and then reused (also by ``fitmap.knn_cloud``).
+
 Missing values never appear as NaN or infinity: a feature that is undefined on
 the given sample is reported as an explicit missing entry with a reason code.
 
@@ -40,7 +44,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 FEATURE_SET_VERSIONS = {
     "ela_meta": "1",
@@ -369,23 +372,30 @@ def dispersion_feature_names(cfg: ElaConfig | None = None) -> list[str]:
     return names
 
 
+def _upper_triangle(n: int) -> np.ndarray:
+    """Boolean n-by-n mask of the pairs i < j; indexing a distance matrix
+    with it yields the condensed vector in row-major (pdist) order."""
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
 def dispersion(pd, cfg: ElaConfig | None = None) -> _Emitter:
     """Best-subset versus full-sample pairwise-distance statistics.
 
     For each quantile q the subset holds the ceil(q*n) rows with the smallest
     objective (ties broken by row index).  Ratios are subset/full and are
     undefined when the full-sample statistic is zero (all points identical);
-    differences are subset - full.
+    differences are subset - full.  Distances are read from the shared
+    matrix ``pd.distances``.
     """
     cfg = cfg or ElaConfig()
     out = _Emitter()
-    X = pd.matrix
     y = pd.objective
-    n = X.shape[0]
-    full = pdist(X)
-    if full.size == 0:
+    n = pd.n
+    if n < 2:
         out.put_all_missing(dispersion_feature_names(cfg), "insufficient_sample")
         return out
+    dm = pd.distances
+    full = dm[_upper_triangle(n)]
     full_mean = float(full.mean())
     full_median = float(np.median(full))
     order = np.argsort(y, kind="stable")
@@ -401,7 +411,8 @@ def dispersion(pd, cfg: ElaConfig | None = None) -> _Emitter:
         if size < 2:
             out.put_all_missing(names, "subset_too_small")
             continue
-        sub = pdist(X[order[:size]])
+        best = order[:size]
+        sub = dm[np.ix_(best, best)][_upper_triangle(size)]
         sub_mean = float(sub.mean())
         sub_median = float(np.median(sub))
         if full_mean == 0.0:
@@ -430,11 +441,11 @@ def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def _greedy_tour(X: np.ndarray, seed: int) -> np.ndarray:
+def _greedy_tour(dm: np.ndarray, seed: int) -> np.ndarray:
     """Seeded random-start nearest-neighbor tour visiting every point once;
-    distance ties go to the lowest row index."""
-    n = X.shape[0]
-    dm = cdist(X, X)
+    distance ties go to the lowest row index.  ``dm`` is a writable distance
+    matrix that the tour consumes."""
+    n = dm.shape[0]
     rng = np.random.default_rng(seed)
     start = int(rng.integers(n))
     order = np.empty(n, dtype=int)
@@ -542,6 +553,7 @@ def information_content(pd, cfg: ElaConfig | None = None, seed: int = 0) -> _Emi
     deleted in order of |phi|, with pair counts and run counts updated in
     O(1) per deletion, and H and M are recorded once per event.  Each grid
     level then reads the state after deleting every slope with |phi| <= eps.
+    The tour walks the shared matrix ``pd.distances`` in canonical order.
     """
     cfg = cfg or ElaConfig()
     out = _Emitter()
@@ -553,7 +565,7 @@ def information_content(pd, cfg: ElaConfig | None = None, seed: int = 0) -> _Emi
     if n < 3:
         out.put_all_missing(names, "insufficient_sample")
         return out
-    tour = _greedy_tour(X, seed)
+    tour = _greedy_tour(pd.distances[np.ix_(canon, canon)], seed)
     steps = np.diff(X[tour], axis=0)
     lengths = np.sqrt((steps**2).sum(axis=1))
     dy = np.diff(y[tour])
@@ -627,35 +639,6 @@ def information_content(pd, cfg: ElaConfig | None = None, seed: int = 0) -> _Emi
     return out
 
 
-def ic_scan(pd, cfg: ElaConfig | None = None, seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (epsilon, H, M) arrays behind the information-content features,
-    epsilon zero first.  Exposed for diagnostics and testing."""
-    cfg = cfg or ElaConfig()
-    canon = _canonical_order(pd.matrix, pd.objective)
-    X = pd.matrix[canon]
-    y = pd.objective[canon]
-    n = X.shape[0]
-    tour = _greedy_tour(X, seed)
-    steps = np.diff(X[tour], axis=0)
-    lengths = np.sqrt((steps**2).sum(axis=1))
-    dy = np.diff(y[tour])
-    keep = lengths > 0.0
-    phi = dy[keep] / lengths[keep]
-    grid = np.array((0.0,) + cfg.epsilon_grid)
-    h = np.empty(grid.size)
-    mvals = np.empty(grid.size)
-    for gi, eps in enumerate(grid):
-        symbols = np.where(np.abs(phi) > eps, np.sign(phi), 0.0).astype(int)
-        h[gi] = _entropy_from_counts(_pair_counts(symbols.tolist()), symbols.size - 1)
-        nz = symbols[symbols != 0]
-        if nz.size == 0:
-            runs = 0
-        else:
-            runs = 1 + int(np.count_nonzero(nz[1:] != nz[:-1]))
-        mvals[gi] = runs / (n - 1)
-    return grid, h, mvals
-
-
 # ── nearest-better clustering ────────────────────────────────────────────────
 
 
@@ -665,7 +648,7 @@ def nearest_better_clustering(pd) -> _Emitter:
     "Better" is strict on the objective with ties broken by row index, so
     every point except the sample best has a non-empty better set.  The sample
     best is excluded from the ratio statistics; the in-degree correlation uses
-    all points.
+    all points.  Distances come from the shared matrix ``pd.distances``.
     """
     out = _Emitter()
     names = [
@@ -675,16 +658,15 @@ def nearest_better_clustering(pd) -> _Emitter:
         "nbc.dist_ratio.coeff_var",
         "nbc.nb_fitness.cor",
     ]
-    X = pd.matrix
     y = pd.objective
-    n = X.shape[0]
+    n = pd.n
     if n < 3:
         out.put_all_missing(names, "insufficient_sample")
         return out
     if float(y.min()) == float(y.max()):
         out.put_all_missing(names, "constant_objective")
         return out
-    dm = cdist(X, X)
+    dm = pd.distances.copy()
     np.fill_diagonal(dm, np.inf)
     dnn = dm.min(axis=1)
 
@@ -842,11 +824,3 @@ def compute_all(pd, cfg: ElaConfig | None = None, seed: int = 0) -> FeatureVecto
         },
     }
     return FeatureVector(values=values, reasons=reasons, meta=meta)
-
-
-def features_to_json(fv: FeatureVector) -> str:
-    return fv.to_json()
-
-
-def features_to_csv(fv: FeatureVector) -> str:
-    return fv.to_csv()

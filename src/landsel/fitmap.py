@@ -8,7 +8,8 @@ dimensional samples become multi-channel stacks (one channel per coordinate
 pair, lexicographic) that can be reduced to a single channel by per-pixel
 averaging, or are first projected to two dimensions by PCA (optionally with
 the objective as an extra input column).  A fitness cloud skips rasterization
-entirely: each sample point is recorded next to its k nearest neighbors.
+entirely: each sample point is recorded next to its k nearest neighbors,
+found in the design's shared distance matrix ``ProcessedDesign.distances``.
 
 PGM export uses the binary P5 format with maxval 255; filled pixels map to
 round(255 * value) so that better is darker (the best possible value black),
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .preprocess import ProcessedDesign, minmax_unit
 
@@ -234,16 +234,21 @@ def knn_cloud(pd: ProcessedDesign, k: int) -> list[CloudRecord]:
     """k-nearest-neighbor records for every sample point.
 
     Neighbors are ordered by distance, ties broken by row index; the point
-    itself is excluded.  Requires 1 <= k < n.
+    itself is excluded.  Requires 1 <= k < n.  Distances are read from the
+    shared matrix ``pd.distances``.
     """
     n = pd.n
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n (k={k}, n={n})")
-    dm = cdist(pd.matrix, pd.matrix)
+    dm = pd.distances.copy()
     np.fill_diagonal(dm, np.inf)
+    # every row's k nearest lie among the entries <= its k-th smallest
+    # distance; a stable sort of just those gives argsort(kind="stable")[:k]
+    kth = np.partition(dm, k - 1, axis=1)[:, k - 1]
     records = []
     for i in range(n):
-        order = np.argsort(dm[i], kind="stable")[:k]
+        candidates = np.flatnonzero(dm[i] <= kth[i])
+        order = candidates[np.argsort(dm[i][candidates], kind="stable")][:k]
         records.append(
             CloudRecord(
                 coordinates=pd.matrix[i].copy(),

@@ -17,6 +17,7 @@ bit-identical outputs; pairing this with the exact rationals returned by
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,6 +30,10 @@ from .sampling import Design, with_objective
 from .space import SearchSpace
 
 ENCODINGS = ("none", "one_hot", "target")
+
+# Elements per temporary block of pairwise_distances: small enough to stay in
+# cache, large enough that per-call overhead is negligible.
+_DISTANCE_BLOCK = 1 << 15
 
 
 def _exact_ratio(value) -> tuple[int, int]:
@@ -115,9 +120,49 @@ class ProcessedDesign:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    @functools.cached_property
+    def distances(self) -> np.ndarray:
+        """Read-only n-by-n Euclidean distances between the rows of ``matrix``,
+        computed on first use and shared by every feature set and map that
+        needs them (see :func:`pairwise_distances`)."""
+        dm = pairwise_distances(self.matrix)
+        dm.setflags(write=False)
+        return dm
+
     @property
     def width(self) -> int:
         return self.matrix.shape[1]
+
+
+def pairwise_distances(X) -> np.ndarray:
+    """Euclidean distances between all rows of ``X`` as an n-by-n matrix.
+
+    Each distance sums the squared coordinate differences column by column,
+    in column order, then takes the square root.  That is scipy's summation
+    order, so the result is bit-equal to ``scipy.spatial.distance.cdist(X, X)``
+    and its upper triangle, read row-major, to ``pdist(X)``.  Rows are taken
+    in blocks over the upper triangle, each block's temporaries holding about
+    ``_DISTANCE_BLOCK`` elements, and every block is mirrored below the
+    diagonal.
+    """
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    dm = np.empty((n, n))
+    columns = np.ascontiguousarray(X.T)
+    i0 = 0
+    while i0 < n:
+        i1 = min(n, i0 + max(1, _DISTANCE_BLOCK // (n - i0)))
+        acc = np.zeros((i1 - i0, n - i0))
+        diff = np.empty_like(acc)
+        for col in columns:
+            np.subtract(col[i0:i1, None], col[None, i0:], out=diff)
+            np.multiply(diff, diff, out=diff)
+            acc += diff
+        np.sqrt(acc, out=acc)
+        dm[i0:i1, i0:] = acc
+        dm[i0:, i0:i1] = acc.T
+        i0 = i1
+    return dm
 
 
 # ── hierarchy relaxation ─────────────────────────────────────────────────────

@@ -290,6 +290,8 @@ def design_from_csv(path: str | Path, space: SearchSpace | None = None) -> Desig
         if not sidecar.exists():
             raise ValueError(f"no space given and sidecar {sidecar} not found")
         doc = json.loads(sidecar.read_text())
+        if not isinstance(doc, dict) or "space" not in doc:
+            raise ValueError(f"{sidecar}: sidecar has no 'space' key")
         space = space_from_obj(doc["space"])
         meta = dict(doc.get("meta", {}))
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -85,6 +86,9 @@ class VariableSpec:
                 raise ValueError(f"{self.name}: only categorical variables take categories")
             if self.lower is None or self.upper is None:
                 raise ValueError(f"{self.name}: bounds are required")
+            for label, bound in (("lower", self.lower), ("upper", self.upper)):
+                if not isinstance(bound, numbers.Real):
+                    raise ValueError(f"{self.name}: {label} bound must be a number, got {bound!r}")
             if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
                 raise ValueError(f"{self.name}: bounds must be finite")
             if self.kind == "continuous":

@@ -181,6 +181,29 @@ class TestFeatures:
         assert run_cli("features", design, "--out", tmp_path / "f.json") == 2
         assert "evaluate" in capsys.readouterr().err
 
+    @staticmethod
+    def edit_sidecar(design, edit):
+        sidecar = design.with_name(design.stem + ".meta.json")
+        doc = json.loads(sidecar.read_text())
+        edit(doc)
+        sidecar.write_text(json.dumps(doc))
+
+    def test_sidecar_without_space_exits_two(self, tmp_path, capsys):
+        design = sample_design(tmp_path, n=10)
+        self.edit_sidecar(design, lambda doc: doc.pop("space"))
+        assert run_cli("features", design, "--out", tmp_path / "f.json") == 2
+        assert "design.meta.json: sidecar has no 'space' key" in capsys.readouterr().err
+
+    def test_string_bound_exits_two(self, tmp_path, capsys):
+        design = sample_design(tmp_path, n=10)
+
+        def stringify(doc):
+            doc["space"][0]["lower"] = str(doc["space"][0]["lower"])
+
+        self.edit_sidecar(design, stringify)
+        assert run_cli("features", design, "--out", tmp_path / "f.json") == 2
+        assert "x0: lower bound must be a number, got '" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self, tmp_path):
         design = sample_design(tmp_path, n=25)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -309,6 +332,14 @@ class TestAas:
         report = json.loads(out.read_text())
         assert report["selector"]["cost_sensitive"] is True
         assert report["selector"]["k"] == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is needed only by the Sobol sampler, which imports it on demand
+    code = "import sys, landsel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.usefixtures("landsel_on_path")

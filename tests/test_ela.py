@@ -12,17 +12,17 @@ from scipy.spatial.distance import cdist, pdist
 
 from landsel.ela import (
     ElaConfig,
+    _canonical_order,
+    _entropy_from_counts,
+    _pair_counts,
     compute_all,
     dispersion,
     dispersion_feature_names,
     ela_distr,
     ela_meta,
     feature_names,
-    features_to_csv,
-    features_to_json,
     fit_least_squares,
     fitness_distance_correlation,
-    ic_scan,
     information_content,
     nearest_better_clustering,
 )
@@ -245,6 +245,47 @@ class TestDispersion:
         X = rng.random((500, 2))
         out = dispersion(make_processed(X, rng.random(500)))
         assert abs(out.values["disp.ratio_mean_25"] - 1.0) < 0.15
+
+
+def oracle_tour(X, seed):
+    """Seeded nearest-neighbor tour from scipy distances: the same random start
+    as the library, then the nearest unvisited row, ties to the lowest index."""
+    n = X.shape[0]
+    dm = cdist(X, X)
+    visited = np.zeros(n, dtype=bool)
+    current = int(np.random.default_rng(seed).integers(n))
+    order = [current]
+    visited[current] = True
+    for _ in range(n - 1):
+        current = int(np.argmin(np.where(visited, np.inf, dm[current])))
+        order.append(current)
+        visited[current] = True
+    return np.array(order)
+
+
+def ic_scan(pd, cfg, seed=0):
+    """Brute-force (epsilon, H, M) arrays behind the information-content
+    features, epsilon zero first: every level recomputed from scratch."""
+    canon = _canonical_order(pd.matrix, pd.objective)
+    X = pd.matrix[canon]
+    y = pd.objective[canon]
+    n = X.shape[0]
+    tour = oracle_tour(X, seed)
+    steps = np.diff(X[tour], axis=0)
+    lengths = np.sqrt((steps**2).sum(axis=1))
+    dy = np.diff(y[tour])
+    keep = lengths > 0.0
+    phi = dy[keep] / lengths[keep]
+    grid = np.array((0.0,) + cfg.epsilon_grid)
+    h = np.empty(grid.size)
+    mvals = np.empty(grid.size)
+    for gi, eps in enumerate(grid):
+        symbols = np.where(np.abs(phi) > eps, np.sign(phi), 0.0).astype(int)
+        h[gi] = _entropy_from_counts(_pair_counts(symbols.tolist()), symbols.size - 1)
+        nz = symbols[symbols != 0]
+        runs = 0 if nz.size == 0 else 1 + int(np.count_nonzero(nz[1:] != nz[:-1]))
+        mvals[gi] = runs / (n - 1)
+    return grid, h, mvals
 
 
 def ic_summarize(grid, h, m, threshold=0.05):
@@ -501,7 +542,7 @@ class TestComputeAll:
 
     def test_json_round_trip(self):
         fv = compute_all(self.make_pd(n=12))
-        doc = json.loads(features_to_json(fv))
+        doc = json.loads(fv.to_json())
         assert set(doc) == set(feature_names()) | {"_meta"}
         for name, value in fv.values.items():
             assert doc[name] == value
@@ -509,7 +550,7 @@ class TestComputeAll:
 
     def test_csv_shape(self):
         fv = compute_all(self.make_pd())
-        text = features_to_csv(fv)
+        text = fv.to_csv()
         header, row, tail = text.split("\n")
         assert tail == ""
         assert header.split(",") == feature_names()

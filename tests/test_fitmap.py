@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from landsel.fitmap import (
     DEFAULT_RESOLUTION,
@@ -207,6 +208,20 @@ class TestKnnCloud:
         for r in knn_cloud(pd, k=5):
             d = r.neighbor_distances
             assert np.all(d[1:] >= d[:-1])
+
+    def test_neighbor_order_equals_full_stable_argsort(self):
+        # a lattice listed twice: every row has many equal distances, and a
+        # zero distance to its own duplicate
+        g = np.arange(4) / 3
+        X = np.array([(a, b) for a in g for b in g] * 2)
+        y = np.linspace(0.0, 1.0, len(X))
+        dm = cdist(X, X)
+        np.fill_diagonal(dm, np.inf)
+        for k in (1, 3, 8, len(X) - 1):
+            for i, r in enumerate(knn_cloud(make_processed(X, y), k=k)):
+                expected = np.argsort(dm[i], kind="stable")[:k]
+                assert r.neighbor_indices == tuple(expected.tolist()), (k, i)
+                assert r.neighbor_distances.tobytes() == dm[i][expected].tobytes()
 
     def test_k_bounds(self):
         pd = make_processed(np.linspace(0, 1, 4), np.linspace(0, 1, 4))

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist
 
+from landsel import preprocess
+from landsel.ela import compute_all
+from landsel.fitmap import knn_cloud
 from landsel.preprocess import (
     encode_none,
     encode_one_hot,
@@ -16,6 +20,7 @@ from landsel.preprocess import (
     minmax_unit,
     normalize_decision,
     normalize_objective,
+    pairwise_distances,
     preprocess_pipeline,
     processed_to_csv,
     relax_hierarchy,
@@ -335,3 +340,50 @@ def evaluate_design_on_mixed(seed: int):
     from landsel.space import Problem
 
     return evaluate_design(Problem(space=s, objective=objective), d)
+
+
+class TestPairwiseDistances:
+    @staticmethod
+    def assert_matches_scipy(X):
+        dm = pairwise_distances(X)
+        assert dm.tobytes() == cdist(X, X).tobytes()
+        upper = dm[np.triu_indices(X.shape[0], 1)]
+        assert upper.tobytes() == pdist(X).tobytes()
+
+    # the default block holds 32Ki elements: 181 rows fit in one block, 182 do not
+    @pytest.mark.parametrize("n", [0, 1, 2, 181, 182, 300])
+    def test_bit_equal_to_scipy(self, n):
+        rng = np.random.default_rng(n)
+        self.assert_matches_scipy(rng.random((n, 3)))
+
+    def test_single_column_and_duplicate_rows(self):
+        rng = np.random.default_rng(5)
+        X = rng.random((40, 1))
+        X[10:20] = X[0]
+        self.assert_matches_scipy(X)
+        wide = rng.random((40, 9))
+        wide[::3] = wide[1]
+        self.assert_matches_scipy(wide)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_size_does_not_change_bits(self, monkeypatch, block):
+        monkeypatch.setattr(preprocess, "_DISTANCE_BLOCK", block)
+        rng = np.random.default_rng(block)
+        self.assert_matches_scipy(rng.random((50, 12)))
+
+    def test_one_hot_mixed_matrix(self):
+        pd = preprocess_pipeline(evaluate_design_on_mixed(3), encoding="one_hot")
+        self.assert_matches_scipy(pd.matrix)
+
+    def test_shared_matrix_is_read_only_and_unchanged_by_consumers(self):
+        pd = preprocess_pipeline(evaluate_design_on_mixed(4), encoding="one_hot")
+        dm = pd.distances
+        assert pd.distances is dm
+        assert not dm.flags.writeable
+        with pytest.raises(ValueError):
+            dm[0, 1] = 1.0
+        before = dm.copy()
+        compute_all(pd)
+        knn_cloud(pd, k=3)
+        assert pd.distances is dm
+        assert dm.tobytes() == before.tobytes()
