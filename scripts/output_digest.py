@@ -17,6 +17,14 @@ Each design contributes its ``compute_all`` JSON and its ``knn_cloud``
 records (k = 1 and k = min(8, n - 1)), and the CLI's ``features`` JSON and
 CSV and ``fitmap --mode cloud`` CSV, run in-process on the design's CSV.
 
+The ``report`` line hashes the CLI's ``aas`` cross-validation report for 16
+selector configurations (knn with k in {1, 3, 5} and nearest_centroid, each
+with and without ``--cost-sensitive``, under ``leave_iid_out`` and
+``leave_fid_out``) over a seeded feature table (five builtins x d in {2, 3}
+x 8 instances) and a seeded performance table in which some (family,
+algorithm) pairs never succeed, so their cells are imputed.  It is printed
+on its own and is not part of ``all``.
+
 Usage:
     PYTHONPATH=src python3 scripts/output_digest.py --seed 0 --designs 120
 """
@@ -33,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from landsel import cli
+from landsel.aas import PerformanceRecord, write_features_csv, write_performance_csv
 from landsel.ela import compute_all
 from landsel.fitmap import knn_cloud
 from landsel.preprocess import preprocess_pipeline
@@ -40,6 +49,13 @@ from landsel.sampling import Design, create_initial_design, design_to_csv, evalu
 from landsel.space import BUILTIN_FUNCTIONS, Condition, Problem, SearchSpace, VariableSpec, builtin_problem
 
 LARGE = ((10, 500), (20, 1000), (40, 2000))
+ALGORITHMS = ("bfgs", "cmaes", "de", "nelder_mead")
+SELECTION_GRID = tuple(
+    (scheme, selector, k, cost)
+    for scheme in ("leave_iid_out", "leave_fid_out")
+    for selector, k in (("knn", 1), ("knn", 3), ("knn", 5), ("nearest_centroid", 1))
+    for cost in (False, True)
+)
 
 
 def mixed_problem(seed: int) -> Problem:
@@ -127,6 +143,51 @@ def cli_bytes(design: Design, encoding: str, seed: int, k: int, workdir: Path) -
     return outputs
 
 
+def selection_tables(seed: int, workdir: Path) -> tuple[Path, Path]:
+    """Write the seeded feature and performance CSVs of the ``report`` digest."""
+    rng = np.random.default_rng([seed, 6])
+    features = {}
+    records = []
+    for fid in BUILTIN_FUNCTIONS:
+        for d in (2, 3):
+            family = f"{fid}_d{d}"
+            # family-level strengths decide each family's winner; a hopeless
+            # (family, algorithm) pair never succeeds
+            strength = rng.uniform(0.2, 1.0, len(ALGORITHMS))
+            hopeless = rng.random(len(ALGORITHMS)) < 0.15
+            for iid in range(1, 9):
+                problem = builtin_problem(fid, iid, d)
+                design = create_initial_design(problem.space, n=20 * d, seed=int(rng.integers(2**31)))
+                pd = preprocess_pipeline(evaluate_design(problem, design))
+                features[(family, str(iid))] = compute_all(pd, seed=int(rng.integers(2**31)))
+                budget = 1000 * d
+                for a, algorithm in enumerate(ALGORITHMS):
+                    for run in range(1, 6):
+                        success = not hopeless[a] and rng.random() < strength[a]
+                        spent = budget * min(1.0, (1.1 - strength[a]) * rng.uniform(0.3, 1.0)) if success else budget
+                        records.append(
+                            PerformanceRecord(family, str(iid), algorithm, run, max(int(spent), 1), success, budget)
+                        )
+    paths = (workdir / "selection_features.csv", workdir / "selection_performance.csv")
+    write_features_csv(features, paths[0])
+    write_performance_csv(records, paths[1])
+    return paths
+
+
+def report_bytes(seed: int, workdir: Path) -> list[bytes]:
+    features, performance = selection_tables(seed, workdir)
+    out = workdir / "report.json"
+    outputs = []
+    for scheme, selector, k, cost in SELECTION_GRID:
+        argv = ["aas", features, performance, "--scheme", scheme, "--selector", selector, "--k", k, "--out", out]
+        if cost:
+            argv.append("--cost-sensitive")
+        if cli.main([str(a) for a in argv]) != 0:
+            raise RuntimeError(f"landsel {' '.join(map(str, argv))} failed")
+        outputs.append(out.read_bytes())
+    return outputs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0, help="corpus seed")
@@ -155,9 +216,14 @@ def main(argv=None) -> int:
                     feed("knn_cloud", r.neighbor_distances.tobytes() + r.flatten().tobytes())
             for chunk in cli_bytes(design, encoding, seed, k, Path(tmp)):
                 feed("cli", chunk)
+        report = hashlib.sha256()
+        for chunk in report_bytes(args.seed, Path(tmp)):
+            report.update(len(chunk).to_bytes(8, "little"))
+            report.update(chunk)
     for name, h in sections.items():
         print(f"{name:10s} {h.hexdigest()}")
     print(f"{'all':10s} {total.hexdigest()}")
+    print(f"{'report':10s} {report.hexdigest()}")
     print(f"{count} designs, seed {args.seed}, {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 

@@ -139,8 +139,9 @@ class ErtTable:
         return self.cells[(instance[0], instance[1], algorithm)].ert
 
     def require_complete(self) -> None:
+        algorithms = self.algorithms()
         for instance in self.instances():
-            for algorithm in self.algorithms():
+            for algorithm in algorithms:
                 if (instance[0], instance[1], algorithm) not in self.cells:
                     raise ValueError(f"table is missing {algorithm!r} on {instance}")
 
@@ -206,19 +207,18 @@ def vbs_performance(table: ErtTable) -> dict[InstanceKey, float]:
     """Per-instance minimum ERT over algorithms (the virtual best solver)."""
     table.require_complete()
     table.require_finite()
-    return {
-        inst: min(table.ert(inst, a) for a in table.algorithms()) for inst in table.instances()
-    }
+    algorithms = table.algorithms()
+    return {inst: min(table.ert(inst, a) for a in algorithms) for inst in table.instances()}
 
 
 def instance_labels(table: ErtTable) -> dict[InstanceKey, str]:
     """Per-instance ERT-minimizing algorithm, ties lexicographic."""
     table.require_complete()
     table.require_finite()
-    labels = {}
-    for inst in table.instances():
-        labels[inst] = min(table.algorithms(), key=lambda a: (table.ert(inst, a), a))
-    return labels
+    algorithms = table.algorithms()
+    return {
+        inst: min(algorithms, key=lambda a: (table.ert(inst, a), a)) for inst in table.instances()
+    }
 
 
 def feature_cost_adjust(performance: dict[InstanceKey, float], design_size: int) -> dict[InstanceKey, float]:
@@ -268,21 +268,28 @@ def f1_macro(confusion: np.ndarray) -> float:
 # ── selector models ──────────────────────────────────────────────────────────
 
 
-def _feature_matrix(
-    features: dict[InstanceKey, FeatureVector], instances: list[InstanceKey]
-) -> tuple[np.ndarray, list[str]]:
+def _aligned_arrays(
+    features: dict[InstanceKey, FeatureVector], table: ErtTable
+) -> tuple[np.ndarray, list[str], np.ndarray, list[str], list[InstanceKey]]:
+    """The feature matrix (NaN where missing) and its column names, the ERT
+    array and its column algorithms, and the instances, one row each in
+    sorted order."""
+    instances = table.instances()
+    only = set(features) ^ set(instances)
+    if only:
+        side = "the features" if min(only) in features else "the performance table"
+        raise ValueError(
+            f"features must align one-to-one with the table's instances: {min(only)} is only in {side}"
+        )
     names = list(features[instances[0]].names())
-    for inst in instances:
+    matrix = np.empty((len(instances), len(names)))
+    for r, inst in enumerate(instances):
         if list(features[inst].names()) != names:
             raise ValueError(f"feature names differ for instance {inst}")
-    matrix = np.full((len(instances), len(names)), np.nan)
-    for r, inst in enumerate(instances):
-        fv = features[inst]
-        for c, name in enumerate(names):
-            v = fv[name]
-            if v is not None:
-                matrix[r, c] = v
-    return matrix, names
+        matrix[r] = [np.nan if v is None else v for v in features[inst].values.values()]
+    algorithms = table.algorithms()
+    erts = np.array([[table.ert(inst, a) for a in algorithms] for inst in instances])
+    return matrix, names, erts, algorithms, instances
 
 
 @dataclass
@@ -344,32 +351,14 @@ class SelectorModel:
         return min(a for a, v in votes.items() if v == top)
 
 
-def train_selector(
-    features: dict[InstanceKey, FeatureVector],
-    table: ErtTable,
-    kind: str = "knn",
-    k: int = 1,
-    cost_sensitive: bool = False,
-    penalty: float = DEFAULT_PENALTY,
-) -> SelectorModel:
-    """Fit a selector on aligned features and performance.
-
-    ``features`` must cover exactly the table's instances.  Infinite ERT
-    cells are imputed (recorded on the model).  Per-instance regret weights
-    are (mean ERT - min ERT) / mean ERT; the cost matrix normalizes each
-    instance's ERT row by its mean, so a neighbor where all algorithms tie
-    contributes no preference to cost-sensitive votes.
-    """
+def _fit(matrix: np.ndarray, names: list[str], erts: np.ndarray, algorithms: list[str],
+         instances: list[InstanceKey], kind: str, k: int, cost_sensitive: bool) -> SelectorModel:
+    """Fit a selector on training rows: row r of ``matrix`` and of ``erts``
+    belongs to ``instances[r]``."""
     if kind not in SELECTOR_KINDS:
         raise ValueError(f"unknown selector kind {kind!r}")
-    table.require_complete()
-    table, log = impute_table(table, penalty)
-    instances = table.instances()
-    if set(features) != set(instances):
-        raise ValueError("features must align one-to-one with the table's instances")
     if not 1 <= k <= len(instances):
         raise ValueError(f"k must satisfy 1 <= k <= {len(instances)}")
-    matrix, names = _feature_matrix(features, instances)
 
     medians = np.empty(matrix.shape[1])
     for c in range(matrix.shape[1]):
@@ -387,9 +376,8 @@ def train_selector(
     kept_names = [names[c] for c in range(len(names)) if keep[c]]
     Z = (filled[:, keep] - center[keep]) / scale[keep]
 
-    algorithms = table.algorithms()
-    labels = [min(algorithms, key=lambda a: (table.ert(inst, a), a)) for inst in instances]
-    erts = np.array([[table.ert(inst, a) for a in algorithms] for inst in instances])
+    # argmin keeps the first minimum: ties go to the lexicographically first algorithm
+    labels = [algorithms[j] for j in erts.argmin(axis=1)]
     means = erts.mean(axis=1)
     weights = (means - erts.min(axis=1)) / means
     cost_matrix = erts / means[:, None]
@@ -423,8 +411,33 @@ def train_selector(
         weights=weights,
         cost_matrix=cost_matrix,
         centroids=centroids,
-        imputed_cells=[(e["fid"], e["iid"], e["algorithm"]) for e in log],
     )
+
+
+def train_selector(
+    features: dict[InstanceKey, FeatureVector],
+    table: ErtTable,
+    kind: str = "knn",
+    k: int = 1,
+    cost_sensitive: bool = False,
+    penalty: float = DEFAULT_PENALTY,
+) -> SelectorModel:
+    """Fit a selector on aligned features and performance.
+
+    ``features`` must cover exactly the table's instances.  Infinite ERT
+    cells are imputed (recorded on the model).  The features become one
+    matrix and the ERTs one array, rows in sorted instance order, and the
+    same fit that serves each cross-validation fold runs on all rows.
+    Per-instance regret weights are (mean ERT - min ERT) / mean ERT; the
+    cost matrix normalizes each instance's ERT row by its mean, so a
+    neighbor where all algorithms tie contributes no preference to
+    cost-sensitive votes.
+    """
+    table.require_complete()
+    table, log = impute_table(table, penalty)
+    model = _fit(*_aligned_arrays(features, table), kind, k, cost_sensitive)
+    model.imputed_cells = [(e["fid"], e["iid"], e["algorithm"]) for e in log]
+    return model
 
 
 # ── cross-validation ─────────────────────────────────────────────────────────
@@ -457,36 +470,30 @@ def cross_validate(
 
     Folds are keyed by instance id, function id, or explicit group labels;
     each fold is predicted by a model trained on everything else, so
-    predictions depend on the training folds only.  The report carries per
-    instance selections, the confusion of predicted versus ERT-optimal
-    algorithms, pooled and per-fold SBS/VBS/model means, the gap closure with
-    its inputs, macro F1, and the imputation log.
+    predictions depend on the training folds only.  The table is imputed
+    once and the features and ERTs become one matrix and one array; each
+    fold fits on its training rows of both, so medians, means and standard
+    deviations still come from the training rows alone.  The report carries
+    per instance selections, the confusion of predicted versus ERT-optimal
+    algorithms, pooled and per-fold SBS/VBS/model means, the gap closure
+    with its inputs, macro F1, and the imputation log.
     """
     table.require_complete()
     imputed, log = impute_table(table, penalty)
-    instances = imputed.instances()
-    if set(features) != set(instances):
-        raise ValueError("features must align one-to-one with the table's instances")
-    folds: dict[str, list[InstanceKey]] = {}
-    for inst in instances:
-        folds.setdefault(_fold_key(scheme, inst, groups), []).append(inst)
+    matrix, names, erts, algorithms, instances = _aligned_arrays(features, imputed)
+    folds: dict[str, list[int]] = {}
+    for row, inst in enumerate(instances):
+        folds.setdefault(_fold_key(scheme, inst, groups), []).append(row)
     if len(folds) < 2:
         raise ValueError(f"scheme {scheme!r} yields fewer than two folds")
 
     selections: dict[InstanceKey, str] = {}
     for key in sorted(folds):
-        held = folds[key]
-        train_instances = [inst for inst in instances if inst not in set(held)]
-        model = train_selector(
-            {inst: features[inst] for inst in train_instances},
-            imputed.restrict(train_instances),
-            kind=kind,
-            k=min(k, len(train_instances)),
-            cost_sensitive=cost_sensitive,
-            penalty=penalty,
-        )
-        for inst in held:
-            selections[inst] = model.predict(features[inst])
+        train = np.delete(np.arange(len(instances)), folds[key])
+        model = _fit(matrix[train], names, erts[train], algorithms, [instances[r] for r in train],
+                     kind, min(k, len(train)), cost_sensitive)
+        for r in folds[key]:
+            selections[instances[r]] = model.predict(features[instances[r]])
 
     vbs_perf = vbs_performance(imputed)
     sbs_algorithm = sbs(imputed)
@@ -496,45 +503,23 @@ def cross_validate(
         model_perf = feature_cost_adjust(model_perf, feature_cost)
 
     labels = instance_labels(imputed)
-    algorithms = imputed.algorithms()
     alg_index = {a: i for i, a in enumerate(algorithms)}
     confusion = np.zeros((len(algorithms), len(algorithms)), dtype=int)
     for inst in instances:
         confusion[alg_index[labels[inst]], alg_index[selections[inst]]] += 1
 
-    def _mean(perf: dict[InstanceKey, float], subset: list[InstanceKey]) -> float:
-        return float(sum(perf[i] for i in subset) / len(subset))
+    def _means(subset: list[InstanceKey]) -> dict:
+        sbs_m, vbs_m, model_m = (
+            float(sum(perf[i] for i in subset) / len(subset)) for perf in (sbs_perf, vbs_perf, model_perf)
+        )
+        gap = gap_closure(sbs_m, vbs_m, model_m) if sbs_m > vbs_m else None
+        return {"sbs_mean": sbs_m, "vbs_mean": vbs_m, "model_mean": model_m, "gap_closure": gap}
 
-    sbs_mean = _mean(sbs_perf, instances)
-    vbs_mean = _mean(vbs_perf, instances)
-    model_mean = _mean(model_perf, instances)
-    pooled = {
-        "sbs_algorithm": sbs_algorithm,
-        "sbs_mean": sbs_mean,
-        "vbs_mean": vbs_mean,
-        "model_mean": model_mean,
-        "gap_closure": (
-            gap_closure(sbs_mean, vbs_mean, model_mean) if sbs_mean > vbs_mean else None
-        ),
-    }
+    pooled = {"sbs_algorithm": sbs_algorithm, **_means(instances)}
     per_fold = []
     for key in sorted(folds):
-        subset = folds[key]
-        fold_sbs = _mean(sbs_perf, subset)
-        fold_vbs = _mean(vbs_perf, subset)
-        fold_model = _mean(model_perf, subset)
-        per_fold.append(
-            {
-                "fold": key,
-                "instances": [list(i) for i in subset],
-                "sbs_mean": fold_sbs,
-                "vbs_mean": fold_vbs,
-                "model_mean": fold_model,
-                "gap_closure": (
-                    gap_closure(fold_sbs, fold_vbs, fold_model) if fold_sbs > fold_vbs else None
-                ),
-            }
-        )
+        subset = [instances[r] for r in folds[key]]
+        per_fold.append({"fold": key, "instances": [list(i) for i in subset], **_means(subset)})
     return {
         "scheme": scheme,
         "selector": {
@@ -606,7 +591,7 @@ def write_performance_csv(records: list[PerformanceRecord], path: str | Path) ->
 
 def read_features_csv(path: str | Path) -> dict[InstanceKey, FeatureVector]:
     """Read a batch feature table: header fid,iid,<feature names>; empty cells
-    are missing features."""
+    are missing features, every other cell must be a finite number."""
     path = Path(path)
     if not path.exists():
         raise ValueError(f"features file not found: {path}")
@@ -631,7 +616,12 @@ def read_features_csv(path: str | Path) -> dict[InstanceKey, FeatureVector]:
                 values[name] = None
                 reasons[name] = "missing_in_file"
             else:
-                values[name] = float(cell)
+                try:
+                    values[name] = float(cell)
+                except ValueError as e:
+                    raise ValueError(f"{path}:{lineno}: column {name}: {e}") from None
+                if not math.isfinite(values[name]):
+                    raise ValueError(f"{path}:{lineno}: column {name}: {cell!r} is not finite")
         out[key] = FeatureVector(values=values, reasons=reasons, meta={"source": str(path)})
     if not out:
         raise ValueError(f"{path}: no feature rows")

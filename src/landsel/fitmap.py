@@ -28,6 +28,9 @@ import numpy as np
 from .preprocess import ProcessedDesign, minmax_unit
 
 DEFAULT_RESOLUTION = 224
+# Largest float64 pixel buffer one raster call may allocate: 1 GiB.  The
+# 780-channel 224 x 224 stack of a 40-column design needs 313 MB.
+MAX_RASTER_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,17 @@ class MapStack:
         return self.channels[0].resolution
 
 
+def check_raster_size(channels: int, resolution: int) -> None:
+    """Refuse, before anything is allocated, ``channels`` R-by-R float64
+    grids whose pixels would exceed ``MAX_RASTER_BYTES``."""
+    need = channels * resolution * resolution * 8
+    if need > MAX_RASTER_BYTES:
+        raise ValueError(
+            f"{channels} channel(s) at resolution {resolution} need {need / 2**20:.0f} MiB"
+            f" of pixels, over the {MAX_RASTER_BYTES >> 20} MiB raster cap"
+        )
+
+
 def rasterize_2d(
     pd: ProcessedDesign,
     columns: tuple[int, int] = (0, 1),
@@ -86,6 +100,7 @@ def rasterize_2d(
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    check_raster_size(1, resolution)
     if len(columns) != 2:
         raise ValueError("exactly two columns are required")
     c0, c1 = columns
@@ -163,6 +178,7 @@ def rasterize_projection(
     projection: PcaProjection, objective: np.ndarray, resolution: int = DEFAULT_RESOLUTION
 ) -> FitnessMap:
     """Rasterize PCA coordinates with their objective values."""
+    check_raster_size(1, resolution)
     coords = projection.coordinates
     ix = np.minimum((coords[:, 0] * resolution).astype(int), resolution - 1)
     iy = np.minimum((coords[:, 1] * resolution).astype(int), resolution - 1)
@@ -175,6 +191,7 @@ def multichannel(pd: ProcessedDesign, resolution: int = DEFAULT_RESOLUTION) -> M
     """One channel per coordinate pair (i < j) in lexicographic order."""
     if pd.width < 2:
         raise ValueError("a multi-channel map needs at least two columns")
+    check_raster_size(pd.width * (pd.width - 1) // 2, resolution)
     channels = tuple(
         rasterize_2d(pd, columns=(i, j), resolution=resolution)
         for i, j in itertools.combinations(range(pd.width), 2)

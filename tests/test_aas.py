@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -310,6 +311,16 @@ class TestTrainSelector:
         with pytest.raises(ValueError, match="align"):
             train_selector(features, table)
 
+    def test_misalignment_names_the_instance_and_its_side(self):
+        features, table = self.cluster_setup()
+        del features[("g", "3")]
+        with pytest.raises(ValueError, match=r"\('g', '3'\) is only in the performance table"):
+            train_selector(features, table)
+        features[("g", "3")] = features[("g", "2")]
+        features[("e", "0")] = features[("g", "2")]
+        with pytest.raises(ValueError, match=r"\('e', '0'\) is only in the features"):
+            cross_validate(features, table)
+
     def test_k_bounds(self):
         features, table = self.cluster_setup()
         with pytest.raises(ValueError):
@@ -453,6 +464,117 @@ class TestCrossValidate:
         # eight instances, leave_fid_out leaves four to train on
         report = cross_validate(features, table, scheme="leave_fid_out", k=4)
         assert report["selector"]["k"] == 4
+
+
+def reference_cross_validate(features, table, scheme, kind, k, cost_sensitive, groups, feature_cost):
+    """The per-fold loop cross_validate replaced: each sorted fold fits
+    train_selector on the imputed table restricted to its training
+    instances, then predicts its held-out instances one by one."""
+    imputed, log = impute_table(table)
+    instances = imputed.instances()
+    fold_of = {"leave_iid_out": lambda i: i[1], "leave_fid_out": lambda i: i[0],
+               "leave_group_out": lambda i: groups[i]}[scheme]
+    folds = {}
+    for inst in instances:
+        folds.setdefault(fold_of(inst), []).append(inst)
+    selections = {}
+    for key in sorted(folds):
+        train = [inst for inst in instances if inst not in folds[key]]
+        model = train_selector(
+            {inst: features[inst] for inst in train}, imputed.restrict(train),
+            kind=kind, k=min(k, len(train)), cost_sensitive=cost_sensitive,
+        )
+        for inst in folds[key]:
+            selections[inst] = model.predict(features[inst])
+
+    sbs_algorithm = sbs(imputed)
+    model_perf = {inst: imputed.ert(inst, selections[inst]) for inst in instances}
+    perf = {
+        "sbs": {inst: imputed.ert(inst, sbs_algorithm) for inst in instances},
+        "vbs": vbs_performance(imputed),
+        "model": feature_cost_adjust(model_perf, feature_cost) if feature_cost else model_perf,
+    }
+    labels = instance_labels(imputed)
+    algorithms = imputed.algorithms()
+    confusion = np.zeros((len(algorithms), len(algorithms)), dtype=int)
+    for inst in instances:
+        confusion[algorithms.index(labels[inst]), algorithms.index(selections[inst])] += 1
+
+    def summary(subset):
+        out = {f"{name}_mean": float(sum(p[i] for i in subset) / len(subset)) for name, p in perf.items()}
+        sbs_mean, vbs_mean, model_mean = out["sbs_mean"], out["vbs_mean"], out["model_mean"]
+        out["gap_closure"] = gap_closure(sbs_mean, vbs_mean, model_mean) if sbs_mean > vbs_mean else None
+        return out
+
+    return {
+        "scheme": scheme,
+        "selector": {"kind": kind, "k": k, "cost_sensitive": cost_sensitive,
+                     "feature_cost": feature_cost, "penalty": 10.0},
+        "algorithms": algorithms,
+        "selections": {f"{f}:{i}": a for (f, i), a in sorted(selections.items())},
+        "true_labels": {f"{f}:{i}": a for (f, i), a in sorted(labels.items())},
+        "confusion": confusion.tolist(),
+        "f1_macro": f1_macro(confusion),
+        "pooled": {"sbs_algorithm": sbs_algorithm, **summary(instances)},
+        "per_fold": [{"fold": key, "instances": [list(i) for i in folds[key]], **summary(folds[key])}
+                     for key in sorted(folds)],
+        "imputation_log": log,
+    }
+
+
+class TestCrossValidateOracle:
+    """cross_validate slices one shared feature matrix and ERT array per
+    fold; its report must equal, byte for byte, the per-fold refit above."""
+
+    @staticmethod
+    def corpus():
+        # three functions x five instances; h is missing on a third of them,
+        # "empty" on all, "flat" is constant; fb:2 never succeeds with c, and
+        # a and b tie for the best ERT on fa:1
+        rng = np.random.default_rng(11)
+        features, records = {}, []
+        for f, fid in enumerate(("fa", "fb", "fc")):
+            for iid in range(5):
+                h = None if (f + iid) % 3 == 0 else float(rng.normal())
+                features[(fid, str(iid))] = fv(
+                    g=f + 0.2 * iid + float(rng.uniform(0.0, 0.1)), h=h, empty=None, flat=2.0
+                )
+                for algorithm in ("a", "b", "c"):
+                    for run in (1, 2):
+                        evaluations = int(rng.integers(50, 1000))
+                        if (fid, str(iid)) == ("fa", "1"):
+                            evaluations = 900 if algorithm == "c" else 300
+                        success = (fid, str(iid), algorithm) != ("fb", "2", "c")
+                        records.append(rec(fid, str(iid), algorithm, run, evaluations, success, 1000))
+        return features, ErtTable.from_records(records)
+
+    @pytest.mark.parametrize("scheme", ["leave_iid_out", "leave_fid_out", "leave_group_out"])
+    @pytest.mark.parametrize(
+        "kind, k", [("knn", 1), ("knn", 3), ("nearest_centroid", 1)]
+    )
+    @pytest.mark.parametrize("cost_sensitive", [False, True])
+    def test_report_equals_per_fold_refit(self, scheme, kind, k, cost_sensitive):
+        features, table = self.corpus()
+        groups = {inst: f"g{int(inst[1]) % 3}" for inst in table.instances()}
+        feature_cost = 100 if cost_sensitive else 0
+        report = cross_validate(
+            features, table, scheme=scheme, kind=kind, k=k, cost_sensitive=cost_sensitive,
+            groups=groups, feature_cost=feature_cost,
+        )
+        reference = reference_cross_validate(
+            features, table, scheme, kind, k, cost_sensitive, groups, feature_cost
+        )
+        assert json.dumps(report, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+    def test_corpus_has_the_edge_cases(self):
+        features, table = self.corpus()
+        imputed, log = impute_table(table)
+        assert [(e["fid"], e["iid"], e["algorithm"]) for e in log] == [("fb", "2", "c")]
+        assert imputed.ert(("fa", "1"), "a") == imputed.ert(("fa", "1"), "b")
+        assert instance_labels(imputed)[("fa", "1")] == "a"
+        model = train_selector(features, table)
+        assert model.dropped_columns == ["empty", "flat"]
+        assert any(vector["h"] is None for vector in features.values())
 
 
 class TestPerformanceCsv:

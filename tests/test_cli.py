@@ -270,6 +270,17 @@ class TestFitmap:
         assert "--k >= 1" in capsys.readouterr().err
 
 
+    def test_oversized_raster_refused(self, tmp_path, capsys):
+        # three channels of 100000 x 100000 float64 pixels would need 224 GiB
+        design = sample_design(tmp_path, source="builtin:sphere:d3", n=30)
+        code = run_cli(
+            "fitmap", design, "--mode", "mc", "--resolution", 100000, "--out", tmp_path / "maps.pgm"
+        )
+        assert code == 2
+        assert "--resolution 100000 is too large" in capsys.readouterr().err
+        assert not list(tmp_path.glob("maps*"))
+
+
 class TestAas:
     def test_toy_corpus_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -301,6 +312,17 @@ class TestAas:
         code = run_cli("aas", feats, perf, "--scheme", "leave_fid_out", "--out", tmp_path / "r.json")
         assert code == 2
         assert "fewer than two folds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cell, reason",
+        [("abc", "could not convert string to float: 'abc'"), ("nan", "'nan' is not finite")],
+    )
+    def test_bad_feature_cell_names_file_line_and_column(self, tmp_path, capsys, cell, reason):
+        feats = tmp_path / "features.csv"
+        feats.write_text(f"fid,iid,f1,f2\nfa,0,0.1,1.0\nfa,1,0.2,{cell}\n")
+        code = run_cli("aas", feats, TOY_PERFORMANCE, "--out", tmp_path / "r.json")
+        assert code == 2
+        assert f"landsel aas: {feats}:3: column f2: {reason}" in capsys.readouterr().err
 
     def test_feature_cost_flag(self, tmp_path):
         out = tmp_path / "report.json"

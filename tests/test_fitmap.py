@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from landsel import fitmap
 from landsel.fitmap import (
     DEFAULT_RESOLUTION,
+    MAX_RASTER_BYTES,
     FitnessMap,
     MapStack,
+    check_raster_size,
     cloud_to_csv,
     knn_cloud,
     multichannel,
@@ -102,6 +105,34 @@ class TestMultichannel:
         pd = make_processed(np.linspace(0, 1, 5), np.linspace(0, 1, 5))
         with pytest.raises(ValueError):
             multichannel(pd)
+
+
+class TestRasterCap:
+    def test_admits_the_40_column_stack(self):
+        # C(40, 2) = 780 channels of 224 x 224 float64 pixels: 313 MB
+        check_raster_size(780, 224)
+        assert 780 * 224 * 224 * 8 < MAX_RASTER_BYTES
+
+    def test_cap_is_inclusive(self):
+        side = int((MAX_RASTER_BYTES // 8) ** 0.5)
+        check_raster_size(1, side)
+        with pytest.raises(ValueError, match="raster cap"):
+            check_raster_size(1, side + 1)
+
+    def test_refused_before_any_allocation(self, monkeypatch):
+        pd = make_processed(np.random.default_rng(0).random((20, 3)), np.linspace(0, 1, 20))
+        projection = pca_project(pd)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a pixel grid was allocated")
+
+        monkeypatch.setattr(fitmap.np, "full", no_allocation)
+        with pytest.raises(ValueError, match=r"3 channel\(s\) at resolution 100000"):
+            multichannel(pd, resolution=100_000)
+        with pytest.raises(ValueError, match="raster cap"):
+            rasterize_2d(pd, resolution=100_000)
+        with pytest.raises(ValueError, match="raster cap"):
+            rasterize_projection(projection, pd.objective, resolution=100_000)
 
 
 class TestReduceMean:
