@@ -22,8 +22,15 @@ selector configurations (knn with k in {1, 3, 5} and nearest_centroid, each
 with and without ``--cost-sensitive``, under ``leave_iid_out`` and
 ``leave_fid_out``) over a seeded feature table (five builtins x d in {2, 3}
 x 8 instances) and a seeded performance table in which some (family,
-algorithm) pairs never succeed, so their cells are imputed.  It is printed
-on its own and is not part of ``all``.
+algorithm) pairs never succeed, so their cells are imputed.
+
+The ``preprocess`` line hashes the CLI's ``preprocess`` CSV and
+``.provenance.json`` for every corpus design under each encoding its space
+allows (``none`` only for numeric spaces), with target smoothing 0 and 0.5.
+The ``maps`` line hashes the ``fitmap --mode rmc``, ``mc`` and ``pca-func``
+PGMs of the three large designs and of the mixed design under both encodings.
+``report``, ``preprocess`` and ``maps`` are printed on their own lines and are
+not part of ``all``, so ``all`` stays comparable with older checkouts.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digest.py --seed 0 --designs 120
@@ -44,7 +51,7 @@ from landsel import cli
 from landsel.aas import PerformanceRecord, write_features_csv, write_performance_csv
 from landsel.ela import compute_all
 from landsel.fitmap import knn_cloud
-from landsel.preprocess import preprocess_pipeline
+from landsel.preprocess import ENCODINGS, preprocess_pipeline
 from landsel.sampling import Design, create_initial_design, design_to_csv, evaluate_design
 from landsel.space import BUILTIN_FUNCTIONS, Condition, Problem, SearchSpace, VariableSpec, builtin_problem
 
@@ -108,7 +115,8 @@ def with_repeated_rows(design: Design, rng: np.random.Generator) -> Design:
 
 
 def corpus(seed: int, count: int):
-    """Yield (label, design, encoding) triples."""
+    """Yield (label, design, encoding, mapped) tuples; ``mapped`` marks the
+    designs whose fitness maps go into the ``maps`` digest."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         fid = BUILTIN_FUNCTIONS[int(rng.integers(len(BUILTIN_FUNCTIONS)))]
@@ -118,28 +126,58 @@ def corpus(seed: int, count: int):
         design = evaluate_design(problem, create_initial_design(problem.space, n, seed=int(rng.integers(2**31))))
         if i % 4 == 3:
             design = with_repeated_rows(design, rng)
-        yield f"{fid} d={d} n={design.n}", design, "none"
+        yield f"{fid} d={d} n={design.n}", design, "none", False
     for d, n in LARGE:
         problem = builtin_problem("rastrigin", 3, d)
-        yield f"rastrigin d={d} n={n}", evaluate_design(problem, create_initial_design(problem.space, n, seed=seed)), "none"
+        design = evaluate_design(problem, create_initial_design(problem.space, n, seed=seed))
+        yield f"rastrigin d={d} n={n}", design, "none", True
     problem = mixed_problem(seed)
     mixed = evaluate_design(problem, create_initial_design(problem.space, 300, seed=seed))
     for encoding in ("one_hot", "target"):
-        yield f"mixed {encoding} n=300", mixed, encoding
+        yield f"mixed {encoding} n=300", mixed, encoding, True
 
 
-def cli_bytes(design: Design, encoding: str, seed: int, k: int, workdir: Path) -> list[bytes]:
-    path = workdir / "design.csv"
-    design_to_csv(design, path)
+def run_cli(*argv) -> None:
+    if cli.main([str(a) for a in argv]) != 0:
+        raise RuntimeError(f"landsel {' '.join(map(str, argv))} failed")
+
+
+def cli_bytes(path: Path, encoding: str, seed: int, k: int, workdir: Path) -> list[bytes]:
     outputs = []
     for argv in (
         ["features", path, "--encoding", encoding, "--seed", seed, "--out", workdir / "f.json"],
         ["features", path, "--encoding", encoding, "--seed", seed, "--out", workdir / "f.csv"],
         ["fitmap", path, "--encoding", encoding, "--mode", "cloud", "--k", k, "--out", workdir / "cloud.csv"],
     ):
-        if cli.main([str(a) for a in argv]) != 0:
-            raise RuntimeError(f"landsel {' '.join(map(str, argv))} failed")
+        run_cli(*argv)
         outputs.append(Path(argv[-1]).read_bytes())
+    return outputs
+
+
+def preprocess_bytes(path: Path, design: Design, workdir: Path) -> list[bytes]:
+    """``landsel preprocess`` CSV and provenance sidecar per legal
+    (encoding, smoothing) pair of the design's space."""
+    variants = [(e, 0.0) for e in ENCODINGS if e != "none" or design.space.is_numeric()]
+    outputs = []
+    for encoding, smoothing in variants + [("target", 0.5)]:
+        out = workdir / "processed.csv"
+        run_cli("preprocess", path, "--encoding", encoding, "--smoothing", smoothing, "--out", out)
+        outputs += [out.read_bytes(), (workdir / "processed.provenance.json").read_bytes()]
+    return outputs
+
+
+def map_bytes(path: Path, encoding: str, workdir: Path) -> list[bytes]:
+    """The ``rmc``, ``mc`` (every channel, in file-name order) and
+    ``pca-func`` PGMs of one design, each prefixed by its file name."""
+    outdir = workdir / "maps"
+    outdir.mkdir()
+    for mode in ("rmc", "mc", "pca-func"):
+        run_cli("fitmap", path, "--encoding", encoding, "--mode", mode, "--out", outdir / f"{mode}.pgm")
+    outputs = []
+    for pgm in sorted(outdir.iterdir()):
+        outputs.append(pgm.name.encode() + pgm.read_bytes())
+        pgm.unlink()
+    outdir.rmdir()
     return outputs
 
 
@@ -182,8 +220,7 @@ def report_bytes(seed: int, workdir: Path) -> list[bytes]:
         argv = ["aas", features, performance, "--scheme", scheme, "--selector", selector, "--k", k, "--out", out]
         if cost:
             argv.append("--cost-sensitive")
-        if cli.main([str(a) for a in argv]) != 0:
-            raise RuntimeError(f"landsel {' '.join(map(str, argv))} failed")
+        run_cli(*argv)
         outputs.append(out.read_bytes())
     return outputs
 
@@ -202,10 +239,20 @@ def main(argv=None) -> int:
             h.update(len(chunk).to_bytes(8, "little"))
             h.update(chunk)
 
+    separate = {name: hashlib.sha256() for name in ("report", "preprocess", "maps")}
+
+    def feed_separate(name: str, chunks: list[bytes]) -> None:
+        for chunk in chunks:
+            separate[name].update(len(chunk).to_bytes(8, "little"))
+            separate[name].update(chunk)
+
     start = time.perf_counter()
     count = 0
+    previous = None
     with tempfile.TemporaryDirectory() as tmp:
-        for count, (label, design, encoding) in enumerate(corpus(args.seed, args.designs), start=1):
+        workdir = Path(tmp)
+        path = workdir / "design.csv"
+        for count, (label, design, encoding, mapped) in enumerate(corpus(args.seed, args.designs), start=1):
             seed = count
             pd = preprocess_pipeline(design, encoding=encoding)
             feed("features", label.encode() + compute_all(pd, seed=seed).to_json().encode())
@@ -214,16 +261,20 @@ def main(argv=None) -> int:
                 for r in knn_cloud(pd, kk):
                     feed("knn_cloud", np.asarray(r.neighbor_indices).tobytes())
                     feed("knn_cloud", r.neighbor_distances.tobytes() + r.flatten().tobytes())
-            for chunk in cli_bytes(design, encoding, seed, k, Path(tmp)):
+            design_to_csv(design, path)
+            for chunk in cli_bytes(path, encoding, seed, k, workdir):
                 feed("cli", chunk)
-        report = hashlib.sha256()
-        for chunk in report_bytes(args.seed, Path(tmp)):
-            report.update(len(chunk).to_bytes(8, "little"))
-            report.update(chunk)
+            if design is not previous:  # the mixed design comes once per encoding
+                feed_separate("preprocess", preprocess_bytes(path, design, workdir))
+            if mapped:
+                feed_separate("maps", map_bytes(path, encoding, workdir))
+            previous = design
+        feed_separate("report", report_bytes(args.seed, workdir))
     for name, h in sections.items():
         print(f"{name:10s} {h.hexdigest()}")
     print(f"{'all':10s} {total.hexdigest()}")
-    print(f"{'report':10s} {report.hexdigest()}")
+    for name, h in separate.items():
+        print(f"{name:10s} {h.hexdigest()}")
     print(f"{count} designs, seed {args.seed}, {time.perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 

@@ -7,8 +7,9 @@ The pipeline runs in stages, each a module of its own:
   problem instances, exact objective transforms.
 - :mod:`landsel.sampling` — initial designs (uniform, Latin hypercube,
   Sobol), evaluation, CSV round-trips.
-- :mod:`landsel.preprocess` — hierarchy relaxation, exact min-max objective
-  normalization, categorical encodings, decision-variable normalization.
+- :mod:`landsel.preprocess` — one pass from an evaluated design to the unit
+  cube: hierarchy relaxation, exact min-max objective normalization, then
+  bound scaling or one-hot / target encoding of each variable.
 - :mod:`landsel.ela` — the 45-feature landscape vector (summary models,
   objective distribution, dispersion, information content, nearest-better
   clustering, fitness-distance correlation).
@@ -34,7 +35,7 @@ from .aas import (
 )
 from .ela import ElaConfig, FeatureVector, compute_all, feature_names
 from .fitmap import FitnessMap, MapStack, knn_cloud, multichannel, rasterize_2d, reduce_mean
-from .preprocess import ProcessedDesign, normalize_objective, preprocess_pipeline
+from .preprocess import ProcessedDesign, minmax_unit, preprocess_pipeline
 from .sampling import Design, create_initial_design, design_from_csv, design_to_csv, evaluate_design
 from .space import (
     ObjectiveTransform,
@@ -75,8 +76,8 @@ __all__ = [
     "impute_ert",
     "impute_table",
     "knn_cloud",
+    "minmax_unit",
     "multichannel",
-    "normalize_objective",
     "preprocess_pipeline",
     "rasterize_2d",
     "reduce_mean",

@@ -38,6 +38,8 @@ log = logging.getLogger("landsel")
 
 FITMAP_MODES = ("raw2d", "pca", "pca-func", "mc", "rmc", "cloud")
 
+_ELA_DEFAULTS = ela.ElaConfig()
+
 # Documented config defaults per subcommand; a flag given on the command line
 # always wins over the config file, which wins over these.
 _CONFIG_DEFAULTS: dict[str, dict] = {
@@ -50,10 +52,10 @@ _CONFIG_DEFAULTS: dict[str, dict] = {
         "smoothing": 0.0,
         "seed": 0,
         "out": None,
-        "dispersion_quantiles": [0.02, 0.05, 0.10, 0.25],
+        "dispersion_quantiles": list(_ELA_DEFAULTS.dispersion_quantiles),
         "epsilon_grid": None,
-        "settling_threshold": 0.05,
-        "kde_grid_points": 512,
+        "settling_threshold": _ELA_DEFAULTS.settling_threshold,
+        "kde_grid_points": _ELA_DEFAULTS.kde_grid_points,
     },
     "fitmap": {
         "design": None,
@@ -79,6 +81,37 @@ _CONFIG_DEFAULTS: dict[str, dict] = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The JSON type each config key takes, by description; null is accepted only
+# for keys whose documented default is null (meaning "not set").
+_JSON_TYPES = {
+    "a string": lambda value: isinstance(value, str),
+    "an integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+    "a number": _is_number,
+    "true or false": lambda value: isinstance(value, bool),
+    "a list of numbers": lambda value: isinstance(value, list) and all(map(_is_number, value)),
+    "an object": lambda value: isinstance(value, dict),
+}
+_CONFIG_TYPES = {
+    **dict.fromkeys(
+        ("source", "design", "out", "features", "performance", "strategy", "encoding", "mode",
+         "scheme", "selector"),
+        "a string",
+    ),
+    **dict.fromkeys(
+        ("n", "seed", "k", "resolution", "kde_grid_points", "feature_cost"), "an integer"
+    ),
+    **dict.fromkeys(("smoothing", "settling_threshold", "penalty"), "a number"),
+    "cost_sensitive": "true or false",
+    "dispersion_quantiles": "a list of numbers",
+    "epsilon_grid": "a list of numbers",
+    "groups": "an object",
+}
+
+
 def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
@@ -95,6 +128,12 @@ def _load_config(path: str | None, command: str) -> dict:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ValueError(f"{p}: unknown config keys for {command!r}: {', '.join(unknown)}")
+    for key, value in obj.items():
+        if value is None and allowed[key] is None:
+            continue
+        kind = _CONFIG_TYPES[key]
+        if value is None or not _JSON_TYPES[kind](value):
+            raise ValueError(f"{p}: config key {key!r} must be {kind}, got {json.dumps(value)}")
     return obj
 
 
@@ -196,13 +235,13 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 def cmd_features(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "features")
     pd = _processed(cfg, "features")
-    overrides = {}
-    if cfg["dispersion_quantiles"] is not None:
-        overrides["dispersion_quantiles"] = tuple(float(q) for q in cfg["dispersion_quantiles"])
+    overrides = {
+        "dispersion_quantiles": tuple(float(q) for q in cfg["dispersion_quantiles"]),
+        "settling_threshold": float(cfg["settling_threshold"]),
+        "kde_grid_points": int(cfg["kde_grid_points"]),
+    }
     if cfg["epsilon_grid"] is not None:
         overrides["epsilon_grid"] = tuple(float(e) for e in cfg["epsilon_grid"])
-    overrides["settling_threshold"] = float(cfg["settling_threshold"])
-    overrides["kde_grid_points"] = int(cfg["kde_grid_points"])
     ela_cfg = ela.ElaConfig(**overrides)
     fv = ela.compute_all(pd, ela_cfg, seed=int(cfg["seed"]))
     out = Path(_require(cfg, "out", "features"))
@@ -262,8 +301,6 @@ def cmd_aas(args: argparse.Namespace) -> int:
         raise ValueError("aas needs --k >= 1")
     groups = None
     if cfg["groups"] is not None:
-        if not isinstance(cfg["groups"], dict):
-            raise ValueError("config key 'groups' must map 'fid:iid' to a group label")
         groups = {}
         for key, label in cfg["groups"].items():
             fid, sep, iid = key.partition(":")

@@ -85,14 +85,13 @@ class ElaConfig:
     ``settling_threshold`` is the entropy level below which the landscape
     counts as settled; ``kde_grid_points`` sets the density grid resolution
     for peak counting; ``dispersion_quantiles`` are the best-fraction levels.
-    Only the Euclidean metric is supported.
+    Distances are Euclidean.
     """
 
     dispersion_quantiles: tuple[float, ...] = _DEFAULT_QUANTILES
     epsilon_grid: tuple[float, ...] = _DEFAULT_EPSILON_GRID
     settling_threshold: float = 0.05
     kde_grid_points: int = 512
-    distance_metric: str = "euclidean"
 
     def __post_init__(self):
         object.__setattr__(self, "dispersion_quantiles", tuple(self.dispersion_quantiles))
@@ -107,8 +106,6 @@ class ElaConfig:
             raise ValueError("settling threshold must lie in (0, 1)")
         if self.kde_grid_points < 8:
             raise ValueError("kde grid needs at least 8 points")
-        if self.distance_metric != "euclidean":
-            raise ValueError("only the euclidean metric is supported")
 
 
 @dataclass
@@ -799,8 +796,6 @@ def compute_all(pd, cfg: ElaConfig | None = None, seed: int = 0) -> FeatureVecto
     information-content tour.
     """
     cfg = cfg or ElaConfig()
-    if not pd.decision_normalized:
-        raise ValueError("features require a decision-normalized processed design")
     merged = _Emitter()
     merged.merge(ela_meta(pd))
     merged.merge(ela_distr(pd, cfg))

@@ -104,8 +104,6 @@ def rasterize_2d(
     if len(columns) != 2:
         raise ValueError("exactly two columns are required")
     c0, c1 = columns
-    if not pd.decision_normalized:
-        raise ValueError("rasterization requires a decision-normalized design")
     if not (0 <= c0 < pd.width and 0 <= c1 < pd.width) or c0 == c1:
         raise ValueError(f"column pair {columns} invalid for width {pd.width}")
     x0 = pd.matrix[:, c0]
@@ -206,19 +204,15 @@ def reduce_mean(stack: MapStack) -> FitnessMap:
     mean is computed relative to the first channel so that identical channels
     reduce to exactly themselves.
     """
-    mats = [ch.pixels for ch in stack.channels]
-    empties = [np.isnan(mat) for mat in mats]
-    filled = [np.where(e, 1.0, mat) for mat, e in zip(mats, empties)]
-    c = len(filled)
-    base = filled[0]
+    first, *rest = (ch.pixels for ch in stack.channels)
+    all_empty = np.isnan(first)
+    base = np.where(all_empty, 1.0, first)
     acc = np.zeros_like(base)
-    for mat in filled[1:]:
-        acc += mat - base
-    mean = base + acc / c
-    mean = np.clip(mean, 0.0, 1.0)
-    all_empty = empties[0].copy()
-    for e in empties[1:]:
-        all_empty &= e
+    for px in rest:
+        empty = np.isnan(px)
+        acc += np.where(empty, 1.0, px) - base
+        all_empty &= empty
+    mean = np.clip(base + acc / len(stack.channels), 0.0, 1.0)
     mean[all_empty] = np.nan
     return FitnessMap(pixels=mean, resolution=stack.resolution, channel=None)
 

@@ -1,13 +1,16 @@
 """Preprocessing: hierarchy relaxation, objective normalization, encoding, scaling.
 
-The pipeline runs in a fixed order — relax_hierarchy, normalize_objective,
-encode (one-hot or target), normalize_decision — and produces a fully numeric
-matrix in the unit cube plus a unit-range objective.  Landscape features are
-computed on this processed form only, which is what makes them invariant to
-shifting and scaling of the raw objective: any strictly monotone affine map
-a*y + b (a > 0) is cancelled by the min-max normalization.
+``preprocess_pipeline`` fills hierarchically inactive cells
+(``relax_hierarchy``), min-max normalizes the objective, then takes each
+variable in one pass straight to its unit-cube column or columns: numeric
+variables scaled by their bounds, categorical ones one-hot or target
+encoded.  The result is a fully numeric matrix in the unit cube plus a
+unit-range objective.  Landscape features are computed on this processed
+form only, which is what makes them invariant to shifting and scaling of the
+raw objective: any strictly monotone affine map a*y + b (a > 0) is cancelled
+by the min-max normalization.
 
-The cancellation is exact, not approximate.  ``normalize_objective`` converts
+The cancellation is exact, not approximate.  ``minmax_unit`` converts
 each input value to an exact integer ratio, forms (y_i - min) / (max - min) in
 arbitrary-precision integer arithmetic, and rounds once to float64.  Two input
 vectors that are exact affine images of each other therefore normalize to
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sampling import Design, with_objective
+from .sampling import Design
 from .space import SearchSpace
 
 ENCODINGS = ("none", "one_hot", "target")
@@ -69,11 +72,6 @@ def minmax_unit(values) -> np.ndarray:
     return np.array([(x - lo) / span for x in nums])
 
 
-def normalize_objective(y) -> np.ndarray:
-    """Normalize objective values to [0, 1] by exact min-max; see minmax_unit."""
-    return minmax_unit(y)
-
-
 @dataclass
 class ProcessedDesign:
     """A numeric view of an evaluated design.
@@ -81,8 +79,7 @@ class ProcessedDesign:
     ``matrix`` is n-by-D' float64; ``objective`` is the normalized objective;
     ``column_names`` and ``column_map`` (variable -> column indices) describe
     how variables were expanded; ``provenance`` records the pipeline stages and
-    parameters.  After ``normalize_decision`` every matrix entry lies in
-    [0, 1] and ``decision_normalized`` is True.
+    parameters.  Every matrix entry lies in the unit cube [0, 1].
     """
 
     matrix: np.ndarray
@@ -92,7 +89,6 @@ class ProcessedDesign:
     encoding: str
     space: SearchSpace
     provenance: dict = field(default_factory=dict)
-    decision_normalized: bool = False
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -112,9 +108,8 @@ class ProcessedDesign:
             raise ValueError("objective must be normalized to [0, 1]")
         if self.encoding not in ENCODINGS:
             raise ValueError(f"unknown encoding {self.encoding!r}")
-        if self.decision_normalized:
-            if self.matrix.size and (self.matrix.min() < 0 or self.matrix.max() > 1):
-                raise ValueError("decision-normalized matrix must lie in [0, 1]")
+        if self.matrix.size and (self.matrix.min() < 0 or self.matrix.max() > 1):
+            raise ValueError("matrix must lie in the unit cube [0, 1]")
 
     @property
     def n(self) -> int:
@@ -242,222 +237,101 @@ def relax_hierarchy(design: Design) -> Design:
     return Design(space=space, columns=columns, y=design.y, meta=meta)
 
 
-# ── encodings ────────────────────────────────────────────────────────────────
-
-
-def _numeric_column(design: Design, name: str) -> np.ndarray:
-    col = np.asarray(design.columns[name], dtype=float)
-    if np.any(~np.isfinite(col)):
-        raise ValueError(f"{name}: missing cells; run relax_hierarchy first")
-    return col
-
-
-def _require_evaluated(design: Design) -> None:
-    if not design.evaluated:
-        raise ValueError("design must be evaluated before encoding")
-
-
-def _objective_as_float(design: Design) -> np.ndarray:
-    return np.array([float(v) for v in design.y])
-
-
-def encode_none(design: Design) -> ProcessedDesign:
-    """Pass-through encoding for purely numeric spaces."""
-    _require_evaluated(design)
-    if not design.space.is_numeric():
-        raise ValueError("encoding 'none' requires a space without categorical variables")
-    cols = [_numeric_column(design, name) for name in design.space.names]
-    column_map = {name: (j,) for j, name in enumerate(design.space.names)}
-    return ProcessedDesign(
-        matrix=np.column_stack(cols) if cols else np.empty((design.n, 0)),
-        objective=_objective_as_float(design),
-        column_names=design.space.names,
-        column_map=column_map,
-        encoding="none",
-        space=design.space,
-    )
-
-
-def encode_one_hot(design: Design) -> ProcessedDesign:
-    """Expand each categorical variable into one indicator column per category.
-
-    Numeric variables pass through.  Column names are ``<var>`` for numeric
-    columns and ``<var>=<category>`` for indicators.  Produced indicator
-    columns sum to exactly one per row.
-    """
-    _require_evaluated(design)
-    names: list[str] = []
-    cols: list[np.ndarray] = []
-    column_map: dict[str, tuple[int, ...]] = {}
-    for v in design.space.variables:
-        if v.kind == "categorical":
-            raw = design.columns[v.name]
-            start = len(cols)
-            for cat in v.categories:
-                names.append(f"{v.name}={cat}")
-                cols.append(np.array([1.0 if cell == cat else 0.0 for cell in raw]))
-            for i, cell in enumerate(raw):
-                if cell is None:
-                    raise ValueError(f"{v.name}: missing cells; run relax_hierarchy first")
-                if cell not in v.categories:
-                    raise ValueError(f"{v.name}: unseen label {cell!r}")
-            column_map[v.name] = tuple(range(start, len(cols)))
-        else:
-            column_map[v.name] = (len(cols),)
-            names.append(v.name)
-            cols.append(_numeric_column(design, v.name))
-    return ProcessedDesign(
-        matrix=np.column_stack(cols),
-        objective=_objective_as_float(design),
-        column_names=tuple(names),
-        column_map=column_map,
-        encoding="one_hot",
-        space=design.space,
-    )
-
-
-def encode_target(design: Design, smoothing: float = 0.0) -> ProcessedDesign:
-    """Replace each category label with a smoothed mean of the normalized objective.
-
-    A cell in category c becomes (sum of y over rows in c + m * ybar) /
-    (count(c) + m), where ybar is the global mean and m >= 0 the smoothing
-    strength; m = 0 gives the plain per-category mean, and as m grows every
-    category shrinks toward ybar.  Requires the objective to be normalized
-    already (the pipeline guarantees this).  Dimensionality is preserved: one
-    column per variable.
-    """
-    _require_evaluated(design)
-    if smoothing < 0:
-        raise ValueError("smoothing must be non-negative")
-    y = _objective_as_float(design)
-    if y.min() < 0 or y.max() > 1:
-        raise ValueError("target encoding requires a normalized objective")
-    ybar = float(y.mean())
-    names: list[str] = []
-    cols: list[np.ndarray] = []
-    column_map: dict[str, tuple[int, ...]] = {}
-    for j, v in enumerate(design.space.variables):
-        names.append(v.name)
-        column_map[v.name] = (j,)
-        if v.kind != "categorical":
-            cols.append(_numeric_column(design, v.name))
-            continue
-        raw = design.columns[v.name]
-        table: dict = {}
-        for cat in v.categories:
-            hits = np.array([cell == cat for cell in raw], dtype=bool)
-            count = int(hits.sum())
-            if count == 0:
-                if smoothing == 0:
-                    raise ValueError(
-                        f"{v.name}: category {cat!r} has zero rows and smoothing is zero"
-                    )
-                table[cat] = ybar
-            else:
-                table[cat] = (float(y[hits].sum()) + smoothing * ybar) / (count + smoothing)
-        encoded = np.empty(design.n)
-        for i, cell in enumerate(raw):
-            if cell is None:
-                raise ValueError(f"{v.name}: missing cells; run relax_hierarchy first")
-            encoded[i] = table[cell]
-        cols.append(encoded)
-    return ProcessedDesign(
-        matrix=np.column_stack(cols),
-        objective=y,
-        column_names=tuple(names),
-        column_map=column_map,
-        encoding="target",
-        space=design.space,
-    )
-
-
-# ── decision normalization ───────────────────────────────────────────────────
-
-
-def normalize_decision(pd: ProcessedDesign) -> ProcessedDesign:
-    """Scale the decision matrix into the unit cube.
-
-    Continuous and integer columns are scaled by the declared bounds (values
-    outside their bounds are an error); one-hot indicator columns are already
-    0/1 and pass through; target-encoded categorical columns are min-max
-    scaled over the sample (constant -> zeros).
-    """
-    matrix = pd.matrix.copy()
-    for v in pd.space.variables:
-        idxs = pd.column_map[v.name]
-        if v.kind == "categorical":
-            if pd.encoding == "one_hot":
-                continue
-            if pd.encoding == "target":
-                for j in idxs:
-                    matrix[:, j] = minmax_unit(matrix[:, j])
-                continue
-            raise ValueError("categorical variables require one_hot or target encoding")
-        (j,) = idxs
-        col = matrix[:, j]
-        if col.min() < v.lower or col.max() > v.upper:
-            raise ValueError(f"{v.name}: value outside declared bounds [{v.lower}, {v.upper}]")
-        if v.upper == v.lower:
-            matrix[:, j] = 0.0
-        else:
-            matrix[:, j] = (col - v.lower) / (v.upper - v.lower)
-    provenance = dict(pd.provenance)
-    return ProcessedDesign(
-        matrix=matrix,
-        objective=pd.objective,
-        column_names=pd.column_names,
-        column_map=dict(pd.column_map),
-        encoding=pd.encoding,
-        space=pd.space,
-        provenance=provenance,
-        decision_normalized=True,
-    )
-
-
 # ── the pipeline ─────────────────────────────────────────────────────────────
 
 
 def preprocess_pipeline(
     design: Design, encoding: str = "none", smoothing: float = 0.0
 ) -> ProcessedDesign:
-    """Run relax_hierarchy -> normalize_objective -> encode -> normalize_decision.
+    """Relax the hierarchy, normalize the objective, then put every variable
+    into the unit cube in one pass.
 
-    The output matrix and objective lie in [0, 1]; provenance records the
-    stages, the encoding, the smoothing strength, and the source design meta.
-    Objective vectors that are exact affine images of each other (positive
-    scale) yield bit-identical outputs.
+    The objective becomes ``minmax_unit(y)``.  Continuous and integer
+    variables are scaled by their declared bounds (equal bounds give zeros).
+    Categorical variables depend on ``encoding``:
+
+    * ``one_hot``: one 0/1 indicator column per category, named
+      ``<var>=<category>``; the indicators of a row sum to exactly one;
+    * ``target``: one column; a cell in category c takes (sum of the
+      normalized objective over rows in c + m * ybar) / (count(c) + m), where
+      ybar is its mean and m = ``smoothing`` >= 0, and the column is then
+      min-max scaled over the sample.  With m = 0 every category needs a row;
+      with m > 0 an empty category takes ybar;
+    * ``none``: only for spaces without categorical variables.
+
+    Provenance records the stages, the encoding, the smoothing strength, and
+    the source design meta.  Objective vectors that are exact affine images of
+    each other (positive scale) yield bit-identical outputs.
     """
     if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}; choose from {ENCODINGS}")
-    _require_evaluated(design)
+    if not design.evaluated:
+        raise ValueError("design must be evaluated before encoding")
     if encoding == "none" and not design.space.is_numeric():
         raise ValueError("encoding 'none' requires a purely numeric space")
+    if encoding == "target" and smoothing < 0:
+        raise ValueError("smoothing must be non-negative")
     relaxed = relax_hierarchy(design)
-    yn = normalize_objective(relaxed.y)
-    normalized = with_objective(relaxed, yn)
-    if encoding == "one_hot":
-        pd = encode_one_hot(normalized)
-    elif encoding == "target":
-        pd = encode_target(normalized, smoothing)
-    else:
-        pd = encode_none(normalized)
-    out = normalize_decision(pd)
-    out.provenance = {
-        "stages": ["relax_hierarchy", "normalize_objective", f"encode_{encoding}", "normalize_decision"],
-        "encoding": encoding,
-        "smoothing": smoothing,
-        "source_meta": {
-            k: v for k, v in design.meta.items() if k in ("seed", "strategy", "n", "evaluations_spent")
-        },
-    }
-    if encoding == "one_hot":
-        for v in design.space.variables:
-            if v.kind != "categorical":
-                continue
-            sums = out.matrix[:, list(out.column_map[v.name])].sum(axis=1)
-            if not np.all(sums == 1.0):
+    y = minmax_unit(design.y)
+    ybar = float(y.mean())
+    names: list[str] = []
+    cols: list[np.ndarray] = []
+    column_map: dict[str, tuple[int, ...]] = {}
+    for v in design.space.variables:
+        raw = relaxed.columns[v.name]
+        start = len(cols)
+        if v.kind != "categorical":
+            names.append(v.name)
+            if v.upper == v.lower:
+                cols.append(np.zeros(design.n))
+            else:
+                cols.append((np.asarray(raw, dtype=float) - v.lower) / (v.upper - v.lower))
+        elif encoding == "one_hot":
+            indicators = [
+                np.array([1.0 if cell == cat else 0.0 for cell in raw]) for cat in v.categories
+            ]
+            # a category that equals none of its own cells (a NaN label, say)
+            # leaves rows without an indicator
+            if not np.all(sum(indicators) == 1.0):
                 raise ValueError(f"{v.name}: indicator columns must sum to one per row")
-    return out
+            names.extend(f"{v.name}={cat}" for cat in v.categories)
+            cols.extend(indicators)
+        else:
+            means = {}
+            for cat in v.categories:
+                hits = np.array([cell == cat for cell in raw], dtype=bool)
+                count = int(hits.sum())
+                if count == 0:
+                    if smoothing == 0:
+                        raise ValueError(
+                            f"{v.name}: category {cat!r} has zero rows and smoothing is zero"
+                        )
+                    means[cat] = ybar
+                else:
+                    means[cat] = (float(y[hits].sum()) + smoothing * ybar) / (count + smoothing)
+            names.append(v.name)
+            cols.append(minmax_unit([means[cell] for cell in raw]))
+        column_map[v.name] = tuple(range(start, len(cols)))
+    return ProcessedDesign(
+        matrix=np.column_stack(cols),
+        objective=y,
+        column_names=tuple(names),
+        column_map=column_map,
+        encoding=encoding,
+        space=design.space,
+        provenance={
+            "stages": [
+                "relax_hierarchy", "normalize_objective", f"encode_{encoding}", "normalize_decision"
+            ],
+            "encoding": encoding,
+            "smoothing": smoothing,
+            "source_meta": {
+                k: v
+                for k, v in design.meta.items()
+                if k in ("seed", "strategy", "n", "evaluations_spent")
+            },
+        },
+    )
 
 
 # ── CSV export ───────────────────────────────────────────────────────────────
@@ -478,6 +352,8 @@ def processed_to_csv(pd: ProcessedDesign, path: str | Path) -> None:
         "encoding": pd.encoding,
         "column_names": list(pd.column_names),
         "column_map": {k: list(v) for k, v in pd.column_map.items()},
-        "decision_normalized": pd.decision_normalized,
+        # every ProcessedDesign lies in the unit cube; the key stays so that
+        # sidecars keep their format
+        "decision_normalized": True,
     }
     sidecar.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -49,7 +49,6 @@ def make_processed(X, y, encoding: str = "none") -> ProcessedDesign:
         encoding=encoding,
         space=unit_space(X.shape[1]),
         provenance={"stages": ["handmade"]},
-        decision_normalized=True,
     )
 
 

@@ -29,7 +29,7 @@ from landsel.aas import (
 )
 from landsel.ela import compute_all, ela_meta, information_content, nearest_better_clustering
 from landsel.fitmap import MapStack, multichannel, rasterize_2d, reduce_mean
-from landsel.preprocess import normalize_objective, preprocess_pipeline
+from landsel.preprocess import minmax_unit, preprocess_pipeline
 from landsel.sampling import create_initial_design, evaluate_design, with_objective
 from landsel.space import (
     BUILTIN_FUNCTIONS,
@@ -180,7 +180,7 @@ def test_criterion_04_surrogate_fits_on_analytic_landscapes():
     bowl must yield a quadratic condition number of 1."""
     rng = np.random.default_rng(3)
     X = rng.random((60, 2))
-    y = normalize_objective(2.0 * X[:, 0] + 3.0 * X[:, 1])
+    y = minmax_unit(2.0 * X[:, 0] + 3.0 * X[:, 1])
     linear = ela_meta(make_processed(X, y)).values
 
     beta, *_ = np.linalg.lstsq(np.column_stack([np.ones(len(X)), X]), y, rcond=None)
@@ -193,7 +193,7 @@ def test_criterion_04_surrogate_fits_on_analytic_landscapes():
     adj_r2 = linear["ela_meta.lin_simple.adj_r2"]
 
     Xs = rng.random((80, 3))
-    bowl = ela_meta(make_processed(Xs, normalize_objective(((Xs - 0.5) ** 2).sum(axis=1)))).values
+    bowl = ela_meta(make_processed(Xs, minmax_unit(((Xs - 0.5) ** 2).sum(axis=1)))).values
     cond_dev = abs(bowl["ela_meta.quad_simple.cond"] - 1.0)
 
     ok = adj_r2 >= 1.0 - 1e-9 and coef_dev <= 1e-6 and cond_dev <= 1e-6
@@ -317,7 +317,7 @@ def test_criterion_08_preprocessing_contracts():
     the pipeline keeps everything inside the unit cube, and min-max objective
     normalization maps [2, 4, 6] to [0, 0.5, 1]."""
     anchors_ok = np.array_equal(
-        normalize_objective([2.0, 4.0, 6.0]), np.array([0.0, 0.5, 1.0])
+        minmax_unit([2.0, 4.0, 6.0]), np.array([0.0, 0.5, 1.0])
     )
     space = SearchSpace(
         variables=(

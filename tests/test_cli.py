@@ -155,6 +155,31 @@ class TestFeatures:
         assert run_cli("features", design, "--config", config, "--out", tmp_path / "f.json") == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("features", "settling_threshold", None),
+            ("features", "seed", None),
+            ("features", "smoothing", None),
+            ("features", "dispersion_quantiles", 5),
+            ("features", "kde_grid_points", "x"),
+            ("features", "seed", True),
+            ("fitmap", "k", None),
+        ],
+    )
+    def test_config_value_of_wrong_type_names_file_and_key(
+        self, tmp_path, capsys, command, key, value
+    ):
+        design = sample_design(tmp_path, n=10)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        argv = [command, design, "--config", config, "--out", tmp_path / "out"]
+        if command == "fitmap":
+            argv += ["--mode", "cloud"]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and repr(key) in err
+
     def test_flag_overrides_config(self, tmp_path):
         design = sample_design(tmp_path, n=10)
         config = tmp_path / "config.json"

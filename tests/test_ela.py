@@ -49,7 +49,7 @@ class TestElaConfig:
         with pytest.raises(ValueError):
             ElaConfig(settling_threshold=1.5)
         with pytest.raises(ValueError):
-            ElaConfig(distance_metric="manhattan")
+            ElaConfig(kde_grid_points=4)
 
 
 def test_default_epsilon_grid_is_logspace():
@@ -533,12 +533,6 @@ class TestComputeAll:
         assert fv.meta["dimension"] == 3
         assert fv.meta["seed"] == 7
         assert fv.meta["set_versions"]["ic"] == "1"
-
-    def test_requires_normalized_design(self):
-        pd = self.make_pd()
-        pd.decision_normalized = False
-        with pytest.raises(ValueError, match="normalized"):
-            compute_all(pd)
 
     def test_json_round_trip(self):
         fv = compute_all(self.make_pd(n=12))

@@ -74,12 +74,6 @@ class TestRasterize2d:
         with pytest.raises(ValueError):
             rasterize_2d(pd, resolution=1)
 
-    def test_requires_normalized_design(self):
-        pd = make_processed(np.random.default_rng(3).random((4, 2)), np.linspace(0, 1, 4))
-        pd.decision_normalized = False
-        with pytest.raises(ValueError, match="normalized"):
-            rasterize_2d(pd)
-
 
 class TestMultichannel:
     def test_channel_per_coordinate_pair(self):

@@ -14,12 +14,7 @@ from landsel import preprocess
 from landsel.ela import compute_all
 from landsel.fitmap import knn_cloud
 from landsel.preprocess import (
-    encode_none,
-    encode_one_hot,
-    encode_target,
     minmax_unit,
-    normalize_decision,
-    normalize_objective,
     pairwise_distances,
     preprocess_pipeline,
     processed_to_csv,
@@ -35,7 +30,7 @@ from landsel.space import (
     builtin_problem,
 )
 
-from conftest import unit_space
+from conftest import make_processed, unit_space
 
 
 def rgb_space():
@@ -77,10 +72,6 @@ class TestMinmaxUnit:
     def test_affine_invariance_property(self, y, a, b):
         t = ObjectiveTransform(scale=a, shift=b)
         assert np.array_equal(minmax_unit(y), minmax_unit(apply_transform(t, y)))
-
-    def test_normalize_objective_is_the_same_map(self):
-        y = [3.0, 9.0, 6.0]
-        assert np.array_equal(normalize_objective(y), minmax_unit(y))
 
 
 class TestRelaxHierarchy:
@@ -133,6 +124,8 @@ class TestRelaxHierarchy:
 
 class TestEncodings:
     def mixed_design(self):
+        # raw objective 0, 1, 3, 4 normalizes to 0, 1/4, 3/4, 1 (mean 1/2);
+        # category counts are r: 1, g: 2, b: 1
         s = rgb_space()
         return Design(
             space=s,
@@ -141,86 +134,91 @@ class TestEncodings:
                 "c": np.array(["r", "g", "b", "g"], dtype=object),
                 "k": np.array([0.0, 2.0, 4.0, 1.0]),
             },
-            y=np.array([0.125, 0.375, 0.625, 0.875]),
+            y=np.array([0.0, 1.0, 3.0, 4.0]),
         )
-
-    def test_encode_none_rejects_categoricals(self):
-        with pytest.raises(ValueError):
-            encode_none(self.mixed_design())
 
     def test_encode_none_keeps_columns(self):
         p = builtin_problem("sphere", 0, 2)
         d = evaluate_design(p, create_initial_design(p.space, n=8, seed=0))
-        pd = encode_none(with_objective(d, normalize_objective(d.y)))
+        pd = preprocess_pipeline(d, encoding="none")
         assert pd.column_names == ("x0", "x1")
         assert pd.column_map == {"x0": (0,), "x1": (1,)}
         assert pd.matrix.shape == (8, 2)
 
     def test_one_hot_indicators(self):
-        pd = encode_one_hot(self.mixed_design())
-        assert pd.matrix.shape == (4, 5)
+        pd = preprocess_pipeline(self.mixed_design(), encoding="one_hot")
         assert pd.column_names == ("x", "c=r", "c=g", "c=b", "k")
-        assert pd.column_map["c"] == (1, 2, 3)
-        assert pd.column_map["x"] == (0,)
-        # row 1 holds label g -> indicator (0, 1, 0)
-        assert pd.matrix[1, 1:4].tolist() == [0.0, 1.0, 0.0]
-        assert np.all(pd.matrix[:, 1:4].sum(axis=1) == 1.0)
+        assert pd.column_map == {"x": (0,), "c": (1, 2, 3), "k": (4,)}
+        # x scaled from [-2, 2], k from [0, 4]; row 1 holds label g
+        assert pd.matrix.tolist() == [
+            [0.0, 1.0, 0.0, 0.0, 0.0],
+            [0.5, 0.0, 1.0, 0.0, 0.5],
+            [1.0, 0.0, 0.0, 1.0, 1.0],
+            [0.75, 0.0, 1.0, 0.0, 0.25],
+        ]
+        assert pd.objective.tolist() == [0.0, 0.25, 0.75, 1.0]
+
+    def test_one_hot_rejects_row_without_indicator(self):
+        # a NaN label passes the design's membership test (the same object)
+        # but equals no category, so its row gets no indicator
+        nan = float("nan")
+        s = SearchSpace(
+            variables=(VariableSpec(name="c", kind="categorical", categories=("a", nan)),)
+        )
+        d = Design(space=s, columns={"c": np.array(["a", nan], dtype=object)}, y=[0.0, 1.0])
+        with pytest.raises(ValueError, match="sum to one"):
+            preprocess_pipeline(d, encoding="one_hot")
 
     def test_target_encoding_means(self):
-        s = SearchSpace(variables=(VariableSpec(name="c", kind="categorical", categories=("a", "b")),))
-        d = Design(
-            space=s,
-            columns={"c": np.array(["a", "a", "b", "b"], dtype=object)},
-            y=np.array([0.125, 0.375, 0.625, 0.875]),
-        )
-        pd = encode_target(d, smoothing=0.0)
-        assert pd.matrix[:, 0].tolist() == [0.25, 0.25, 0.75, 0.75]
-        # smoothing pulls toward the global mean 0.5:
-        # a -> (0.5 + 2*0.5) / (2 + 2), b -> (1.5 + 2*0.5) / (2 + 2)
-        pd2 = encode_target(d, smoothing=2.0)
-        assert pd2.matrix[0, 0] == 0.375
-        assert pd2.matrix[2, 0] == 0.625
-        # heavy smoothing collapses every category onto the global mean
-        pd3 = encode_target(d, smoothing=1e9)
-        assert abs(pd3.matrix[0, 0] - 0.5) < 1e-8
-        assert abs(pd3.matrix[2, 0] - 0.5) < 1e-8
+        d = self.mixed_design()
+        # smoothing 0: per-category means r 0, g (1/4 + 1) / 2 = 5/8, b 3/4,
+        # then min-max over the sample divides by 3/4
+        pd = preprocess_pipeline(d, encoding="target", smoothing=0.0)
+        assert pd.matrix[:, 1].tolist() == [0.0, 5 / 6, 1.0, 5 / 6]
+        # smoothing 2 pulls toward the mean 1/2: r (0 + 1) / 3 = 1/3,
+        # g (5/4 + 1) / 4 = 9/16, b (3/4 + 1) / 3 = 7/12; min-max over
+        # [1/3, 7/12] moves g from 5/6 to 11/12
+        pd2 = preprocess_pipeline(d, encoding="target", smoothing=2.0)
+        expected = [0.0, 11 / 12, 1.0, 11 / 12]
+        assert pd2.matrix[:, 1].tolist() == pytest.approx(expected, abs=1e-15)
+        # numeric columns are scaled by their bounds as under one_hot
+        assert pd.matrix[:, 0].tolist() == [0.0, 0.5, 1.0, 0.75]
+        assert pd.matrix[:, 2].tolist() == [0.0, 0.5, 1.0, 0.25]
 
     def test_target_encoding_single_category_is_global_mean(self):
+        # the only category's mean is the global mean, a constant column
+        # that the min-max step maps to zeros
         s = SearchSpace(variables=(VariableSpec(name="c", kind="categorical", categories=("only",)),))
         d = Design(
             space=s,
             columns={"c": np.array(["only", "only"], dtype=object)},
             y=np.array([0.0, 1.0]),
         )
-        pd = encode_target(d)
-        assert pd.matrix[:, 0].tolist() == [0.5, 0.5]
+        pd = preprocess_pipeline(d, encoding="target")
+        assert pd.matrix[:, 0].tolist() == [0.0, 0.0]
 
     def test_target_encoding_empty_category(self):
-        s = SearchSpace(variables=(VariableSpec(name="c", kind="categorical", categories=("a", "b")),))
+        s = SearchSpace(
+            variables=(VariableSpec(name="c", kind="categorical", categories=("a", "b", "e")),)
+        )
         d = Design(
             space=s,
-            columns={"c": np.array(["a", "a"], dtype=object)},
-            y=np.array([0.0, 1.0]),
+            columns={"c": np.array(["a", "a", "b"], dtype=object)},
+            y=np.array([0.0, 2.0, 4.0]),
         )
         with pytest.raises(ValueError, match="zero rows"):
-            encode_target(d, smoothing=0.0)
-        # with smoothing the empty category falls back to the global mean and
-        # the populated one becomes (1.0 + 1*0.5) / (2 + 1) = 0.5
-        pd = encode_target(d, smoothing=1.0)
-        assert pd.matrix[:, 0].tolist() == [0.5, 0.5]
+            preprocess_pipeline(d, encoding="target", smoothing=0.0)
+        # with smoothing the empty category falls back to the mean 1/2; a
+        # becomes (1/2 + 1/2) / 3 = 1/3 and b (1 + 1/2) / 2 = 3/4
+        pd = preprocess_pipeline(d, encoding="target", smoothing=1.0)
+        assert pd.matrix[:, 0].tolist() == [0.0, 0.0, 1.0]
 
-    def test_target_encoding_requires_normalized_objective(self):
-        s = SearchSpace(variables=(VariableSpec(name="c", kind="categorical", categories=("a",)),))
-        d = Design(
-            space=s,
-            columns={"c": np.array(["a", "a"], dtype=object)},
-            y=np.array([2.0, 4.0]),
-        )
-        with pytest.raises(ValueError, match="normalized"):
-            encode_target(d)
+    def test_target_encoding_rejects_negative_smoothing(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            preprocess_pipeline(self.mixed_design(), encoding="target", smoothing=-0.5)
 
     def test_target_encoding_keeps_dimension(self):
-        pd = encode_target(self.mixed_design())
+        pd = preprocess_pipeline(self.mixed_design(), encoding="target")
         assert pd.matrix.shape == (4, 3)
         assert pd.column_names == ("x", "c", "k")
 
@@ -237,24 +235,47 @@ class TestNormalizeDecision:
             },
             y=np.array([0.0, 0.5, 1.0]),
         )
-        out = normalize_decision(encode_one_hot(d))
+        out = preprocess_pipeline(d, encoding="one_hot")
         x = out.matrix[:, 0]
         assert x.tolist() == [0.0, 0.5, 1.0]
         k = out.matrix[:, 4]
         assert k.tolist() == [0.0, 0.5, 1.0]
-        # indicator columns are untouched
         assert np.array_equal(out.matrix[:, 1:4], np.eye(3))
-        assert out.decision_normalized
+
+    def test_fixed_integer_becomes_zeros(self):
+        s = SearchSpace(
+            variables=(
+                VariableSpec(name="x", kind="continuous", lower=0.0, upper=1.0),
+                VariableSpec(name="k", kind="integer", lower=3, upper=3),
+            )
+        )
+        d = Design(space=s, columns={"x": [0.25, 1.0], "k": [3.0, 3.0]}, y=[1.0, 2.0])
+        assert preprocess_pipeline(d).matrix.tolist() == [[0.25, 0.0], [1.0, 0.0]]
+
+
+class TestProcessedDesign:
+    @pytest.mark.parametrize("bad", [-0.25, 1.5])
+    def test_matrix_outside_unit_cube_rejected(self, bad):
+        X = np.random.default_rng(3).random((4, 2))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="unit cube"):
+            make_processed(X, np.linspace(0, 1, 4))
 
 
 class TestPipeline:
     def test_matches_manual_stage_composition(self):
-        p = builtin_problem("rastrigin", 2, 2)
-        d = evaluate_design(p, create_initial_design(p.space, n=30, seed=7))
-        auto = preprocess_pipeline(d, encoding="none")
-        manual = normalize_decision(encode_none(with_objective(d, normalize_objective(d.y))))
-        assert np.array_equal(auto.matrix, manual.matrix)
-        assert np.array_equal(auto.objective, manual.objective)
+        # relax (nothing to do), normalize y, scale x and k by their bounds,
+        # expand c into indicators, all by hand
+        d = evaluate_design_on_mixed(seed=7)
+        auto = preprocess_pipeline(d, encoding="one_hot")
+        c = d.columns["c"]
+        manual = np.column_stack(
+            [(d.columns["x"] + 2.0) / 4.0]
+            + [(c == label).astype(float) for label in ("r", "g", "b")]
+            + [d.columns["k"] / 4.0]
+        )
+        assert auto.matrix.tobytes() == manual.tobytes()
+        assert auto.objective.tobytes() == minmax_unit(d.y).tobytes()
 
     def test_output_lies_in_unit_cube(self):
         d = evaluate_design_on_mixed(seed=3)
