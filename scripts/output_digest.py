@@ -14,8 +14,11 @@ The corpus, drawn from ``--seed``:
   n = 300, under ``one_hot`` and under ``target`` encoding.
 
 Each design contributes its ``compute_all`` JSON and its ``knn_cloud``
-records (k = 1 and k = min(8, n - 1)), and the CLI's ``features`` JSON and
-CSV and ``fitmap --mode cloud`` CSV, run in-process on the design's CSV.
+``FitnessCloud`` (k = 1 and k = min(8, n - 1)), and the CLI's ``features``
+JSON and CSV and ``fitmap --mode cloud`` CSV, run in-process on the design's
+CSV.  The cloud is fed one point at a time: its ``neighbors`` row as int64,
+then its ``distances`` row followed by the ``points`` rows of the point and
+of each neighbor, nearest first.
 
 The ``report`` line hashes the CLI's ``aas`` cross-validation report for 16
 selector configurations (knn with k in {1, 3, 5} and nearest_centroid, each
@@ -258,9 +261,10 @@ def main(argv=None) -> int:
             feed("features", label.encode() + compute_all(pd, seed=seed).to_json().encode())
             k = min(8, pd.n - 1)
             for kk in sorted({1, k}):
-                for r in knn_cloud(pd, kk):
-                    feed("knn_cloud", np.asarray(r.neighbor_indices).tobytes())
-                    feed("knn_cloud", r.neighbor_distances.tobytes() + r.flatten().tobytes())
+                cloud = knn_cloud(pd, kk)
+                for i, row in enumerate(cloud.neighbors):
+                    feed("knn_cloud", row.astype(np.int64).tobytes())
+                    feed("knn_cloud", cloud.distances[i].tobytes() + cloud.points[[i, *row]].tobytes())
             design_to_csv(design, path)
             for chunk in cli_bytes(path, encoding, seed, k, workdir):
                 feed("cli", chunk)

@@ -220,6 +220,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError("evaluate needs a builtin problem source, not a bare search space")
     out = Path(_require(cfg, "out", "evaluate"))
     sampling.design_to_csv(sampling.evaluate_design(source, design), out)
+    log.info("wrote %d-row evaluated design to %s", design.n, out)
     return 0
 
 
@@ -249,6 +250,7 @@ def cmd_features(args: argparse.Namespace) -> int:
         out.write_text(fv.to_csv())
     else:
         out.write_text(fv.to_json() + "\n")
+    log.info("wrote %d features to %s", len(fv.values), out)
     return 0
 
 

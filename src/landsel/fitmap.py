@@ -19,7 +19,6 @@ and empty pixels are white.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,6 +175,8 @@ def rasterize_projection(
     projection: PcaProjection, objective: np.ndarray, resolution: int = DEFAULT_RESOLUTION
 ) -> FitnessMap:
     """Rasterize PCA coordinates with their objective values."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
     check_raster_size(1, resolution)
     coords = projection.coordinates
     ix = np.minimum((coords[:, 0] * resolution).astype(int), resolution - 1)
@@ -221,28 +222,21 @@ def reduce_mean(stack: MapStack) -> FitnessMap:
 
 
 @dataclass(frozen=True)
-class CloudRecord:
-    """One sample point with its k nearest neighbors, nearest first."""
+class FitnessCloud:
+    """Every sample point with its k nearest neighbors, as three arrays.
 
-    coordinates: np.ndarray
-    objective: float
-    neighbor_indices: tuple[int, ...]
-    neighbor_coordinates: np.ndarray
-    neighbor_objectives: np.ndarray
-    neighbor_distances: np.ndarray
+    ``points`` is n x (D' + 1): each row's processed coordinates, then its
+    objective.  ``neighbors`` (n x k, intp) holds each row's neighbor indices,
+    nearest first, and ``distances`` (n x k) the matching distances.
+    """
 
-    def flatten(self) -> np.ndarray:
-        """Own coordinates and objective, then each neighbor's; width
-        (k + 1) * (D' + 1)."""
-        parts = [self.coordinates, [self.objective]]
-        for m in range(len(self.neighbor_indices)):
-            parts.append(self.neighbor_coordinates[m])
-            parts.append([self.neighbor_objectives[m]])
-        return np.concatenate([np.asarray(p, dtype=float) for p in parts])
+    points: np.ndarray
+    neighbors: np.ndarray
+    distances: np.ndarray
 
 
-def knn_cloud(pd: ProcessedDesign, k: int) -> list[CloudRecord]:
-    """k-nearest-neighbor records for every sample point.
+def knn_cloud(pd: ProcessedDesign, k: int) -> FitnessCloud:
+    """The k nearest neighbors of every sample point.
 
     Neighbors are ordered by distance, ties broken by row index; the point
     itself is excluded.  Requires 1 <= k < n.  Distances are read from the
@@ -256,36 +250,29 @@ def knn_cloud(pd: ProcessedDesign, k: int) -> list[CloudRecord]:
     # every row's k nearest lie among the entries <= its k-th smallest
     # distance; a stable sort of just those gives argsort(kind="stable")[:k]
     kth = np.partition(dm, k - 1, axis=1)[:, k - 1]
-    records = []
-    for i in range(n):
-        candidates = np.flatnonzero(dm[i] <= kth[i])
-        order = candidates[np.argsort(dm[i][candidates], kind="stable")][:k]
-        records.append(
-            CloudRecord(
-                coordinates=pd.matrix[i].copy(),
-                objective=float(pd.objective[i]),
-                neighbor_indices=tuple(int(j) for j in order),
-                neighbor_coordinates=pd.matrix[order].copy(),
-                neighbor_objectives=pd.objective[order].copy(),
-                neighbor_distances=dm[i][order].copy(),
-            )
-        )
-    return records
+    neighbors = np.empty((n, k), dtype=np.intp)
+    for i, row in enumerate(dm):
+        candidates = np.flatnonzero(row <= kth[i])
+        neighbors[i] = candidates[np.argsort(row[candidates], kind="stable")[:k]]
+    return FitnessCloud(
+        points=np.column_stack([pd.matrix, pd.objective]),
+        neighbors=neighbors,
+        distances=np.take_along_axis(dm, neighbors, axis=1),
+    )
 
 
-def cloud_to_csv(records: list[CloudRecord], path: str | Path) -> None:
-    """Write cloud records as CSV: x0..x{D'-1},y, then n<m>_x*,n<m>_y per
-    neighbor, nearest first."""
-    if not records:
-        raise ValueError("no records to write")
-    width = len(records[0].coordinates)
-    k = len(records[0].neighbor_indices)
+def cloud_to_csv(cloud: FitnessCloud, path: str | Path) -> None:
+    """Write a cloud as CSV, one row per point: x0..x{D'-1},y, then
+    n<m>_x*,n<m>_y per neighbor, nearest first."""
+    width = cloud.points.shape[1] - 1
+    n, k = cloud.neighbors.shape
     header = [f"x{j}" for j in range(width)] + ["y"]
     for m in range(1, k + 1):
         header += [f"n{m}_x{j}" for j in range(width)] + [f"n{m}_y"]
-    lines = [",".join(header)]
-    for rec in records:
-        lines.append(",".join(repr(float(v)) for v in rec.flatten()))
+    # each point is formatted once and reused in every row that lists it
+    cells = [",".join(map(repr, row)) for row in cloud.points.tolist()]
+    rows = np.column_stack([np.arange(n), cloud.neighbors]).tolist()
+    lines = [",".join(header)] + [",".join([cells[j] for j in row]) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -24,30 +24,21 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .sampling import Design
-from .space import SearchSpace
+from .space import SearchSpace, exact_ratio
 
 ENCODINGS = ("none", "one_hot", "target")
 
 # Elements per temporary block of pairwise_distances: small enough to stay in
 # cache, large enough that per-call overhead is negligible.
 _DISTANCE_BLOCK = 1 << 15
-
-
-def _exact_ratio(value) -> tuple[int, int]:
-    try:
-        if isinstance(value, (int, float)):
-            return value.as_integer_ratio()
-        if hasattr(value, "as_integer_ratio"):
-            return value.as_integer_ratio()
-        return Fraction(value).as_integer_ratio()
-    except (ValueError, OverflowError) as e:
-        raise ValueError(f"objective values must be finite: {value!r}") from e
+# Largest float64 distance matrix a design may allocate: 1 GiB, that is at
+# most 11,585 rows.  A (40, 2000) design needs 32 MB.
+MAX_DISTANCE_BYTES = 1 << 30
 
 
 def minmax_unit(values) -> np.ndarray:
@@ -61,7 +52,7 @@ def minmax_unit(values) -> np.ndarray:
     seq = list(values)
     if len(seq) == 0:
         raise ValueError("cannot normalize an empty vector")
-    pairs = [_exact_ratio(v) for v in seq]
+    pairs = [exact_ratio(v) for v in seq]
     denom_lcm = math.lcm(*(d for _, d in pairs))
     nums = [nu * (denom_lcm // de) for nu, de in pairs]
     lo = min(nums)
@@ -119,7 +110,14 @@ class ProcessedDesign:
     def distances(self) -> np.ndarray:
         """Read-only n-by-n Euclidean distances between the rows of ``matrix``,
         computed on first use and shared by every feature set and map that
-        needs them (see :func:`pairwise_distances`)."""
+        needs them (see :func:`pairwise_distances`).  A matrix over
+        ``MAX_DISTANCE_BYTES`` is refused before it is allocated."""
+        need = 8 * self.n * self.n
+        if need > MAX_DISTANCE_BYTES:
+            raise ValueError(
+                f"{self.n} rows need a {need / 2**20:.0f} MiB distance matrix,"
+                f" over the {MAX_DISTANCE_BYTES >> 20} MiB cap"
+            )
         dm = pairwise_distances(self.matrix)
         dm.setflags(write=False)
         return dm

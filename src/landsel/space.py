@@ -206,22 +206,30 @@ def apply_transform(transform: ObjectiveTransform, values: Sequence) -> np.ndarr
     exactly) cancels the transform bit-for-bit.  Convert with
     ``np.asarray(out, dtype=float)`` when approximate values suffice.
     """
-    a = Fraction(transform.scale)
-    b = Fraction(transform.shift)
+    an, ad = Fraction(transform.scale).as_integer_ratio()
+    bn, bd = Fraction(transform.shift).as_integer_ratio()
     out = np.empty(len(values), dtype=object)
     for i, v in enumerate(values):
-        out[i] = a * _as_fraction(v) + b
+        # (an/ad) * (vn/vd) + bn/bd over one common denominator: one gcd per value
+        vn, vd = exact_ratio(v)
+        out[i] = Fraction(an * vn * bd + bn * ad * vd, ad * vd * bd)
     return out
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, (int, float, np.integer)):
-        return Fraction(v)
-    if hasattr(v, "as_integer_ratio"):
-        return Fraction(*v.as_integer_ratio())
-    return Fraction(v)
+def exact_ratio(value) -> tuple[int, int]:
+    """``value`` as an exact (numerator, denominator) pair of Python ints.
+
+    Floats, ints and Fractions carry ``as_integer_ratio``; numpy integers do
+    not and are taken through ``int``, so no fixed-width product can wrap.
+    """
+    try:
+        if hasattr(value, "as_integer_ratio"):
+            return value.as_integer_ratio()
+        if isinstance(value, np.integer):
+            return int(value), 1
+        return Fraction(value).as_integer_ratio()
+    except (ValueError, OverflowError) as e:
+        raise ValueError(f"objective values must be finite: {value!r}") from e
 
 
 @dataclass(frozen=True, eq=False)

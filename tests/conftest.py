@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from landsel.preprocess import ProcessedDesign
-from landsel.space import SearchSpace, VariableSpec
+from landsel.sampling import create_initial_design, evaluate_design
+from landsel.space import Problem, SearchSpace, VariableSpec
 
 settings.register_profile(
     "ci",
@@ -33,6 +34,30 @@ def unit_space(width: int) -> SearchSpace:
             for j in range(width)
         )
     )
+
+
+def rgb_space() -> SearchSpace:
+    """A mixed space: one continuous, one three-way categorical and one
+    integer variable."""
+    return SearchSpace(
+        variables=(
+            VariableSpec(name="x", kind="continuous", lower=-2.0, upper=2.0),
+            VariableSpec(name="c", kind="categorical", categories=("r", "g", "b")),
+            VariableSpec(name="k", kind="integer", lower=0, upper=4),
+        )
+    )
+
+
+def evaluate_design_on_mixed(seed: int):
+    """A 24-row design over ``rgb_space``, evaluated on a separable objective."""
+    s = rgb_space()
+    d = create_initial_design(s, n=24, seed=seed)
+
+    def objective(row):
+        x, c, k = row
+        return x * x + {"r": 0.0, "g": 1.0, "b": 2.0}[c] + 0.1 * k
+
+    return evaluate_design(Problem(space=s, objective=objective), d)
 
 
 def make_processed(X, y, encoding: str = "none") -> ProcessedDesign:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from landsel import cli
+from landsel import cli, preprocess
 from landsel.sampling import Design, create_initial_design, design_to_csv, evaluate_design
 from landsel.space import (
     Problem,
@@ -294,6 +294,15 @@ class TestFitmap:
         assert code == 2
         assert "--k >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["pca", "pca-func"])
+    @pytest.mark.parametrize("resolution", [0, 1])
+    def test_projection_below_two_pixels_exits_two(self, tmp_path, capsys, mode, resolution):
+        design = sample_design(tmp_path, source="builtin:ellipsoid:d4", n=40)
+        out = tmp_path / "map.pgm"
+        code = run_cli("fitmap", design, "--mode", mode, "--resolution", resolution, "--out", out)
+        assert code == 2
+        assert "resolution must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oversized_raster_refused(self, tmp_path, capsys):
         # three channels of 100000 x 100000 float64 pixels would need 224 GiB
@@ -381,6 +390,22 @@ class TestAas:
         assert report["selector"]["k"] == 2
 
 
+@pytest.mark.parametrize("argv", [["features"], ["fitmap", "--mode", "cloud"]])
+def test_oversized_distance_matrix_exits_two_naming_n(tmp_path, capsys, monkeypatch, argv):
+    design = sample_design(tmp_path, n=30)
+    # the cap admits 29 rows, and the 30-row matrix must never be computed
+    monkeypatch.setattr(preprocess, "MAX_DISTANCE_BYTES", 8 * 29 * 29)
+
+    def no_allocation(X):
+        raise AssertionError("a distance matrix was allocated")
+
+    monkeypatch.setattr(preprocess, "pairwise_distances", no_allocation)
+    out = tmp_path / "out.csv"
+    assert run_cli(argv[0], design, *argv[1:], "--out", out) == 2
+    assert f"landsel {argv[0]}: 30 rows need a 0 MiB distance matrix" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is needed only by the Sobol sampler, which imports it on demand
     code = "import sys, landsel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -442,3 +467,30 @@ class TestInstalledEntryPoints:
         assert "design" in chatty.stderr
         # verbosity never leaks into outputs
         assert (tmp_path / "q.csv").read_bytes() == (tmp_path / "v.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["features", "evaluate"])
+    def test_info_log_names_the_output_file(self, tmp_path, command):
+        problem = builtin_problem("sphere", 0, 2)
+        design = create_initial_design(problem.space, n=20, seed=0)
+        if command == "features":
+            design = evaluate_design(problem, design)
+            extra, suffix = [], ".json"
+        else:
+            extra, suffix = ["--source", "builtin:sphere:d2"], ".csv"
+        path = tmp_path / "design.csv"
+        design_to_csv(design, path)
+        quiet_env = {k: v for k, v in os.environ.items() if k != "LANDSEL_LOG"}
+        runs = {}
+        for name, env in (("quiet", quiet_env), ("chatty", {**os.environ, "LANDSEL_LOG": "INFO"})):
+            out = tmp_path / f"{name}{suffix}"
+            proc = subprocess.run(
+                ["landsel", command, str(path), *extra, "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[name] = (proc.stderr, out)
+        assert runs["quiet"][0] == ""
+        assert f"to {runs['chatty'][1]}" in runs["chatty"][0]
+        assert runs["quiet"][1].read_bytes() == runs["chatty"][1].read_bytes()

@@ -23,8 +23,9 @@ from landsel.fitmap import (
     write_pgm,
     write_stack,
 )
+from landsel.preprocess import preprocess_pipeline
 
-from conftest import make_processed
+from conftest import evaluate_design_on_mixed, make_processed
 
 
 def grid_map(values, resolution=None):
@@ -211,42 +212,76 @@ class TestPcaProject:
         assert fmap.pixels.shape == (16, 16)
         assert 0 < fmap.non_empty <= 30
 
+    @pytest.mark.parametrize("resolution", [-1, 0, 1])
+    def test_rasterize_projection_needs_two_pixels_a_side(self, resolution):
+        rng = np.random.default_rng(10)
+        pd = make_processed(rng.random((30, 3)), rng.random(30))
+        with pytest.raises(ValueError, match="resolution must be at least 2"):
+            rasterize_projection(pca_project(pd), pd.objective, resolution=resolution)
+
+
+def reference_cloud_csv(pd, k) -> str:
+    """The per-record cloud writer that the columnar ``cloud_to_csv``
+    replaced: every row flattens and re-formats all of its k + 1 points, and
+    neighbors come from a full stable argsort of scipy's distance matrix."""
+    dm = cdist(pd.matrix, pd.matrix)
+    np.fill_diagonal(dm, np.inf)
+    header = [f"x{j}" for j in range(pd.width)] + ["y"]
+    for m in range(1, k + 1):
+        header += [f"n{m}_x{j}" for j in range(pd.width)] + [f"n{m}_y"]
+    lines = [",".join(header)]
+    for i in range(pd.n):
+        order = np.argsort(dm[i], kind="stable")[:k]
+        parts = [pd.matrix[i], [pd.objective[i]]]
+        for j in order:
+            parts += [pd.matrix[j], [pd.objective[j]]]
+        flat = np.concatenate([np.asarray(p, dtype=float) for p in parts])
+        lines.append(",".join(repr(float(v)) for v in flat))
+    return "\n".join(lines) + "\n"
+
+
+def doubled_lattice():
+    """A 4 x 4 lattice listed twice: every row has many equal distances, and
+    a zero distance to its own duplicate."""
+    g = np.arange(4) / 3
+    X = np.array([(a, b) for a in g for b in g] * 2)
+    return make_processed(X, np.linspace(0.0, 1.0, len(X)))
+
 
 class TestKnnCloud:
     def test_three_point_line(self):
         X = np.array([0.0, 0.4, 1.0])
         y = np.array([0.0, 0.5, 1.0])
-        records = knn_cloud(make_processed(X, y), k=1)
-        assert [r.neighbor_indices for r in records] == [(1,), (0,), (1,)]
-        assert [len(r.flatten()) for r in records] == [4, 4, 4]
-        assert records[0].neighbor_distances[0] == 0.4
+        cloud = knn_cloud(make_processed(X, y), k=1)
+        assert cloud.neighbors.tolist() == [[1], [0], [1]]
+        assert cloud.points.shape == (3, 2)
+        assert cloud.points.tolist() == [[0.0, 0.0], [0.4, 0.5], [1.0, 1.0]]
+        assert cloud.distances[0, 0] == 0.4
 
     def test_distance_tie_prefers_lower_index(self):
         X = np.array([0.5, 0.0, 1.0])
         y = np.array([0.0, 0.5, 1.0])
-        records = knn_cloud(make_processed(X, y), k=1)
-        assert records[0].neighbor_indices == (1,)
+        cloud = knn_cloud(make_processed(X, y), k=1)
+        assert cloud.neighbors[0].tolist() == [1]
 
     def test_neighbor_distances_non_decreasing(self):
         rng = np.random.default_rng(11)
         pd = make_processed(rng.random((20, 2)), rng.random(20))
-        for r in knn_cloud(pd, k=5):
-            d = r.neighbor_distances
-            assert np.all(d[1:] >= d[:-1])
+        d = knn_cloud(pd, k=5).distances
+        assert d.shape == (20, 5)
+        assert np.all(d[:, 1:] >= d[:, :-1])
 
     def test_neighbor_order_equals_full_stable_argsort(self):
-        # a lattice listed twice: every row has many equal distances, and a
-        # zero distance to its own duplicate
-        g = np.arange(4) / 3
-        X = np.array([(a, b) for a in g for b in g] * 2)
-        y = np.linspace(0.0, 1.0, len(X))
-        dm = cdist(X, X)
+        pd = doubled_lattice()
+        dm = cdist(pd.matrix, pd.matrix)
         np.fill_diagonal(dm, np.inf)
-        for k in (1, 3, 8, len(X) - 1):
-            for i, r in enumerate(knn_cloud(make_processed(X, y), k=k)):
+        for k in (1, 3, 8, pd.n - 1):
+            cloud = knn_cloud(pd, k=k)
+            assert cloud.neighbors.dtype == np.intp
+            for i in range(pd.n):
                 expected = np.argsort(dm[i], kind="stable")[:k]
-                assert r.neighbor_indices == tuple(expected.tolist()), (k, i)
-                assert r.neighbor_distances.tobytes() == dm[i][expected].tobytes()
+                assert cloud.neighbors[i].tolist() == expected.tolist(), (k, i)
+                assert cloud.distances[i].tobytes() == dm[i][expected].tobytes()
 
     def test_k_bounds(self):
         pd = make_processed(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
@@ -258,14 +293,37 @@ class TestKnnCloud:
     def test_csv_layout(self, tmp_path):
         rng = np.random.default_rng(12)
         pd = make_processed(rng.random((6, 2)), rng.random(6))
-        records = knn_cloud(pd, k=2)
+        cloud = knn_cloud(pd, k=2)
         path = tmp_path / "cloud.csv"
-        cloud_to_csv(records, path)
+        cloud_to_csv(cloud, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x0,x1,y,n1_x0,n1_x1,n1_y,n2_x0,n2_x1,n2_y"
         assert len(lines) == 7
         first = np.array([float(c) for c in lines[1].split(",")])
-        assert np.array_equal(first, records[0].flatten())
+        assert np.array_equal(first, cloud.points[[0, *cloud.neighbors[0]]].ravel())
+
+
+class TestCloudCsvMatchesPerRecordWriter:
+    @staticmethod
+    def assert_same_bytes(pd, k, tmp_path):
+        path = tmp_path / f"cloud_k{k}.csv"
+        cloud_to_csv(knn_cloud(pd, k), path)
+        assert path.read_bytes() == reference_cloud_csv(pd, k).encode()
+
+    @pytest.mark.parametrize("k", [1, 3, 31])
+    def test_doubled_lattice(self, tmp_path, k):
+        self.assert_same_bytes(doubled_lattice(), k, tmp_path)
+
+    @pytest.mark.parametrize("k", [1, 24])
+    def test_k_one_and_n_minus_one(self, tmp_path, k):
+        rng = np.random.default_rng(13)
+        self.assert_same_bytes(make_processed(rng.random((25, 3)), rng.random(25)), k, tmp_path)
+
+    def test_one_hot_mixed_design(self, tmp_path):
+        pd = preprocess_pipeline(evaluate_design_on_mixed(seed=5), encoding="one_hot")
+        assert pd.width == 5
+        for k in (1, 8, pd.n - 1):
+            self.assert_same_bytes(pd, k, tmp_path)
 
 
 class TestPgmExport:

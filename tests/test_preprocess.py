@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,17 +31,7 @@ from landsel.space import (
     builtin_problem,
 )
 
-from conftest import make_processed, unit_space
-
-
-def rgb_space():
-    return SearchSpace(
-        variables=(
-            VariableSpec(name="x", kind="continuous", lower=-2.0, upper=2.0),
-            VariableSpec(name="c", kind="categorical", categories=("r", "g", "b")),
-            VariableSpec(name="k", kind="integer", lower=0, upper=4),
-        )
-    )
+from conftest import evaluate_design_on_mixed, make_processed, rgb_space, unit_space
 
 
 class TestMinmaxUnit:
@@ -350,19 +341,6 @@ class TestPipeline:
         assert doc["column_map"]["c"] == [1, 2, 3]
 
 
-def evaluate_design_on_mixed(seed: int):
-    s = rgb_space()
-    d = create_initial_design(s, n=24, seed=seed)
-
-    def objective(row):
-        x, c, k = row
-        return x * x + {"r": 0.0, "g": 1.0, "b": 2.0}[c] + 0.1 * k
-
-    from landsel.space import Problem
-
-    return evaluate_design(Problem(space=s, objective=objective), d)
-
-
 class TestPairwiseDistances:
     @staticmethod
     def assert_matches_scipy(X):
@@ -395,6 +373,29 @@ class TestPairwiseDistances:
     def test_one_hot_mixed_matrix(self):
         pd = preprocess_pipeline(evaluate_design_on_mixed(3), encoding="one_hot")
         self.assert_matches_scipy(pd.matrix)
+
+    def test_oversized_matrix_refused_before_allocation(self, monkeypatch):
+        # 20000 rows would need a 3052 MiB matrix; the design itself is 160 kB
+        pd = make_processed(np.linspace(0.0, 1.0, 20_000), np.linspace(0.0, 1.0, 20_000))
+
+        def no_allocation(X):
+            raise AssertionError("a distance matrix was allocated")
+
+        monkeypatch.setattr(preprocess, "pairwise_distances", no_allocation)
+        with pytest.raises(ValueError, match="20000 rows need a 3052 MiB distance matrix"):
+            pd.distances
+        with pytest.raises(ValueError, match="20000 rows"):
+            knn_cloud(pd, k=8)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        rows = math.isqrt(preprocess.MAX_DISTANCE_BYTES // 8)
+        assert rows == 11_585
+        sentinel = np.zeros((1, 1))
+        monkeypatch.setattr(preprocess, "pairwise_distances", lambda X: sentinel)
+        column = np.linspace(0.0, 1.0, rows + 1)
+        assert make_processed(column[:rows], column[:rows]).distances is sentinel
+        with pytest.raises(ValueError, match=f"{rows + 1} rows"):
+            make_processed(column, column).distances
 
     def test_shared_matrix_is_read_only_and_unchanged_by_consumers(self):
         pd = preprocess_pipeline(evaluate_design_on_mixed(4), encoding="one_hot")

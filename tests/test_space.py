@@ -184,6 +184,54 @@ class TestObjectiveTransform:
         # exact: Fraction(0.1) * Fraction(0.3) + Fraction(0.2), no rounding
         assert out[0] == Fraction(0.1) * Fraction(0.3) + Fraction(0.2)
 
+    def test_equals_four_operation_formula(self):
+        # the formula apply_transform replaced: four Fraction operations per
+        # value.  It built Fraction(np.int64(v)) with a fixed-width numerator
+        # that wrapped silently in the products, so numpy integers are taken
+        # as Python ints here.
+        def as_fraction(v):
+            if isinstance(v, Fraction):
+                return v
+            if isinstance(v, np.integer):
+                return Fraction(int(v))
+            if isinstance(v, (int, float)):
+                return Fraction(v)
+            return Fraction(*v.as_integer_ratio())
+
+        def reference(transform, values):
+            a, b = Fraction(transform.scale), Fraction(transform.shift)
+            return [a * as_fraction(v) + b for v in values]
+
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            scale = float(np.exp(rng.uniform(-20, 20)))
+            shift = float(rng.choice([0.0, -1.0, 1.0])) * float(np.exp(rng.uniform(-30, 30)))
+            t = ObjectiveTransform(scale=scale, shift=shift)
+            values = [
+                *(rng.standard_normal(5) * np.exp(rng.uniform(-40, 40, 5))).tolist(),
+                *rng.standard_normal(3),  # numpy floats
+                np.float32(rng.standard_normal()),
+                int(rng.integers(-10**6, 10**6)),
+                np.int64(rng.integers(-10**6, 10**6)),
+                np.int32(rng.integers(-1000, 1000)),
+                Fraction(int(rng.integers(-1000, 1000)), int(rng.integers(1, 1000))),
+                0.0,
+                -0.0,
+                5e-324,
+            ]
+            out = apply_transform(t, values)
+            assert all(type(v) is Fraction for v in out)
+            assert list(out) == reference(t, values)
+
+    def test_numpy_integers_are_exact(self):
+        out = apply_transform(ObjectiveTransform(scale=0.1, shift=0.3), [np.int64(123456)])
+        assert out[0] == Fraction(0.1) * 123456 + Fraction(0.3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="objective values must be finite"):
+            apply_transform(ObjectiveTransform(scale=2.0, shift=1.0), [1.0, bad])
+
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30),
         st.floats(1e-3, 1e3),
