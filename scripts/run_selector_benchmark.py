@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from landsel.aas import ErtTable, cross_validate, read_features_csv, read_performance_csv
+from landsel.aas import cross_validate, read_features_csv, read_performance_csv
 
 
 def main(argv=None) -> int:
@@ -32,9 +32,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     features = read_features_csv(args.features)
-    table = ErtTable.from_records(read_performance_csv(args.performance))
+    table = read_performance_csv(args.performance)
 
-    print(f"{len(features)} instances, {len(table.algorithms())} algorithms, "
+    print(f"{len(features)} instances, {len(table.algorithms)} algorithms, "
           f"scheme {args.scheme}, feature cost {args.feature_cost}")
     print(f"{'kind':<17}{'k':>3}  {'voting':<9}{'gap':>9}{'f1':>8}  {'sbs/vbs/model mean ERT'}")
     for kind in args.kinds:

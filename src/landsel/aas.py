@@ -1,9 +1,9 @@
 """Algorithm-selection harness: ERT tables, baselines, selectors, evaluation.
 
-Performance data is a list of runs, one record per (instance, algorithm, run).
-The expected running time (ERT) of an algorithm on an instance is the sum of
-evaluations spent over all runs divided by the number of successful runs;
-with zero successes the ERT is infinite and is imputed as
+Performance data is read straight into one :class:`ErtTable`, whose arrays
+hold one cell per (instance, algorithm).  A cell's expected running time
+(ERT) is the sum of evaluations spent over its runs divided by the number of
+successful runs; with zero successes the ERT is infinite and is imputed as
 budget * runs * penalty before any aggregation.
 
 Two baselines frame every evaluation: the single best solver (SBS) minimizes
@@ -24,9 +24,8 @@ function id, or by explicit group labels.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +35,18 @@ from .ela import FeatureVector
 DEFAULT_PENALTY = 10.0
 CV_SCHEMES = ("leave_iid_out", "leave_fid_out", "leave_group_out")
 SELECTOR_KINDS = ("knn", "nearest_centroid")
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 InstanceKey = tuple[str, str]
+
+
+def _check_run(evaluations: int, budget: int) -> None:
+    if evaluations < 1:
+        raise ValueError("evaluations must be at least 1")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if evaluations > budget:
+        raise ValueError("evaluations cannot exceed the budget")
 
 
 @dataclass(frozen=True)
@@ -53,16 +62,15 @@ class PerformanceRecord:
     budget: int
 
     def __post_init__(self):
-        if self.evaluations < 1:
-            raise ValueError("evaluations must be at least 1")
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
-        if self.evaluations > self.budget:
-            raise ValueError("evaluations cannot exceed the budget")
+        _check_run(self.evaluations, self.budget)
 
     @property
     def instance(self) -> InstanceKey:
         return (self.fid, self.iid)
+
+
+def _ert(evaluations: int, successes: int) -> float:
+    return evaluations / successes if successes else math.inf
 
 
 def compute_ert(records: list[PerformanceRecord]) -> float:
@@ -70,162 +78,131 @@ def compute_ert(records: list[PerformanceRecord]) -> float:
     when no run succeeded."""
     if not records:
         raise ValueError("cannot compute an ERT from zero runs")
-    evaluations = sum(r.evaluations for r in records)
-    successes = sum(1 for r in records if r.success)
-    if successes == 0:
-        return math.inf
-    return evaluations / successes
+    return _ert(sum(r.evaluations for r in records), sum(1 for r in records if r.success))
 
 
 def impute_ert(ert: float, budget: int, runs: int, penalty: float = DEFAULT_PENALTY) -> float:
     """Replace an infinite ERT with budget * runs * penalty; finite values
     pass through unchanged."""
-    if penalty < 1:
+    if not penalty >= 1:
         raise ValueError("penalty must be at least 1")
     if math.isinf(ert):
         return float(budget) * runs * penalty
     return ert
 
 
-@dataclass(frozen=True)
-class ErtCell:
-    ert: float
-    runs: int
-    successes: int
-    budget: int
+def _add_run(cells: dict, key: tuple[str, str, str], run: int, evaluations: int, success: bool,
+             budget: int) -> None:
+    """Check one run and fold it into its cell's [evaluations, successes, run
+    ids, largest budget]; ``cells`` keeps first-appearance order."""
+    _check_run(evaluations, budget)
+    if budget > _INT64_MAX:
+        raise ValueError(f"budget {budget} does not fit in 64 bits")
+    cell = cells.setdefault(key, [0, 0, set(), 0])
+    if run in cell[2]:
+        raise ValueError(f"duplicate run id {run} for {key}")
+    cell[0] += evaluations
+    cell[1] += success
+    cell[2].add(run)
+    cell[3] = max(cell[3], budget)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ErtTable:
-    """ERT per (instance, algorithm), plus run bookkeeping.
+    """ERT per (instance, algorithm): rows follow the sorted ``instances``,
+    columns the sorted ``algorithms``, and every cell is present.
 
-    ``cells`` maps (fid, iid, algorithm) to an ErtCell.  Aggregations require
-    a complete, finite table: call :func:`impute_table` first when any cell
-    may be infinite.
+    ``ert`` is infinite where no run succeeded (impute it before the
+    baselines); ``runs`` counts the runs, ``budget`` is their largest budget,
+    and ``rank`` orders the cells by first appearance in the input.
     """
 
-    cells: dict[tuple[str, str, str], ErtCell]
+    instances: list[InstanceKey]
+    algorithms: list[str]
+    ert: np.ndarray
+    runs: np.ndarray
+    budget: np.ndarray
+    rank: np.ndarray
 
     @classmethod
     def from_records(cls, records: list[PerformanceRecord]) -> "ErtTable":
-        if not records:
-            raise ValueError("no performance records")
-        groups: dict[tuple[str, str, str], list[PerformanceRecord]] = {}
-        seen_runs: set[tuple[str, str, str, int]] = set()
+        cells: dict = {}
         for r in records:
-            key = (r.fid, r.iid, r.algorithm)
-            run_key = key + (r.run,)
-            if run_key in seen_runs:
-                raise ValueError(f"duplicate run id {r.run} for {key}")
-            seen_runs.add(run_key)
-            groups.setdefault(key, []).append(r)
-        cells = {}
-        for key, runs in groups.items():
-            cells[key] = ErtCell(
-                ert=compute_ert(runs),
-                runs=len(runs),
-                successes=sum(1 for r in runs if r.success),
-                budget=max(r.budget for r in runs),
-            )
-        return cls(cells=cells)
+            _add_run(cells, (r.fid, r.iid, r.algorithm), r.run, r.evaluations, r.success, r.budget)
+        return cls._from_cells(cells)
 
-    def instances(self) -> list[InstanceKey]:
-        return sorted({(f, i) for f, i, _ in self.cells})
-
-    def algorithms(self) -> list[str]:
-        return sorted({a for _, _, a in self.cells})
-
-    def ert(self, instance: InstanceKey, algorithm: str) -> float:
-        return self.cells[(instance[0], instance[1], algorithm)].ert
-
-    def require_complete(self) -> None:
-        algorithms = self.algorithms()
-        for instance in self.instances():
-            for algorithm in algorithms:
-                if (instance[0], instance[1], algorithm) not in self.cells:
-                    raise ValueError(f"table is missing {algorithm!r} on {instance}")
-
-    def require_finite(self) -> None:
-        for key, cell in self.cells.items():
-            if math.isinf(cell.ert):
-                raise ValueError(f"infinite ERT at {key}; impute the table first")
-
-    def restrict(self, instances: list[InstanceKey]) -> "ErtTable":
-        wanted = set(instances)
-        cells = {k: v for k, v in self.cells.items() if (k[0], k[1]) in wanted}
+    @classmethod
+    def _from_cells(cls, cells: dict) -> "ErtTable":
         if not cells:
-            raise ValueError("restriction removed every cell")
-        return ErtTable(cells=cells)
+            raise ValueError("no performance records")
+        instances = sorted({key[:2] for key in cells})
+        algorithms = sorted({key[2] for key in cells})
+        row = {inst: r for r, inst in enumerate(instances)}
+        col = {a: c for c, a in enumerate(algorithms)}
+        shape = (len(instances), len(algorithms))
+        ert = np.empty(shape)
+        runs, budget, rank = (np.full(shape, -1, dtype=np.int64) for _ in range(3))
+        for n, ((fid, iid, algorithm), (evaluations, successes, ids, top)) in enumerate(cells.items()):
+            r, c = row[fid, iid], col[algorithm]
+            ert[r, c] = _ert(evaluations, successes)
+            runs[r, c], budget[r, c], rank[r, c] = len(ids), top, n
+        if len(cells) < rank.size:
+            r, c = np.argwhere(rank < 0)[0]
+            raise ValueError(f"table is missing {algorithms[c]!r} on {instances[r]}")
+        return cls(instances, algorithms, ert, runs, budget, rank)
 
 
 def impute_table(table: ErtTable, penalty: float = DEFAULT_PENALTY) -> tuple[ErtTable, list[dict]]:
     """Impute every infinite cell; returns the new table and a log of the
-    imputed cells."""
-    cells = {}
+    imputed cells in input order."""
+    if not penalty >= 1:
+        raise ValueError("penalty must be at least 1")
+    infinite = np.argwhere(np.isinf(table.ert))
+    ert = table.ert.copy()
     log = []
-    for key, cell in table.cells.items():
-        value = impute_ert(cell.ert, cell.budget, cell.runs, penalty)
-        if math.isinf(cell.ert):
-            log.append(
-                {
-                    "fid": key[0],
-                    "iid": key[1],
-                    "algorithm": key[2],
-                    "imputed_ert": value,
-                    "budget": cell.budget,
-                    "runs": cell.runs,
-                    "penalty": penalty,
-                }
-            )
-        cells[key] = ErtCell(value, cell.runs, cell.successes, cell.budget)
-    return ErtTable(cells=cells), log
+    for r, c in infinite[np.argsort(table.rank[tuple(infinite.T)])].tolist():
+        budget, runs = int(table.budget[r, c]), int(table.runs[r, c])
+        ert[r, c] = value = impute_ert(math.inf, budget, runs, penalty)
+        fid, iid = table.instances[r]
+        log.append({"fid": fid, "iid": iid, "algorithm": table.algorithms[c], "imputed_ert": value,
+                    "budget": budget, "runs": runs, "penalty": penalty})
+    return replace(table, ert=ert), log
+
+
+def _finite_ert(table: ErtTable) -> np.ndarray:
+    infinite = np.argwhere(np.isinf(table.ert))
+    if infinite.size:
+        r, c = infinite[0]
+        key = (*table.instances[r], table.algorithms[c])
+        raise ValueError(f"infinite ERT at {key}; impute the table first")
+    return table.ert
 
 
 def sbs(table: ErtTable) -> str:
     """The single best solver: minimal mean ERT across instances, ties
-    resolved lexicographically.  Requires a complete, finite table."""
-    table.require_complete()
-    table.require_finite()
-    instances = table.instances()
-    best_alg = None
-    best_mean = math.inf
-    for algorithm in table.algorithms():
-        mean = sum(table.ert(inst, algorithm) for inst in instances) / len(instances)
-        if mean < best_mean:
-            best_mean = mean
-            best_alg = algorithm
-    return best_alg
+    resolved lexicographically.  Requires a finite table."""
+    # an axis-0 sum adds the rows in order; argmin keeps the first tied mean
+    means = _finite_ert(table).sum(axis=0) / len(table.instances)
+    return table.algorithms[int(np.argmin(means))]
 
 
-def sbs_performance(table: ErtTable) -> dict[InstanceKey, float]:
-    """Per-instance ERT of the single best solver."""
-    algorithm = sbs(table)
-    return {inst: table.ert(inst, algorithm) for inst in table.instances()}
+def vbs_performance(table: ErtTable) -> np.ndarray:
+    """Per-instance minimum ERT over algorithms (the virtual best solver),
+    one value per row of the table."""
+    return _finite_ert(table).min(axis=1)
 
 
-def vbs_performance(table: ErtTable) -> dict[InstanceKey, float]:
-    """Per-instance minimum ERT over algorithms (the virtual best solver)."""
-    table.require_complete()
-    table.require_finite()
-    algorithms = table.algorithms()
-    return {inst: min(table.ert(inst, a) for a in algorithms) for inst in table.instances()}
+def instance_labels(table: ErtTable) -> np.ndarray:
+    """Per-instance column of the ERT-minimizing algorithm; argmin keeps the
+    first minimum, so ties go to the lexicographically first algorithm."""
+    return _finite_ert(table).argmin(axis=1)
 
 
-def instance_labels(table: ErtTable) -> dict[InstanceKey, str]:
-    """Per-instance ERT-minimizing algorithm, ties lexicographic."""
-    table.require_complete()
-    table.require_finite()
-    algorithms = table.algorithms()
-    return {
-        inst: min(algorithms, key=lambda a: (table.ert(inst, a), a)) for inst in table.instances()
-    }
-
-
-def feature_cost_adjust(performance: dict[InstanceKey, float], design_size: int) -> dict[InstanceKey, float]:
+def feature_cost_adjust(performance: np.ndarray, design_size: int) -> np.ndarray:
     """Charge the evaluations spent on the feature design to each instance."""
     if design_size < 0:
         raise ValueError("design size must be non-negative")
-    return {inst: value + design_size for inst, value in performance.items()}
+    return performance + design_size
 
 
 def gap_closure(sbs_mean: float, vbs_mean: float, model_mean: float) -> float:
@@ -268,13 +245,11 @@ def f1_macro(confusion: np.ndarray) -> float:
 # ── selector models ──────────────────────────────────────────────────────────
 
 
-def _aligned_arrays(
-    features: dict[InstanceKey, FeatureVector], table: ErtTable
-) -> tuple[np.ndarray, list[str], np.ndarray, list[str], list[InstanceKey]]:
-    """The feature matrix (NaN where missing) and its column names, the ERT
-    array and its column algorithms, and the instances, one row each in
-    sorted order."""
-    instances = table.instances()
+def _feature_matrix(
+    features: dict[InstanceKey, FeatureVector], instances: list[InstanceKey]
+) -> tuple[np.ndarray, list[str]]:
+    """The feature matrix (NaN where missing), one row per instance of the
+    table, and its column names."""
     only = set(features) ^ set(instances)
     if only:
         side = "the features" if min(only) in features else "the performance table"
@@ -287,9 +262,7 @@ def _aligned_arrays(
         if list(features[inst].names()) != names:
             raise ValueError(f"feature names differ for instance {inst}")
         matrix[r] = [np.nan if v is None else v for v in features[inst].values.values()]
-    algorithms = table.algorithms()
-    erts = np.array([[table.ert(inst, a) for a in algorithms] for inst in instances])
-    return matrix, names, erts, algorithms, instances
+    return matrix, names
 
 
 @dataclass
@@ -311,9 +284,7 @@ class SelectorModel:
     center: np.ndarray
     scale: np.ndarray
     train_matrix: np.ndarray
-    train_instances: list[InstanceKey]
     labels: list[str]
-    weights: np.ndarray
     cost_matrix: np.ndarray
     centroids: dict[str, np.ndarray] = field(default_factory=dict)
     imputed_cells: list[tuple[str, str, str]] = field(default_factory=list)
@@ -352,13 +323,13 @@ class SelectorModel:
 
 
 def _fit(matrix: np.ndarray, names: list[str], erts: np.ndarray, algorithms: list[str],
-         instances: list[InstanceKey], kind: str, k: int, cost_sensitive: bool) -> SelectorModel:
-    """Fit a selector on training rows: row r of ``matrix`` and of ``erts``
-    belongs to ``instances[r]``."""
+         kind: str, k: int, cost_sensitive: bool) -> SelectorModel:
+    """Fit a selector on training rows: one instance per row of ``matrix``
+    and of ``erts``."""
     if kind not in SELECTOR_KINDS:
         raise ValueError(f"unknown selector kind {kind!r}")
-    if not 1 <= k <= len(instances):
-        raise ValueError(f"k must satisfy 1 <= k <= {len(instances)}")
+    if not 1 <= k <= len(erts):
+        raise ValueError(f"k must satisfy 1 <= k <= {len(erts)}")
 
     medians = np.empty(matrix.shape[1])
     for c in range(matrix.shape[1]):
@@ -406,9 +377,7 @@ def _fit(matrix: np.ndarray, names: list[str], erts: np.ndarray, algorithms: lis
         center=center[keep],
         scale=scale[keep],
         train_matrix=Z,
-        train_instances=list(instances),
         labels=labels,
-        weights=weights,
         cost_matrix=cost_matrix,
         centroids=centroids,
     )
@@ -425,17 +394,16 @@ def train_selector(
     """Fit a selector on aligned features and performance.
 
     ``features`` must cover exactly the table's instances.  Infinite ERT
-    cells are imputed (recorded on the model).  The features become one
-    matrix and the ERTs one array, rows in sorted instance order, and the
-    same fit that serves each cross-validation fold runs on all rows.
+    cells are imputed (recorded on the model), and the fit that serves each
+    cross-validation fold runs on all rows.
     Per-instance regret weights are (mean ERT - min ERT) / mean ERT; the
     cost matrix normalizes each instance's ERT row by its mean, so a
     neighbor where all algorithms tie contributes no preference to
     cost-sensitive votes.
     """
-    table.require_complete()
     table, log = impute_table(table, penalty)
-    model = _fit(*_aligned_arrays(features, table), kind, k, cost_sensitive)
+    matrix, names = _feature_matrix(features, table.instances)
+    model = _fit(matrix, names, table.ert, table.algorithms, kind, k, cost_sensitive)
     model.imputed_cells = [(e["fid"], e["iid"], e["algorithm"]) for e in log]
     return model
 
@@ -471,55 +439,46 @@ def cross_validate(
     Folds are keyed by instance id, function id, or explicit group labels;
     each fold is predicted by a model trained on everything else, so
     predictions depend on the training folds only.  The table is imputed
-    once and the features and ERTs become one matrix and one array; each
-    fold fits on its training rows of both, so medians, means and standard
+    once and the features become one matrix; each fold fits on its training
+    rows of the matrix and the ERT array, so medians, means and standard
     deviations still come from the training rows alone.  The report carries
     per instance selections, the confusion of predicted versus ERT-optimal
     algorithms, pooled and per-fold SBS/VBS/model means, the gap closure
     with its inputs, macro F1, and the imputation log.
     """
-    table.require_complete()
     imputed, log = impute_table(table, penalty)
-    matrix, names, erts, algorithms, instances = _aligned_arrays(features, imputed)
+    instances, algorithms, erts = imputed.instances, imputed.algorithms, imputed.ert
+    matrix, names = _feature_matrix(features, instances)
     folds: dict[str, list[int]] = {}
     for row, inst in enumerate(instances):
         folds.setdefault(_fold_key(scheme, inst, groups), []).append(row)
     if len(folds) < 2:
         raise ValueError(f"scheme {scheme!r} yields fewer than two folds")
 
-    selections: dict[InstanceKey, str] = {}
+    rows = np.arange(len(instances))
+    selected = np.empty(len(instances), dtype=np.intp)
     for key in sorted(folds):
-        train = np.delete(np.arange(len(instances)), folds[key])
-        model = _fit(matrix[train], names, erts[train], algorithms, [instances[r] for r in train],
-                     kind, min(k, len(train)), cost_sensitive)
+        train = np.delete(rows, folds[key])
+        model = _fit(matrix[train], names, erts[train], algorithms, kind, min(k, len(train)), cost_sensitive)
         for r in folds[key]:
-            selections[instances[r]] = model.predict(features[instances[r]])
+            selected[r] = algorithms.index(model.predict(features[instances[r]]))
 
-    vbs_perf = vbs_performance(imputed)
     sbs_algorithm = sbs(imputed)
-    sbs_perf = {inst: imputed.ert(inst, sbs_algorithm) for inst in instances}
-    model_perf = {inst: imputed.ert(inst, selections[inst]) for inst in instances}
-    if feature_cost:
-        model_perf = feature_cost_adjust(model_perf, feature_cost)
-
+    # SBS, VBS and model columns; an axis-0 sum adds their C-ordered rows in order
+    perf = np.column_stack([erts[:, algorithms.index(sbs_algorithm)], vbs_performance(imputed),
+                            feature_cost_adjust(erts[rows, selected], feature_cost)])
     labels = instance_labels(imputed)
-    alg_index = {a: i for i, a in enumerate(algorithms)}
     confusion = np.zeros((len(algorithms), len(algorithms)), dtype=int)
-    for inst in instances:
-        confusion[alg_index[labels[inst]], alg_index[selections[inst]]] += 1
+    np.add.at(confusion, (labels, selected), 1)
 
-    def _means(subset: list[InstanceKey]) -> dict:
-        sbs_m, vbs_m, model_m = (
-            float(sum(perf[i] for i in subset) / len(subset)) for perf in (sbs_perf, vbs_perf, model_perf)
-        )
+    def _means(subset) -> dict:
+        sbs_m, vbs_m, model_m = (perf[subset].sum(axis=0) / len(subset)).tolist()
         gap = gap_closure(sbs_m, vbs_m, model_m) if sbs_m > vbs_m else None
         return {"sbs_mean": sbs_m, "vbs_mean": vbs_m, "model_mean": model_m, "gap_closure": gap}
 
-    pooled = {"sbs_algorithm": sbs_algorithm, **_means(instances)}
-    per_fold = []
-    for key in sorted(folds):
-        subset = [instances[r] for r in folds[key]]
-        per_fold.append({"fold": key, "instances": [list(i) for i in subset], **_means(subset)})
+    pooled = {"sbs_algorithm": sbs_algorithm, **_means(rows)}
+    per_fold = [{"fold": key, "instances": [list(instances[r]) for r in folds[key]], **_means(folds[key])}
+                for key in sorted(folds)]
     return {
         "scheme": scheme,
         "selector": {
@@ -529,9 +488,9 @@ def cross_validate(
             "feature_cost": feature_cost,
             "penalty": penalty,
         },
-        "algorithms": algorithms,
-        "selections": {f"{f}:{i}": a for (f, i), a in sorted(selections.items())},
-        "true_labels": {f"{f}:{i}": a for (f, i), a in sorted(labels.items())},
+        "algorithms": list(algorithms),
+        "selections": {f"{f}:{i}": algorithms[j] for (f, i), j in zip(instances, selected.tolist())},
+        "true_labels": {f"{f}:{i}": algorithms[j] for (f, i), j in zip(instances, labels.tolist())},
         "confusion": confusion.tolist(),
         "f1_macro": f1_macro(confusion),
         "pooled": pooled,
@@ -545,39 +504,41 @@ def cross_validate(
 PERFORMANCE_HEADER = ["fid", "iid", "algorithm", "run", "evaluations", "success", "budget"]
 
 
-def read_performance_csv(path: str | Path) -> list[PerformanceRecord]:
-    """Read runs from CSV with header fid,iid,algorithm,run,evaluations,success,budget."""
-    path = Path(path)
+def _csv_rows(path: Path, what: str) -> list[list[str]]:
+    """Every row of a CSV file; a missing file, bytes that do not decode and
+    malformed CSV are ValueErrors that name the file."""
     if not path.exists():
-        raise ValueError(f"performance file not found: {path}")
+        raise ValueError(f"{what} file not found: {path}")
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            return list(csv.reader(fh))
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise ValueError(f"{path}: {e}") from None
+
+
+def read_performance_csv(path: str | Path) -> ErtTable:
+    """Read runs from CSV with header fid,iid,algorithm,run,evaluations,success,budget
+    straight into an :class:`ErtTable`; every algorithm needs runs on every
+    instance.  Errors name the file, and the line where one row is at fault."""
+    path = Path(path)
+    rows = _csv_rows(path, "performance")
     if not rows or rows[0] != PERFORMANCE_HEADER:
         raise ValueError(f"{path}: expected header {','.join(PERFORMANCE_HEADER)}")
-    records = []
-    for lineno, cells in enumerate(rows[1:], start=2):
-        if len(cells) != len(PERFORMANCE_HEADER):
-            raise ValueError(f"{path}:{lineno}: expected {len(PERFORMANCE_HEADER)} fields")
-        fid, iid, algorithm, run, evaluations, success, budget = cells
-        if success not in ("0", "1"):
-            raise ValueError(f"{path}:{lineno}: success must be 0 or 1")
+    cells: dict = {}
+    for lineno, row in enumerate(rows[1:], start=2):
         try:
-            records.append(
-                PerformanceRecord(
-                    fid=fid,
-                    iid=iid,
-                    algorithm=algorithm,
-                    run=int(run),
-                    evaluations=int(evaluations),
-                    success=success == "1",
-                    budget=int(budget),
-                )
-            )
+            if len(row) != len(PERFORMANCE_HEADER):
+                raise ValueError(f"expected {len(PERFORMANCE_HEADER)} fields")
+            fid, iid, algorithm, run, evaluations, success, budget = row
+            if success not in ("0", "1"):
+                raise ValueError("success must be 0 or 1")
+            _add_run(cells, (fid, iid, algorithm), int(run), int(evaluations), success == "1", int(budget))
         except ValueError as e:
-            raise ValueError(f"{path}:{lineno}: {e}") from e
-    if not records:
-        raise ValueError(f"{path}: no performance records")
-    return records
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+    try:
+        return ErtTable._from_cells(cells)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def write_performance_csv(records: list[PerformanceRecord], path: str | Path) -> None:
@@ -593,10 +554,7 @@ def read_features_csv(path: str | Path) -> dict[InstanceKey, FeatureVector]:
     """Read a batch feature table: header fid,iid,<feature names>; empty cells
     are missing features, every other cell must be a finite number."""
     path = Path(path)
-    if not path.exists():
-        raise ValueError(f"features file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _csv_rows(path, "features")
     if not rows or rows[0][:2] != ["fid", "iid"]:
         raise ValueError(f"{path}: header must start with fid,iid")
     names = rows[0][2:]

@@ -296,11 +296,14 @@ def cmd_fitmap(args: argparse.Namespace) -> int:
 def cmd_aas(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "aas")
     features = aas_mod.read_features_csv(_require(cfg, "features", "aas"))
-    records = aas_mod.read_performance_csv(_require(cfg, "performance", "aas"))
-    table = aas_mod.ErtTable.from_records(records)
-    k = int(cfg["k"])
+    table = aas_mod.read_performance_csv(_require(cfg, "performance", "aas"))
+    k, feature_cost, penalty = int(cfg["k"]), int(cfg["feature_cost"]), float(cfg["penalty"])
     if k < 1:
         raise ValueError("aas needs --k >= 1")
+    if feature_cost < 0:
+        raise ValueError("aas needs --feature-cost >= 0")
+    if not penalty >= 1:
+        raise ValueError("aas needs --penalty >= 1")
     groups = None
     if cfg["groups"] is not None:
         groups = {}
@@ -317,8 +320,8 @@ def cmd_aas(args: argparse.Namespace) -> int:
         k=k,
         cost_sensitive=bool(cfg["cost_sensitive"]),
         groups=groups,
-        feature_cost=int(cfg["feature_cost"]),
-        penalty=float(cfg["penalty"]),
+        feature_cost=feature_cost,
+        penalty=penalty,
     )
     out = Path(_require(cfg, "out", "aas"))
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

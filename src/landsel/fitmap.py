@@ -245,14 +245,16 @@ def knn_cloud(pd: ProcessedDesign, k: int) -> FitnessCloud:
     n = pd.n
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n (k={k}, n={n})")
-    dm = pd.distances.copy()
-    np.fill_diagonal(dm, np.inf)
-    # every row's k nearest lie among the entries <= its k-th smallest
-    # distance; a stable sort of just those gives argsort(kind="stable")[:k]
-    kth = np.partition(dm, k - 1, axis=1)[:, k - 1]
+    dm = pd.distances
+    # a row's distance to itself is exactly 0, its minimum, so the entry at
+    # index k of the partitioned row is the k-th smallest distance to another
+    # point; every row's k nearest lie among the other entries <= it, and a
+    # stable sort of just those gives argsort(kind="stable")[:k]
+    kth = np.partition(dm, k, axis=1)[:, k]
     neighbors = np.empty((n, k), dtype=np.intp)
     for i, row in enumerate(dm):
         candidates = np.flatnonzero(row <= kth[i])
+        candidates = candidates[candidates != i]
         neighbors[i] = candidates[np.argsort(row[candidates], kind="stable")[:k]]
     return FitnessCloud(
         points=np.column_stack([pd.matrix, pd.objective]),

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from landsel.aas import (
@@ -26,7 +28,6 @@ from landsel.aas import (
     read_features_csv,
     read_performance_csv,
     sbs,
-    sbs_performance,
     train_selector,
     vbs_performance,
     write_features_csv,
@@ -43,6 +44,16 @@ def rec(fid="f", iid="0", algorithm="a", run=1, evaluations=100, success=True, b
 def fv(**values) -> FeatureVector:
     reasons = {k: "undefined" for k, v in values.items() if v is None}
     return FeatureVector(values=dict(values), reasons=reasons, meta={})
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises`` pattern matching ``message`` and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
+def cell(table, fid, iid, algorithm):
+    """The table's ERT at (fid, iid) under ``algorithm``."""
+    return table.ert[table.instances.index((fid, iid)), table.algorithms.index(algorithm)]
 
 
 def table_from(rows):
@@ -141,8 +152,9 @@ class TestImputation:
         ]
         table = ErtTable.from_records(records)
         imputed, log = impute_table(table, penalty=10.0)
-        assert imputed.ert(("f", "0"), "a") == 50.0
-        assert imputed.ert(("f", "0"), "b") == 20000.0
+        assert cell(imputed, "f", "0", "a") == 50.0
+        assert cell(imputed, "f", "0", "b") == 20000.0
+        assert math.isinf(cell(table, "f", "0", "b"))
         assert log == [
             {
                 "fid": "f",
@@ -154,6 +166,26 @@ class TestImputation:
                 "penalty": 10.0,
             }
         ]
+
+    def test_log_keeps_input_order(self):
+        # cells appear as (g, b), (f, a), (g, a), (f, b); sorted order would
+        # put (f, a) first
+        cells = [("g", "b", 100), ("f", "a", 200), ("g", "a", 300), ("f", "b", 400)]
+        records = [
+            rec(fid=fid, algorithm=algorithm, evaluations=10, success=False, budget=budget)
+            for fid, algorithm, budget in cells
+        ]
+        imputed, log = impute_table(ErtTable.from_records(records))
+        assert [(e["fid"], e["algorithm"], e["budget"]) for e in log] == cells
+        assert imputed.ert.tolist() == [[2000.0, 4000.0], [3000.0, 1000.0]]
+        assert all(type(e["budget"]) is int and type(e["runs"]) is int for e in log)
+
+    def test_penalty_floor_holds_without_infinite_cells(self):
+        table = table_from([("f", "0", "a", 10)])
+        with pytest.raises(ValueError, match="penalty"):
+            impute_table(table, penalty=0.5)
+        with pytest.raises(ValueError, match="penalty"):
+            impute_table(table, penalty=math.nan)
 
 
 class TestErtTable:
@@ -167,31 +199,54 @@ class TestErtTable:
             rec(run=2, evaluations=10, budget=2000),
         ]
         table = ErtTable.from_records(records)
-        assert table.cells[("f", "0", "a")].budget == 2000
+        assert table.budget.tolist() == [[2000]]
+        assert table.runs.tolist() == [[2]]
 
     def test_sorted_enumerations(self):
         table = table_from(
-            [("g", "1", "b", 10), ("f", "0", "a", 20), ("f", "1", "a", 30), ("g", "0", "b", 40)]
+            [("g", "1", "b", 10), ("f", "0", "b", 20), ("f", "1", "b", 30), ("g", "0", "b", 40),
+             ("g", "1", "a", 50), ("f", "0", "a", 60), ("f", "1", "a", 70), ("g", "0", "a", 80)]
         )
-        assert table.instances() == [("f", "0"), ("f", "1"), ("g", "0"), ("g", "1")]
-        assert table.algorithms() == ["a", "b"]
+        assert table.instances == [("f", "0"), ("f", "1"), ("g", "0"), ("g", "1")]
+        assert table.algorithms == ["a", "b"]
+        assert table.ert.tolist() == [[60.0, 20.0], [70.0, 30.0], [80.0, 40.0], [50.0, 10.0]]
+        # rank is the order in which each cell first appeared
+        assert table.rank.tolist() == [[5, 1], [6, 2], [7, 3], [4, 0]]
+
+    def test_arrays_aggregate_the_runs(self):
+        records = [
+            rec(iid="0", algorithm="a", run=1, evaluations=100, success=True, budget=500),
+            rec(iid="0", algorithm="a", run=2, evaluations=200, success=False, budget=700),
+            rec(iid="0", algorithm="a", run=3, evaluations=300, success=True, budget=600),
+            rec(iid="0", algorithm="b", run=1, evaluations=50, success=False, budget=50),
+        ]
+        table = ErtTable.from_records(records)
+        assert table.ert.tolist() == [[300.0, math.inf]]
+        assert table.ert[0, 0] == compute_ert(records[:3])
+        assert table.runs.tolist() == [[3, 1]]
+        assert table.budget.tolist() == [[700, 50]]
+        assert table.ert.dtype == np.float64 and table.runs.dtype == table.budget.dtype == np.int64
 
     def test_require_complete(self):
-        table = table_from([("f", "0", "a", 10), ("f", "1", "a", 10), ("f", "0", "b", 10)])
-        with pytest.raises(ValueError, match="missing"):
-            table.require_complete()
+        # completeness is checked when the table is built; the first gap in
+        # sorted instance-then-algorithm order is named
+        with pytest.raises(ValueError, match=exactly("table is missing 'b' on ('f', '1')")):
+            table_from([("f", "0", "a", 10), ("f", "1", "a", 10), ("f", "0", "b", 10)])
 
     def test_require_finite(self):
         table = ErtTable.from_records([rec(success=False)])
-        with pytest.raises(ValueError, match="impute"):
-            table.require_finite()
+        for baseline in (sbs, vbs_performance, instance_labels):
+            with pytest.raises(ValueError, match=r"infinite ERT at \('f', '0', 'a'\); impute"):
+                baseline(table)
 
-    def test_restrict(self):
-        table = table_from([("f", "0", "a", 10), ("f", "1", "a", 20)])
-        small = table.restrict([("f", "1")])
-        assert small.instances() == [("f", "1")]
-        with pytest.raises(ValueError):
-            table.restrict([("zzz", "9")])
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="no performance records"):
+            ErtTable.from_records([])
+
+    def test_budget_must_fit_in_64_bits(self):
+        ErtTable.from_records([rec(budget=2**63 - 1)])
+        with pytest.raises(ValueError, match="does not fit in 64 bits"):
+            ErtTable.from_records([rec(budget=2**63)])
 
 
 class TestBaselines:
@@ -207,23 +262,32 @@ class TestBaselines:
 
     def test_sbs_minimizes_mean(self):
         # a averages 200, b averages 500
-        assert sbs(self.two_by_two()) == "a"
-        assert sbs_performance(self.two_by_two()) == {("f", "0"): 100.0, ("f", "1"): 300.0}
+        table = self.two_by_two()
+        assert sbs(table) == "a"
+        assert table.ert[:, table.algorithms.index(sbs(table))].tolist() == [100.0, 300.0]
+        # a has the lower mean (300 against 425) but the higher worst case
+        table = table_from(
+            [("f", "0", "a", 100), ("f", "0", "b", 450), ("f", "1", "a", 500), ("f", "1", "b", 400)]
+        )
+        assert sbs(table) == "a"
 
     def test_sbs_tie_is_lexicographic(self):
         table = table_from([("f", "0", "b", 100), ("f", "0", "a", 100), ("f", "1", "a", 50), ("f", "1", "b", 50)])
         assert sbs(table) == "a"
 
     def test_vbs_takes_per_instance_minimum(self):
-        assert vbs_performance(self.two_by_two()) == {("f", "0"): 100.0, ("f", "1"): 100.0}
+        assert vbs_performance(self.two_by_two()).tolist() == [100.0, 100.0]
 
     def test_labels_tie_lexicographic(self):
-        table = table_from([("f", "0", "b", 100), ("f", "0", "a", 100)])
-        assert instance_labels(table) == {("f", "0"): "a"}
+        table = table_from(
+            [("f", "0", "b", 100), ("f", "0", "a", 100), ("f", "1", "a", 300), ("f", "1", "b", 100)]
+        )
+        assert [table.algorithms[j] for j in instance_labels(table)] == ["a", "b"]
 
     def test_feature_cost_adjust(self):
-        perf = {("f", "0"): 100.0, ("f", "1"): 300.0}
-        assert feature_cost_adjust(perf, 50) == {("f", "0"): 150.0, ("f", "1"): 350.0}
+        perf = np.array([100.0, 300.0])
+        assert feature_cost_adjust(perf, 50).tolist() == [150.0, 350.0]
+        assert perf.tolist() == [100.0, 300.0]
         with pytest.raises(ValueError):
             feature_cost_adjust(perf, -1)
 
@@ -381,7 +445,7 @@ class TestTrainSelector:
 class TestCrossValidate:
     def toy(self):
         features = read_features_csv(DATA / "toy_features.csv")
-        table = ErtTable.from_records(read_performance_csv(DATA / "toy_performance.csv"))
+        table = read_performance_csv(DATA / "toy_performance.csv")
         return features, table
 
     def test_leave_iid_out_closes_the_gap(self):
@@ -422,7 +486,7 @@ class TestCrossValidate:
 
     def test_leave_group_out(self):
         features, table = self.toy()
-        groups = {inst: ("lo" if inst[1] in ("0", "1") else "hi") for inst in table.instances()}
+        groups = {inst: ("lo" if inst[1] in ("0", "1") else "hi") for inst in table.instances}
         report = cross_validate(features, table, scheme="leave_group_out", groups=groups, k=1)
         assert {f["fold"] for f in report["per_fold"]} == {"lo", "hi"}
         assert report["pooled"]["gap_closure"] == 1.0
@@ -432,12 +496,40 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="group"):
             cross_validate(features, table, scheme="leave_group_out", k=1)
 
-    def test_single_fold_rejected(self):
-        features, table = self.toy()
-        keep = [inst for inst in table.instances() if inst[0] == "fa"]
-        small_features = {inst: features[inst] for inst in keep}
+    def test_single_fold_rejected(self, tmp_path):
+        features, _ = self.toy()
+        lines = (DATA / "toy_performance.csv").read_text().splitlines()
+        small = tmp_path / "fa.csv"
+        small.write_text("\n".join([lines[0]] + [line for line in lines if line.startswith("fa,")]) + "\n")
+        table = read_performance_csv(small)
+        small_features = {inst: features[inst] for inst in table.instances}
         with pytest.raises(ValueError, match="fewer than two folds"):
-            cross_validate(small_features, table.restrict(keep), scheme="leave_fid_out", k=1)
+            cross_validate(small_features, table, scheme="leave_fid_out", k=1)
+
+    def test_means_sum_instances_left_to_right(self):
+        # 40 instances whose ERTs are ratios of wide-ranging integers: a
+        # pairwise sum of such a column differs from a left-to-right one, and
+        # the report must carry the left-to-right mean
+        rng = np.random.default_rng(3)
+        features, records = {}, []
+        for iid in range(40):
+            features[("f" if iid % 2 else "g", str(iid))] = fv(x=float(rng.normal()))
+            for algorithm in ("a", "b"):
+                for run in range(3):
+                    budget = int(10 ** rng.integers(2, 9))
+                    records.append(rec("f" if iid % 2 else "g", str(iid), algorithm, run,
+                                       int(rng.integers(1, budget + 1)), run != 2 or iid % 3 == 0, budget))
+        table = ErtTable.from_records(records)
+        report = cross_validate(features, table, k=1)
+        runs = {}
+        for r in records:
+            runs.setdefault((r.fid, r.iid, r.algorithm), []).append(r)
+        erts = {key: compute_ert(cell_runs) for key, cell_runs in runs.items()}
+        column = [erts[(*inst, report["pooled"]["sbs_algorithm"])] for inst in table.instances]
+        assert report["pooled"]["sbs_mean"] == sum(column) / len(column)
+        assert float(np.sum(column)) != sum(column)  # the case a pairwise sum gets wrong
+        vbs = [min(erts[(*inst, a)] for a in ("a", "b")) for inst in table.instances]
+        assert report["pooled"]["vbs_mean"] == sum(vbs) / len(vbs)
 
     def test_unknown_scheme(self):
         features, table = self.toy()
@@ -466,12 +558,26 @@ class TestCrossValidate:
         assert report["selector"]["k"] == 4
 
 
-def reference_cross_validate(features, table, scheme, kind, k, cost_sensitive, groups, feature_cost):
-    """The per-fold loop cross_validate replaced: each sorted fold fits
-    train_selector on the imputed table restricted to its training
-    instances, then predicts its held-out instances one by one."""
-    imputed, log = impute_table(table)
-    instances = imputed.instances()
+def reference_cross_validate(records, features, scheme, kind, k, cost_sensitive, groups, feature_cost):
+    """The per-fold loop cross_validate replaced, over plain dicts: ERTs,
+    imputation, baselines and labels come from loops over the records, and
+    each sorted fold fits train_selector on a table built from its training
+    records alone, then predicts its held-out instances one by one."""
+    runs = {}
+    for r in records:
+        runs.setdefault((r.fid, r.iid, r.algorithm), []).append(r)
+    ert, log = {}, []
+    for (fid, iid, algorithm), cell_runs in runs.items():
+        value = compute_ert(cell_runs)
+        if math.isinf(value):
+            budget = max(r.budget for r in cell_runs)
+            value = impute_ert(value, budget, len(cell_runs))
+            log.append({"fid": fid, "iid": iid, "algorithm": algorithm, "imputed_ert": value,
+                        "budget": budget, "runs": len(cell_runs), "penalty": 10.0})
+        ert[(fid, iid), algorithm] = value
+    instances = sorted({inst for inst, _ in ert})
+    algorithms = sorted({a for _, a in ert})
+
     fold_of = {"leave_iid_out": lambda i: i[1], "leave_fid_out": lambda i: i[0],
                "leave_group_out": lambda i: groups[i]}[scheme]
     folds = {}
@@ -480,22 +586,25 @@ def reference_cross_validate(features, table, scheme, kind, k, cost_sensitive, g
     selections = {}
     for key in sorted(folds):
         train = [inst for inst in instances if inst not in folds[key]]
+        train_records = [r for r in records if (r.fid, r.iid) in train]
         model = train_selector(
-            {inst: features[inst] for inst in train}, imputed.restrict(train),
+            {inst: features[inst] for inst in train}, ErtTable.from_records(train_records),
             kind=kind, k=min(k, len(train)), cost_sensitive=cost_sensitive,
         )
         for inst in folds[key]:
             selections[inst] = model.predict(features[inst])
 
-    sbs_algorithm = sbs(imputed)
-    model_perf = {inst: imputed.ert(inst, selections[inst]) for inst in instances}
+    sbs_algorithm, best = None, math.inf
+    for algorithm in algorithms:
+        mean = sum(ert[inst, algorithm] for inst in instances) / len(instances)
+        if mean < best:
+            sbs_algorithm, best = algorithm, mean
+    labels = {inst: min(algorithms, key=lambda a: (ert[inst, a], a)) for inst in instances}
     perf = {
-        "sbs": {inst: imputed.ert(inst, sbs_algorithm) for inst in instances},
-        "vbs": vbs_performance(imputed),
-        "model": feature_cost_adjust(model_perf, feature_cost) if feature_cost else model_perf,
+        "sbs": {inst: ert[inst, sbs_algorithm] for inst in instances},
+        "vbs": {inst: min(ert[inst, a] for a in algorithms) for inst in instances},
+        "model": {inst: ert[inst, selections[inst]] + feature_cost for inst in instances},
     }
-    labels = instance_labels(imputed)
-    algorithms = imputed.algorithms()
     confusion = np.zeros((len(algorithms), len(algorithms)), dtype=int)
     for inst in instances:
         confusion[algorithms.index(labels[inst]), algorithms.index(selections[inst])] += 1
@@ -523,30 +632,32 @@ def reference_cross_validate(features, table, scheme, kind, k, cost_sensitive, g
 
 
 class TestCrossValidateOracle:
-    """cross_validate slices one shared feature matrix and ERT array per
-    fold; its report must equal, byte for byte, the per-fold refit above."""
+    """cross_validate works on one imputed ERT array and one feature matrix;
+    its report must equal, byte for byte, the per-fold refit over plain
+    dicts above."""
 
     @staticmethod
     def corpus():
-        # three functions x five instances; h is missing on a third of them,
-        # "empty" on all, "flat" is constant; fb:2 never succeeds with c, and
-        # a and b tie for the best ERT on fa:1
+        # three functions x five instances, listed in an unsorted order; h is
+        # missing on a third of them, "empty" on all, "flat" is constant;
+        # fb:2 never succeeds with c, nor fa:3 with a, and a and b tie for the
+        # best ERT on fa:1
         rng = np.random.default_rng(11)
         features, records = {}, []
-        for f, fid in enumerate(("fa", "fb", "fc")):
-            for iid in range(5):
+        for f, fid in enumerate(("fc", "fa", "fb")):
+            for iid in (3, 0, 4, 1, 2):
                 h = None if (f + iid) % 3 == 0 else float(rng.normal())
                 features[(fid, str(iid))] = fv(
                     g=f + 0.2 * iid + float(rng.uniform(0.0, 0.1)), h=h, empty=None, flat=2.0
                 )
-                for algorithm in ("a", "b", "c"):
+                for algorithm in ("b", "c", "a"):
                     for run in (1, 2):
                         evaluations = int(rng.integers(50, 1000))
                         if (fid, str(iid)) == ("fa", "1"):
                             evaluations = 900 if algorithm == "c" else 300
-                        success = (fid, str(iid), algorithm) != ("fb", "2", "c")
+                        success = (fid, str(iid), algorithm) not in {("fb", "2", "c"), ("fa", "3", "a")}
                         records.append(rec(fid, str(iid), algorithm, run, evaluations, success, 1000))
-        return features, ErtTable.from_records(records)
+        return features, records
 
     @pytest.mark.parametrize("scheme", ["leave_iid_out", "leave_fid_out", "leave_group_out"])
     @pytest.mark.parametrize(
@@ -554,24 +665,36 @@ class TestCrossValidateOracle:
     )
     @pytest.mark.parametrize("cost_sensitive", [False, True])
     def test_report_equals_per_fold_refit(self, scheme, kind, k, cost_sensitive):
-        features, table = self.corpus()
-        groups = {inst: f"g{int(inst[1]) % 3}" for inst in table.instances()}
+        features, records = self.corpus()
+        table = ErtTable.from_records(records)
+        groups = {inst: f"g{int(inst[1]) % 3}" for inst in table.instances}
         feature_cost = 100 if cost_sensitive else 0
         report = cross_validate(
             features, table, scheme=scheme, kind=kind, k=k, cost_sensitive=cost_sensitive,
             groups=groups, feature_cost=feature_cost,
         )
         reference = reference_cross_validate(
-            features, table, scheme, kind, k, cost_sensitive, groups, feature_cost
+            records, features, scheme, kind, k, cost_sensitive, groups, feature_cost
         )
         assert json.dumps(report, sort_keys=True) == json.dumps(reference, sort_keys=True)
 
+    def test_csv_table_equals_record_table(self, tmp_path):
+        _, records = self.corpus()
+        path = tmp_path / "perf.csv"
+        write_performance_csv(records, path)
+        read, built = read_performance_csv(path), ErtTable.from_records(records)
+        assert read.instances == built.instances and read.algorithms == built.algorithms
+        for name in ("ert", "runs", "budget", "rank"):
+            assert np.array_equal(getattr(read, name), getattr(built, name))
+
     def test_corpus_has_the_edge_cases(self):
-        features, table = self.corpus()
+        features, records = self.corpus()
+        table = ErtTable.from_records(records)
         imputed, log = impute_table(table)
-        assert [(e["fid"], e["iid"], e["algorithm"]) for e in log] == [("fb", "2", "c")]
-        assert imputed.ert(("fa", "1"), "a") == imputed.ert(("fa", "1"), "b")
-        assert instance_labels(imputed)[("fa", "1")] == "a"
+        # the log follows the input, where fb:2 comes after fa:3
+        assert [(e["fid"], e["iid"], e["algorithm"]) for e in log] == [("fa", "3", "a"), ("fb", "2", "c")]
+        assert cell(imputed, "fa", "1", "a") == cell(imputed, "fa", "1", "b")
+        assert imputed.algorithms[instance_labels(imputed)[imputed.instances.index(("fa", "1"))]] == "a"
         model = train_selector(features, table)
         assert model.dropped_columns == ["empty", "flat"]
         assert any(vector["h"] is None for vector in features.values())
@@ -579,12 +702,22 @@ class TestCrossValidateOracle:
 
 class TestPerformanceCsv:
     def test_toy_corpus_round_trip(self, tmp_path):
-        records = read_performance_csv(DATA / "toy_performance.csv")
+        with open(DATA / "toy_performance.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        records = [
+            PerformanceRecord(f, i, a, int(r), int(e), s == "1", int(b)) for f, i, a, r, e, s, b in rows
+        ]
         assert len(records) == 32
         out = tmp_path / "perf.csv"
         write_performance_csv(records, out)
-        assert read_performance_csv(out) == records
         assert out.read_text() == (DATA / "toy_performance.csv").read_text()
+        table, built = read_performance_csv(out), ErtTable.from_records(records)
+        assert table.instances == built.instances == [(f, str(i)) for f in ("fa", "fb") for i in range(4)]
+        assert table.algorithms == built.algorithms == ["alg_a", "alg_b"]
+        for name in ("ert", "runs", "budget", "rank"):
+            assert np.array_equal(getattr(table, name), getattr(built, name))
+        assert table.ert[:, 0].tolist() == [100.0] * 4 + [900.0] * 4
+        assert table.runs.tolist() == [[2, 2]] * 8
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="not found"):
@@ -614,6 +747,118 @@ class TestPerformanceCsv:
         )
         with pytest.raises(ValueError, match=r"bad\.csv:2"):
             read_performance_csv(p)
+
+    def test_duplicate_run_names_the_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text(
+            "fid,iid,algorithm,run,evaluations,success,budget\n"
+            "f,0,a,1,10,1,100\n"
+            "f,0,b,1,10,1,100\n"
+            "f,0,a,1,20,1,100\n"
+        )
+        with pytest.raises(ValueError, match=exactly(f"{p}:4: duplicate run id 1 for ('f', '0', 'a')")):
+            read_performance_csv(p)
+
+    @pytest.mark.parametrize("budget, evaluations", [(2**63, 10), (10**30, 10), (10**30, 10**29)])
+    def test_budget_over_64_bits_names_the_line(self, tmp_path, budget, evaluations):
+        p = tmp_path / "bad.csv"
+        p.write_text(
+            "fid,iid,algorithm,run,evaluations,success,budget\n"
+            "f,0,a,1,10,1,100\n"
+            f"f,0,a,2,{evaluations},0,{budget}\n"
+        )
+        with pytest.raises(ValueError, match=exactly(f"{p}:3: budget {budget} does not fit in 64 bits")):
+            read_performance_csv(p)
+
+    def test_largest_64_bit_budget_is_read(self, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text(
+            "fid,iid,algorithm,run,evaluations,success,budget\n"
+            f"f,0,a,1,{2**63 - 1},0,{2**63 - 1}\n"
+        )
+        table = read_performance_csv(p)
+        assert table.budget.tolist() == [[2**63 - 1]]
+        assert impute_table(table)[0].ert.tolist() == [[float(2**63 - 1) * 10.0]]
+
+    def test_missing_cell_names_the_file(self, tmp_path):
+        p = tmp_path / "gap.csv"
+        p.write_text(
+            "fid,iid,algorithm,run,evaluations,success,budget\n"
+            "f,0,a,1,10,1,100\n"
+            "f,0,b,1,10,1,100\n"
+            "f,1,a,1,10,1,100\n"
+        )
+        with pytest.raises(ValueError, match=exactly(f"{p}: table is missing 'b' on ('f', '1')")):
+            read_performance_csv(p)
+
+    def test_no_rows(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("fid,iid,algorithm,run,evaluations,success,budget\n")
+        with pytest.raises(ValueError, match=exactly(f"{p}: no performance records")):
+            read_performance_csv(p)
+
+    @pytest.mark.parametrize("content", [b"fid,iid,f\n" + b"x" * 200_000 + b"\n", b"fid,\xff\xfe\n"])
+    def test_unreadable_file_names_the_file(self, tmp_path, content):
+        # a field over the csv module's 128 KiB limit, and bytes that are not UTF-8
+        p = tmp_path / "raw.csv"
+        p.write_bytes(content)
+        for reader in (read_performance_csv, read_features_csv):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "):
+                reader(p)
+
+
+# Cells a fuzzed CSV draws from: valid values, edge cases and junk.
+FUZZ_CELLS = st.sampled_from(
+    ["", "f", "g", "0", "1", "2", "a", "b", "-1", "10", "100", "1e3", "1.5", "nan", "inf", "x",
+     " 1", "1_0", str(2**63), str(10**30), '"', "\x00", "fid", "iid"]
+)
+
+
+def fuzz_files(header):
+    """CSV text: the valid header or a mutated one, then rows of fuzzed
+    cells, mostly of the header's width; or free text."""
+    row = st.one_of(
+        st.lists(FUZZ_CELLS, min_size=len(header), max_size=len(header)),
+        st.lists(FUZZ_CELLS, max_size=len(header) + 1),
+    )
+    head = st.one_of(st.just(header), st.lists(FUZZ_CELLS, max_size=len(header) + 1))
+    structured = st.builds(
+        lambda h, rows: "\n".join(",".join(r) for r in [h, *rows]) + "\n", head, st.lists(row, max_size=8)
+    )
+    return st.one_of(structured, st.text(alphabet=",\n\r\"01abf.-e\x00", max_size=60))
+
+
+def check_fuzzed_read(reader, tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "input.csv"
+    path.write_bytes(text.encode())
+    try:
+        return reader(path)
+    except ValueError as e:
+        assert str(e).startswith(str(path)), str(e)
+        return None
+
+
+class TestReadersFuzz:
+    """Every generated file either parses or is refused with a ValueError
+    whose message starts with the file's path."""
+
+    @given(fuzz_files(["fid", "iid", "algorithm", "run", "evaluations", "success", "budget"]))
+    @example("fid,iid,algorithm,run,evaluations,success,budget\nf,0,a,1,1,1,1\n")
+    def test_performance(self, tmp_path_factory, text):
+        table = check_fuzzed_read(read_performance_csv, tmp_path_factory, text)
+        if table is not None:
+            shape = (len(table.instances), len(table.algorithms))
+            assert table.ert.shape == table.runs.shape == table.budget.shape == table.rank.shape == shape
+            assert sorted(table.rank.ravel().tolist()) == list(range(table.rank.size))
+            assert (table.runs >= 1).all() and (table.budget >= 1).all()
+
+    @given(fuzz_files(["fid", "iid", "f1", "f2"]))
+    @example("fid,iid,f1,f2\nf,0,1.5,\n")
+    def test_features(self, tmp_path_factory, text):
+        features = check_fuzzed_read(read_features_csv, tmp_path_factory, text)
+        if features is not None:
+            values = [v for vector in features.values() for v in vector.values.values()]
+            assert all(v is None or math.isfinite(v) for v in values)
 
 
 class TestFeaturesCsv:

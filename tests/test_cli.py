@@ -380,6 +380,31 @@ class TestAas:
         assert report["scheme"] == "leave_group_out"
         assert {f["fold"] for f in report["per_fold"]} == {"even", "odd"}
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--feature-cost", -1, "aas needs --feature-cost >= 0"),
+         ("--penalty", 0.5, "aas needs --penalty >= 1"),
+         ("--penalty", "nan", "aas needs --penalty >= 1")],
+    )
+    def test_out_of_range_flag_exits_two_naming_it(self, tmp_path, capsys, flag, value, message):
+        # the toy table has no infinite cell, so the penalty is never applied
+        out = tmp_path / "report.json"
+        assert run_cli("aas", TOY_FEATURES, TOY_PERFORMANCE, flag, value, "--out", out) == 2
+        assert f"landsel aas: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("fa,0,alg_a,1,300,1,1000", "duplicate run id 1 for ('fa', '0', 'alg_a')"),
+         (f"fa,0,alg_a,3,10,0,{10**30}", f"budget {10**30} does not fit in 64 bits")],
+    )
+    def test_bad_performance_row_names_file_and_line(self, tmp_path, capsys, row, message):
+        perf = tmp_path / "perf.csv"
+        lines = Path(TOY_PERFORMANCE).read_text().splitlines()
+        perf.write_text("\n".join(lines[:5] + [row] + lines[5:]) + "\n")
+        assert run_cli("aas", TOY_FEATURES, perf, "--out", tmp_path / "r.json") == 2
+        assert f"landsel aas: {perf}:6: {message}" in capsys.readouterr().err
+
     def test_cost_sensitive_flag_round_trips(self, tmp_path):
         out = tmp_path / "report.json"
         assert run_cli(

@@ -1,0 +1,31 @@
+"""Smoke tests for the scripts under ``scripts/``."""
+
+from __future__ import annotations
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("scheme", ["leave_iid_out", "leave_fid_out"])
+def test_run_selector_benchmark_on_the_toy_corpus(capsys, scheme):
+    main = runpy.run_path(str(ROOT / "scripts" / "run_selector_benchmark.py"))["main"]
+    argv = [str(DATA / "toy_features.csv"), str(DATA / "toy_performance.csv"), "--scheme", scheme,
+            "--k-values", "1", "3"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"8 instances, 2 algorithms, scheme {scheme}, feature cost 0"
+    # knn at k = 1 and 3 plus nearest_centroid once, each with both voting modes
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:3] for row in rows] == [
+        [kind, k, voting] for kind, k in (("knn", "1"), ("knn", "3"), ("nearest_centroid", "1"))
+        for voting in ("majority", "cost")
+    ]
+    # the toy's winner depends on the iid-invariant function: leaving an iid
+    # out closes the whole gap, leaving a function out inverts it
+    gap = "1.0000" if scheme == "leave_iid_out" else "-1.0000"
+    assert all(row[3] == gap for row in rows)
