@@ -331,11 +331,10 @@ def _fit(matrix: np.ndarray, names: list[str], erts: np.ndarray, algorithms: lis
     if not 1 <= k <= len(erts):
         raise ValueError(f"k must satisfy 1 <= k <= {len(erts)}")
 
-    medians = np.empty(matrix.shape[1])
-    for c in range(matrix.shape[1]):
-        col = matrix[:, c]
-        finite = col[~np.isnan(col)]
-        medians[c] = np.median(finite) if finite.size else np.nan
+    # all-missing columns keep a NaN median without nanmedian's warning
+    medians = np.full(matrix.shape[1], np.nan)
+    some = ~np.all(np.isnan(matrix), axis=0)
+    medians[some] = np.nanmedian(matrix[:, some], axis=0)
     filled = np.where(np.isnan(matrix), medians[None, :], matrix)
 
     center = filled.mean(axis=0)

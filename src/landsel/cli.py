@@ -120,8 +120,8 @@ def _load_config(path: str | None, command: str) -> dict:
         raise ValueError(f"config file not found: {p}")
     try:
         obj = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ValueError(f"{p}: invalid JSON ({e})") from e
+    except (ValueError, RecursionError) as e:  # undecodable, malformed or too deeply nested
+        raise ValueError(f"{p}: invalid JSON ({e})") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{p}: config must be a JSON object")
     allowed = _CONFIG_DEFAULTS[command]
@@ -166,7 +166,10 @@ def _parse_source(text: str) -> space.Problem | space.SearchSpace:
     path = Path(text)
     if not path.exists():
         raise ValueError(f"space file not found: {path}")
-    return space.space_from_json(path.read_text())
+    try:
+        return space.space_from_json(path.read_text())
+    except ValueError as e:  # bytes that do not decode, or a bad document
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _require(cfg: dict, key: str, command: str):

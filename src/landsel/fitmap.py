@@ -5,8 +5,9 @@ grid: each sample point lands in the pixel floor(x * R) (clamped), carrying
 its normalized objective as a gray level where 0 is best; pixel collisions
 keep the better (smaller) value and untouched pixels stay empty.  Higher
 dimensional samples become multi-channel stacks (one channel per coordinate
-pair, lexicographic) that can be reduced to a single channel by per-pixel
-averaging, or are first projected to two dimensions by PCA (optionally with
+pair, lexicographic, kept as each point's pixel cells and rasterized when
+read) that can be reduced to a single channel by per-pixel averaging over
+those points, or are first projected to two dimensions by PCA (optionally with
 the objective as an extra input column).  A fitness cloud skips rasterization
 entirely: each sample point is recorded next to its k nearest neighbors,
 found in the design's shared distance matrix ``ProcessedDesign.distances``.
@@ -19,6 +20,7 @@ and empty pixels are white.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,23 +58,52 @@ class FitnessMap:
         return int(np.count_nonzero(~np.isnan(self.pixels)))
 
 
+class _PairChannels(Sequence):
+    """A point-backed stack's channels, one per column pair in lexicographic
+    order, each rasterized when read; ``cells`` holds every point's pixels."""
+
+    def __init__(self, pd: ProcessedDesign, cells: np.ndarray, resolution: int):
+        self.pd = pd
+        self.cells = cells
+        self.resolution = resolution
+        self.pairs = list(itertools.combinations(range(pd.width), 2))
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return rasterize_2d(self.pd, self.pairs[k], self.resolution)
+
+
 @dataclass(frozen=True)
 class MapStack:
-    """Channels of a multi-channel fitness map, one per coordinate pair."""
+    """Channels of a multi-channel fitness map, one per coordinate pair:
+    dense ``FitnessMap``s, or the point-backed channels of ``multichannel``."""
 
-    channels: tuple[FitnessMap, ...]
+    channels: Sequence[FitnessMap]
 
     def __post_init__(self):
-        if not self.channels:
-            raise ValueError("a map stack needs at least one channel")
-        res = {ch.resolution for ch in self.channels}
-        if len(res) != 1:
-            raise ValueError("all channels must share one resolution")
-        object.__setattr__(self, "channels", tuple(self.channels))
+        if not isinstance(self.channels, _PairChannels):
+            if not self.channels:
+                raise ValueError("a map stack needs at least one channel")
+            if len({ch.resolution for ch in self.channels}) != 1:
+                raise ValueError("all channels must share one resolution")
+            object.__setattr__(self, "channels", tuple(self.channels))
 
     @property
     def resolution(self) -> int:
-        return self.channels[0].resolution
+        ch = self.channels
+        return ch.resolution if isinstance(ch, _PairChannels) else ch[0].resolution
+
+    def points(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each channel in order as flat pixel indices (may repeat) and values."""
+        ch = self.channels
+        if isinstance(ch, _PairChannels):
+            cells, R = ch.cells, ch.resolution
+            return ((cells[:, a] * R + cells[:, b], ch.pd.objective) for a, b in ch.pairs)
+        return ((np.flatnonzero(~np.isnan(m.pixels)), m.pixels[~np.isnan(m.pixels)]) for m in ch)
 
 
 def check_raster_size(channels: int, resolution: int) -> None:
@@ -86,6 +117,13 @@ def check_raster_size(channels: int, resolution: int) -> None:
         )
 
 
+def _pixel_cells(coords: np.ndarray, resolution: int) -> np.ndarray:
+    """The pixel cell floor(x * R) of every coordinate, 1.0 in the last."""
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    return np.minimum((coords * resolution).astype(int), resolution - 1)
+
+
 def rasterize_2d(
     pd: ProcessedDesign,
     columns: tuple[int, int] = (0, 1),
@@ -97,18 +135,14 @@ def rasterize_2d(
     coordinates exactly at 1.0 fall into the last cell.  Collisions keep the
     smaller objective value.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
     check_raster_size(1, resolution)
     if len(columns) != 2:
         raise ValueError("exactly two columns are required")
     c0, c1 = columns
     if not (0 <= c0 < pd.width and 0 <= c1 < pd.width) or c0 == c1:
         raise ValueError(f"column pair {columns} invalid for width {pd.width}")
-    x0 = pd.matrix[:, c0]
-    x1 = pd.matrix[:, c1]
-    ix = np.minimum((x0 * resolution).astype(int), resolution - 1)
-    iy = np.minimum((x1 * resolution).astype(int), resolution - 1)
+    ix = _pixel_cells(pd.matrix[:, c0], resolution)
+    iy = _pixel_cells(pd.matrix[:, c1], resolution)
     grid = np.full((resolution, resolution), np.nan)
     np.fmin.at(grid, (ix, iy), pd.objective)
     return FitnessMap(pixels=grid, resolution=resolution, channel=(c0, c1))
@@ -175,27 +209,21 @@ def rasterize_projection(
     projection: PcaProjection, objective: np.ndarray, resolution: int = DEFAULT_RESOLUTION
 ) -> FitnessMap:
     """Rasterize PCA coordinates with their objective values."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
     check_raster_size(1, resolution)
-    coords = projection.coordinates
-    ix = np.minimum((coords[:, 0] * resolution).astype(int), resolution - 1)
-    iy = np.minimum((coords[:, 1] * resolution).astype(int), resolution - 1)
+    cells = _pixel_cells(projection.coordinates, resolution)
     grid = np.full((resolution, resolution), np.nan)
-    np.fmin.at(grid, (ix, iy), np.asarray(objective, dtype=float))
+    np.fmin.at(grid, (cells[:, 0], cells[:, 1]), np.asarray(objective, dtype=float))
     return FitnessMap(pixels=grid, resolution=resolution, channel=None)
 
 
 def multichannel(pd: ProcessedDesign, resolution: int = DEFAULT_RESOLUTION) -> MapStack:
-    """One channel per coordinate pair (i < j) in lexicographic order."""
+    """One channel per coordinate pair (i < j) in lexicographic order; channel
+    (a, b) has the pixels of ``rasterize_2d(pd, (a, b))``, made when read."""
     if pd.width < 2:
         raise ValueError("a multi-channel map needs at least two columns")
     check_raster_size(pd.width * (pd.width - 1) // 2, resolution)
-    channels = tuple(
-        rasterize_2d(pd, columns=(i, j), resolution=resolution)
-        for i, j in itertools.combinations(range(pd.width), 2)
-    )
-    return MapStack(channels=channels)
+    cells = _pixel_cells(pd.matrix, resolution)
+    return MapStack(channels=_PairChannels(pd, cells, resolution))
 
 
 def reduce_mean(stack: MapStack) -> FitnessMap:
@@ -203,19 +231,31 @@ def reduce_mean(stack: MapStack) -> FitnessMap:
 
     A pixel of the reduction is empty only where every channel is empty.  The
     mean is computed relative to the first channel so that identical channels
-    reduce to exactly themselves.
+    reduce to exactly themselves.  Channels are read as points, O(n) each.
     """
-    first, *rest = (ch.pixels for ch in stack.channels)
-    all_empty = np.isnan(first)
-    base = np.where(all_empty, 1.0, first)
-    acc = np.zeros_like(base)
-    for px in rest:
-        empty = np.isnan(px)
-        acc += np.where(empty, 1.0, px) - base
-        all_empty &= empty
+    R = stack.resolution
+    points = stack.points()
+    scratch = np.ones(R * R)  # values lie in [0, 1], so fmin against 1 fills empty pixels
+    first, values = next(points)
+    np.fmin.at(scratch, first, values)
+    base, base0 = scratch.copy(), scratch[first]
+    scratch[first] = 1.0
+    all_empty = np.ones(R * R, dtype=bool)
+    all_empty[first] = False
+    # acc0 sums at the first channel's points; acc elsewhere, where the base is 1
+    acc, acc0 = np.zeros(R * R), np.zeros(first.size)
+    for flat, values in points:
+        np.fmin.at(scratch, flat, values)
+        # skipping a pixel neither channel fills (its addend 1 - 1 is +0.0) keeps every bit:
+        # acc starts at +0.0 and a sum is -0.0 only if both terms are, so acc is never -0.0
+        acc0 += scratch[first] - base0
+        acc[flat] += scratch[flat] - 1.0
+        all_empty[flat] = False
+        scratch[flat] = 1.0
+    acc[first] = acc0  # replaces the base-1 sums made there
     mean = np.clip(base + acc / len(stack.channels), 0.0, 1.0)
     mean[all_empty] = np.nan
-    return FitnessMap(pixels=mean, resolution=stack.resolution, channel=None)
+    return FitnessMap(pixels=mean.reshape(R, R), resolution=R, channel=None)
 
 
 # ── fitness clouds ───────────────────────────────────────────────────────────

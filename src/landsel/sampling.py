@@ -279,27 +279,33 @@ def design_from_csv(path: str | Path, space: SearchSpace | None = None) -> Desig
     """Read a design written by :func:`design_to_csv`.
 
     The space is taken from the sidecar unless given explicitly.  The
-    objective column must be entirely present or entirely absent.
+    objective column must be entirely present or entirely absent.  Errors
+    name the design file or its sidecar, and the line of a faulty row.
     """
     path = Path(path)
     if not path.exists():
         raise ValueError(f"design file not found: {path}")
-    meta: dict = {}
-    if space is None:
-        sidecar = _sidecar_path(path)
-        if not sidecar.exists():
-            raise ValueError(f"no space given and sidecar {sidecar} not found")
-        doc = json.loads(sidecar.read_text())
-        if not isinstance(doc, dict) or "space" not in doc:
-            raise ValueError(f"{sidecar}: sidecar has no 'space' key")
-        space = space_from_obj(doc["space"])
-        meta = dict(doc.get("meta", {}))
-    else:
-        sidecar = _sidecar_path(path)
+    sidecar = _sidecar_path(path)
+    if space is None and not sidecar.exists():
+        raise ValueError(f"no space given and sidecar {sidecar} not found")
+    doc: dict = {}
+    try:
         if sidecar.exists():
-            meta = dict(json.loads(sidecar.read_text()).get("meta", {}))
+            doc = json.loads(sidecar.read_text())
+            if not isinstance(doc, dict) or not isinstance(doc.get("meta", {}), dict):
+                raise ValueError("sidecar must be an object whose 'meta' is an object")
+        if space is None:
+            if "space" not in doc:
+                raise ValueError("sidecar has no 'space' key")
+            space = space_from_obj(doc["space"])
+    except (ValueError, RecursionError) as e:  # also undecodable or too deeply nested JSON
+        raise ValueError(f"{sidecar}: {e}") from None
+    meta = dict(doc.get("meta", {}))
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise ValueError(f"{path}: {e}") from None
     if not rows:
         raise ValueError(f"{path}: empty design file")
     header = rows[0]
@@ -310,26 +316,28 @@ def design_from_csv(path: str | Path, space: SearchSpace | None = None) -> Desig
     if not body:
         raise ValueError(f"{path}: design has no rows")
     columns: dict[str, list] = {name: [] for name in space.names}
-    y_cells: list[str] = []
+    y_cells: list[float | None] = []
     for lineno, cells in enumerate(body, start=2):
-        if len(cells) != len(expected):
-            raise ValueError(f"{path}:{lineno}: expected {len(expected)} fields")
-        for v, cell in zip(space.variables, cells[:-1]):
-            if cell == "":
-                columns[v.name].append(None if v.kind == "categorical" else np.nan)
-            elif v.kind == "categorical":
-                columns[v.name].append(cell)
-            elif v.kind == "integer":
-                columns[v.name].append(int(float(cell)))
-            else:
-                columns[v.name].append(float(cell))
-        y_cells.append(cells[-1])
-    present = [c != "" for c in y_cells]
+        try:
+            if len(cells) != len(expected):
+                raise ValueError(f"expected {len(expected)} fields")
+            for v, cell in zip(space.variables, cells[:-1]):
+                if cell == "":
+                    columns[v.name].append(None if v.kind == "categorical" else np.nan)
+                else:
+                    columns[v.name].append(cell if v.kind == "categorical" else float(cell))
+            y_cells.append(float(cells[-1]) if cells[-1] != "" else None)
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
+    present = [c is not None for c in y_cells]
     if any(present) and not all(present):
         raise ValueError(f"{path}: objective column must be all present or all missing")
-    y = np.array([float(c) for c in y_cells]) if all(present) else None
+    y = np.array(y_cells) if all(present) else None
     cols = {
         v.name: np.array(columns[v.name], dtype=object if v.kind == "categorical" else float)
         for v in space.variables
     }
-    return Design(space=space, columns=cols, y=y, meta=meta)
+    try:
+        return Design(space=space, columns=cols, y=y, meta=meta)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -43,12 +43,19 @@ class Condition:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        if not self.parent:
-            raise ValueError("condition parent name must be non-empty")
+        if not self.parent or not isinstance(self.parent, str):
+            raise ValueError("condition parent name must be a non-empty string")
         if len(self.values) == 0:
             raise ValueError("condition needs at least one activating value")
         if len(set(self.values)) != len(self.values):
             raise ValueError("condition values must be distinct")
+
+
+def _finite(x: numbers.Real) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,7 @@ class VariableSpec:
             for label, bound in (("lower", self.lower), ("upper", self.upper)):
                 if not isinstance(bound, numbers.Real):
                     raise ValueError(f"{self.name}: {label} bound must be a number, got {bound!r}")
-            if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            if not (_finite(self.lower) and _finite(self.upper)):
                 raise ValueError(f"{self.name}: bounds must be finite")
             if self.kind == "continuous":
                 if not self.lower < self.upper:
@@ -121,8 +128,9 @@ class SearchSpace:
         if len(self.variables) == 0:
             raise ValueError("a search space needs at least one variable")
         names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise ValueError("variable names must be unique")
+        twice = sorted({name for name in names if names.count(name) > 1})
+        if twice:
+            raise ValueError(f"variable names must be unique; repeated: {', '.join(twice)}")
         by_name = {v.name: v for v in self.variables}
         for v in self.variables:
             cond = v.condition
@@ -378,34 +386,48 @@ def space_to_obj(space: SearchSpace) -> list[dict]:
     return out
 
 
+def _labels(value, what: str) -> tuple:
+    """A JSON array of category labels or activating values, as a tuple."""
+    if not isinstance(value, list) or not all(isinstance(x, (str, int, float)) for x in value):
+        raise ValueError(f"{what} must be an array of strings or numbers")
+    return tuple(value)
+
+
+def _variable_from_obj(entry) -> VariableSpec:
+    if not isinstance(entry, dict):
+        raise ValueError("each variable must be an object")
+    known = {"name", "kind", "lower", "upper", "categories", "condition"}
+    unknown = set(entry) - known
+    if unknown:
+        raise ValueError(f"unknown variable keys {sorted(unknown)}")
+    cond = None
+    if entry.get("condition") is not None:
+        c = entry["condition"]
+        if not isinstance(c, dict) or set(c) - {"parent", "values"}:
+            raise ValueError("condition must be an object with keys parent, values")
+        cond = Condition(parent=c.get("parent", ""), values=_labels(c.get("values", []), "condition values"))
+    cats = entry.get("categories")
+    return VariableSpec(
+        name=entry.get("name", ""),
+        kind=entry.get("kind", ""),
+        lower=entry.get("lower"),
+        upper=entry.get("upper"),
+        categories=_labels(cats, "categories") if cats is not None else None,
+        condition=cond,
+    )
+
+
 def space_from_obj(obj: Sequence[dict]) -> SearchSpace:
+    """A search space from its JSON form; a fault in one variable's entry is
+    reported with that entry's index."""
     if not isinstance(obj, (list, tuple)):
         raise ValueError("space document must be an array of variable objects")
     variables = []
-    for entry in obj:
-        if not isinstance(entry, dict):
-            raise ValueError("each variable must be an object")
-        known = {"name", "kind", "lower", "upper", "categories", "condition"}
-        unknown = set(entry) - known
-        if unknown:
-            raise ValueError(f"unknown variable keys {sorted(unknown)}")
-        cond = None
-        if entry.get("condition") is not None:
-            c = entry["condition"]
-            if not isinstance(c, dict) or set(c) - {"parent", "values"}:
-                raise ValueError("condition must be an object with keys parent, values")
-            cond = Condition(parent=c.get("parent", ""), values=tuple(c.get("values", ())))
-        cats = entry.get("categories")
-        variables.append(
-            VariableSpec(
-                name=entry.get("name", ""),
-                kind=entry.get("kind", ""),
-                lower=entry.get("lower"),
-                upper=entry.get("upper"),
-                categories=tuple(cats) if cats is not None else None,
-                condition=cond,
-            )
-        )
+    for i, entry in enumerate(obj):
+        try:
+            variables.append(_variable_from_obj(entry))
+        except ValueError as e:
+            raise ValueError(f"variable {i}: {e}") from None
     return SearchSpace(tuple(variables))
 
 
@@ -416,6 +438,6 @@ def space_to_json(space: SearchSpace) -> str:
 def space_from_json(text: str) -> SearchSpace:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"invalid space JSON: {e}") from e
+    except (json.JSONDecodeError, RecursionError) as e:  # malformed or too deeply nested
+        raise ValueError(f"invalid space JSON: {e}") from None
     return space_from_obj(obj)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from landsel.preprocess import ProcessedDesign
 from landsel.sampling import create_initial_design, evaluate_design
@@ -24,6 +25,38 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+# Cells a fuzzed CSV draws from: valid values, edge cases and junk.
+FUZZ_CELLS = st.sampled_from(
+    ["", "f", "g", "0", "1", "2", "a", "b", "-1", "10", "100", "1e3", "1.5", "nan", "inf", "x",
+     " 1", "1_0", str(2**63), str(10**30), '"', "\x00", "fid", "iid"]
+)
+
+
+def fuzz_files(header, cells=FUZZ_CELLS):
+    """CSV text: the valid header or a mutated one, then rows of fuzzed
+    cells, mostly of the header's width; or free text."""
+    row = st.one_of(
+        st.lists(cells, min_size=len(header), max_size=len(header)),
+        st.lists(cells, max_size=len(header) + 1),
+    )
+    head = st.one_of(st.just(header), st.lists(cells, max_size=len(header) + 1))
+    structured = st.builds(
+        lambda h, rows: "\n".join(",".join(r) for r in [h, *rows]) + "\n", head, st.lists(row, max_size=8)
+    )
+    return st.one_of(structured, st.text(alphabet=",\n\r\"01abf.-e\x00", max_size=60))
+
+
+def check_fuzzed_read(reader, tmp_path_factory, text):
+    """Write ``text`` to a fresh file and read it: the result, or None when
+    the reader refused it with a ValueError that starts with the path."""
+    path = tmp_path_factory.mktemp("fuzz") / "input.csv"
+    path.write_bytes(text.encode())
+    try:
+        return reader(path)
+    except ValueError as e:
+        assert str(e).startswith(str(path)), str(e)
+        return None
 
 
 def unit_space(width: int) -> SearchSpace:

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,8 @@ from landsel.aas import (
     write_features_csv,
     write_performance_csv,
 )
+
+from conftest import check_fuzzed_read, fuzz_files
 
 DATA = Path(__file__).parent / "data"
 
@@ -356,6 +359,14 @@ class TestTrainSelector:
         model = train_selector(features, table, k=1)
         assert "flat" in model.dropped_columns
         assert "flat" not in model.feature_names
+
+    def test_all_missing_column_dropped_without_warning(self):
+        features, table = self.cluster_setup()
+        features = {key: fv(**vector.values, empty=None) for key, vector in features.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_selector(features, table, k=1)
+        assert "empty" in model.dropped_columns
 
     def test_missing_feature_filled_with_training_median(self):
         features, table = self.cluster_setup()
@@ -805,37 +816,6 @@ class TestPerformanceCsv:
         for reader in (read_performance_csv, read_features_csv):
             with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "):
                 reader(p)
-
-
-# Cells a fuzzed CSV draws from: valid values, edge cases and junk.
-FUZZ_CELLS = st.sampled_from(
-    ["", "f", "g", "0", "1", "2", "a", "b", "-1", "10", "100", "1e3", "1.5", "nan", "inf", "x",
-     " 1", "1_0", str(2**63), str(10**30), '"', "\x00", "fid", "iid"]
-)
-
-
-def fuzz_files(header):
-    """CSV text: the valid header or a mutated one, then rows of fuzzed
-    cells, mostly of the header's width; or free text."""
-    row = st.one_of(
-        st.lists(FUZZ_CELLS, min_size=len(header), max_size=len(header)),
-        st.lists(FUZZ_CELLS, max_size=len(header) + 1),
-    )
-    head = st.one_of(st.just(header), st.lists(FUZZ_CELLS, max_size=len(header) + 1))
-    structured = st.builds(
-        lambda h, rows: "\n".join(",".join(r) for r in [h, *rows]) + "\n", head, st.lists(row, max_size=8)
-    )
-    return st.one_of(structured, st.text(alphabet=",\n\r\"01abf.-e\x00", max_size=60))
-
-
-def check_fuzzed_read(reader, tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("fuzz") / "input.csv"
-    path.write_bytes(text.encode())
-    try:
-        return reader(path)
-    except ValueError as e:
-        assert str(e).startswith(str(path)), str(e)
-        return None
 
 
 class TestReadersFuzz:

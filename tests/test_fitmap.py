@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from landsel import fitmap
@@ -24,6 +30,8 @@ from landsel.fitmap import (
     write_stack,
 )
 from landsel.preprocess import preprocess_pipeline
+from landsel.sampling import create_initial_design, evaluate_design
+from landsel.space import BUILTIN_FUNCTIONS, builtin_problem
 
 from conftest import evaluate_design_on_mixed, make_processed
 
@@ -156,6 +164,120 @@ class TestReduceMean:
         b = grid_map(np.full((2, 2), np.nan))
         out = reduce_mean(MapStack(channels=(a, b)))
         assert np.all(np.isnan(out.pixels))
+
+
+def reference_reduce_mean(stack) -> np.ndarray:
+    """The dense reduction that the point-wise ``reduce_mean`` replaced: every
+    channel's full grid in turn, summed relative to the first channel."""
+    first, *rest = (ch.pixels for ch in stack.channels)
+    all_empty = np.isnan(first)
+    base = np.where(all_empty, 1.0, first)
+    acc = np.zeros_like(base)
+    for px in rest:
+        empty = np.isnan(px)
+        acc += np.where(empty, 1.0, px) - base
+        all_empty &= empty
+    mean = np.clip(base + acc / len(stack.channels), 0.0, 1.0)
+    mean[all_empty] = np.nan
+    return mean
+
+
+UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+
+
+@st.composite
+def edge_designs(draw):
+    """Small processed designs with the raster edge cases: coordinates of
+    exactly 0 and 1, 0/1 (one-hot-like) columns, repeated rows, and a
+    constant objective."""
+    n = draw(st.integers(1, 30))
+    width = draw(st.integers(2, 6))
+    X = draw(arrays(float, (n, width), elements=UNIT))
+    binary = draw(st.integers(0, width))
+    X[:, :binary] = np.round(X[:, :binary])
+    X = np.concatenate([X, X[: draw(st.integers(0, n))]])
+    y = np.zeros(len(X)) if draw(st.booleans()) else draw(arrays(float, len(X), elements=UNIT))
+    return make_processed(X, y)
+
+
+def assert_point_backed_stack_exact(pd, resolution):
+    """Every channel equals ``rasterize_2d`` of its pair, and the reduction
+    has the dense reference's exact bytes, from points and from grids."""
+    stack = multichannel(pd, resolution)
+    pairs = list(itertools.combinations(range(pd.width), 2))
+    assert len(stack.channels) == len(pairs)
+    for k, pair in enumerate(pairs):
+        ch = stack.channels[k]
+        assert ch.channel == pair
+        assert ch.pixels.tobytes() == rasterize_2d(pd, pair, resolution).pixels.tobytes()
+    expected = reference_reduce_mean(stack).tobytes()
+    assert reduce_mean(stack).pixels.tobytes() == expected
+    dense = MapStack(channels=tuple(stack.channels))
+    assert reduce_mean(dense).pixels.tobytes() == expected
+
+
+class TestPointBackedStack:
+    @given(edge_designs(), st.sampled_from([2, 3, 17, 224]))
+    @example(make_processed(np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]]), np.zeros(3)), 2)
+    @example(make_processed(np.array([[0.5, 0.0, 1.0], [0.5, 1.0, 0.0]]), np.array([1.0, 0.0])), 3)
+    def test_matches_dense_reference(self, pd, resolution):
+        assert_point_backed_stack_exact(pd, resolution)
+
+    @pytest.mark.parametrize("fid", BUILTIN_FUNCTIONS)
+    @pytest.mark.parametrize("resolution", [8, 224])
+    def test_continuous_builtins(self, fid, resolution):
+        problem = builtin_problem(fid, 1, 6)
+        design = evaluate_design(problem, create_initial_design(problem.space, n=300, seed=3))
+        assert_point_backed_stack_exact(preprocess_pipeline(design), resolution)
+
+    @pytest.mark.parametrize("encoding", ["one_hot", "target"])
+    @pytest.mark.parametrize("resolution", [2, 3, 16, 224])
+    def test_mixed_encodings(self, encoding, resolution):
+        pd = preprocess_pipeline(evaluate_design_on_mixed(seed=2), encoding=encoding)
+        assert_point_backed_stack_exact(pd, resolution)
+
+    def test_channels_read_like_a_tuple(self):
+        rng = np.random.default_rng(14)
+        pd = make_processed(rng.random((20, 4)), rng.random(20))
+        channels = multichannel(pd, resolution=8).channels
+        assert [ch.channel for ch in channels[1:3]] == [(0, 2), (0, 3)]
+        assert channels[-1].channel == (2, 3)
+        with pytest.raises(IndexError):
+            channels[6]
+
+
+def traced_peak(fn):
+    """The result of ``fn()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStackMemory:
+    def test_largest_reduction_builds_no_stack(self):
+        # the dense 780-channel 224 x 224 stack alone would take 313 MB
+        rng = np.random.default_rng(15)
+        pd = make_processed(rng.random((2000, 40)), rng.random(2000))
+        reduced, peak = traced_peak(lambda: reduce_mean(multichannel(pd, 224)))
+        assert reduced.non_empty > 0
+        assert peak < 16 * 2**20
+
+    def test_multichannel_allocates_no_grid(self):
+        rng = np.random.default_rng(16)
+        pd = make_processed(rng.random((50, 3)), rng.random(50))
+        stack, peak = traced_peak(lambda: multichannel(pd, 4096))
+        assert len(stack.channels) == 3
+        assert peak < 2**20  # one 4096 x 4096 grid is 128 MiB
+
+    def test_write_stack_holds_one_grid_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(17)
+        pd = make_processed(rng.random((200, 12)), rng.random(200))
+        paths, peak = traced_peak(lambda: write_stack(multichannel(pd, 224), tmp_path / "m"))
+        assert len(paths) == 66
+        assert peak < 4 * 224 * 224 * 8  # the dense stack would hold 66 grids
 
 
 class TestPcaProject:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,15 @@ class TestCsvRoundTrip:
         path.write_text("x.a,y\n0.0,1.0\n")
         with pytest.raises(ValueError, match="header"):
             design_from_csv(path, space=unit_space(1))
+
+    @pytest.mark.parametrize(
+        "cell,reason", [("1.5", "integer cells must be integral"), ("inf", "cells must be finite or missing")]
+    )
+    def test_bad_integer_cell_refused_not_truncated(self, tmp_path, cell, reason):
+        path = tmp_path / "ints.csv"
+        path.write_text(f"x.k,y\n2,\n{cell},\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: k: {reason}"):
+            design_from_csv(path, space=SearchSpace((mixed_space()["k"],)))
 
     def test_explicit_space_overrides_sidecar(self, tmp_path):
         d = create_initial_design(unit_space(2), n=5, seed=0)
