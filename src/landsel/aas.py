@@ -322,6 +322,19 @@ class SelectorModel:
         return min(a for a, v in votes.items() if v == top)
 
 
+def _column_medians(matrix: np.ndarray) -> np.ndarray:
+    """Median of each column's present (non-NaN) cells; NaN where none is
+    present.  Bit-equal to ``np.nanmedian(matrix, axis=0)`` without its
+    ``numpy.ma`` import."""
+    # NaNs sort last, so the middle one or two present cells lead.
+    # np.nanmedian sums them from 0.0, so a zero median comes out +0.0; the
+    # "+ 0.0" does the same.
+    counts = np.count_nonzero(~np.isnan(matrix), axis=0)
+    ordered = np.sort(matrix, axis=0)
+    columns = np.arange(matrix.shape[1])
+    return (ordered[(counts - 1) // 2, columns] + ordered[counts // 2, columns] + 0.0) / 2
+
+
 def _fit(matrix: np.ndarray, names: list[str], erts: np.ndarray, algorithms: list[str],
          kind: str, k: int, cost_sensitive: bool) -> SelectorModel:
     """Fit a selector on training rows: one instance per row of ``matrix``
@@ -331,10 +344,7 @@ def _fit(matrix: np.ndarray, names: list[str], erts: np.ndarray, algorithms: lis
     if not 1 <= k <= len(erts):
         raise ValueError(f"k must satisfy 1 <= k <= {len(erts)}")
 
-    # all-missing columns keep a NaN median without nanmedian's warning
-    medians = np.full(matrix.shape[1], np.nan)
-    some = ~np.all(np.isnan(matrix), axis=0)
-    medians[some] = np.nanmedian(matrix[:, some], axis=0)
+    medians = _column_medians(matrix)
     filled = np.where(np.isnan(matrix), medians[None, :], matrix)
 
     center = filled.mean(axis=0)

@@ -5,7 +5,10 @@ Six feature sets, 45 features total, computed exclusively on the processed
 and scaling of the raw objective:
 
 * ``ela_meta``   (9)  — goodness of fit and coefficient structure of linear and
-  quadratic surrogate models, with and without pairwise interactions.
+  quadratic surrogate models, with and without pairwise interactions.  The
+  two without interactions are ``np.linalg.lstsq`` fits; the two with them
+  share one Householder QR, which drops every column whose pivot is at most
+  ``_COLLAPSE_TOL`` (1e-10) of its norm as spanned by the columns before it.
 * ``ela_distr``  (3)  — skewness, excess kurtosis, and modality (kernel-density
   peak count) of the objective distribution.
 * ``disp``       (16) — dispersion of the best-q fraction of the sample versus
@@ -206,6 +209,10 @@ class LeastSquaresFit:
     rank_deficient: bool
 
 
+def _adjusted_r2(r2: float, n: int, p: int) -> float:
+    return 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
+
+
 def fit_least_squares(Z: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
     """Ordinary least squares with intercept.
 
@@ -224,36 +231,73 @@ def fit_least_squares(Z: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
     beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     rank_deficient = rank < p + 1
     if sst == 0.0:
-        adj = 1.0 - (n - 1) / (n - p - 1)
-        return LeastSquaresFit(np.zeros(p), ybar, 0.0, adj, rank_deficient)
+        return LeastSquaresFit(np.zeros(p), ybar, 0.0, _adjusted_r2(0.0, n, p), rank_deficient)
     ssr = float(np.sum((y - X @ beta) ** 2))
     r2 = 1.0 - ssr / sst
-    adj = 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
-    return LeastSquaresFit(beta[1:], float(beta[0]), r2, adj, rank_deficient)
+    return LeastSquaresFit(beta[1:], float(beta[0]), r2, _adjusted_r2(r2, n, p), rank_deficient)
 
 
-def _interaction_terms(X: np.ndarray) -> np.ndarray:
-    n, d = X.shape
-    cols = [X[:, i] * X[:, j] for i in range(d) for j in range(i + 1, d)]
-    return np.column_stack(cols) if cols else np.empty((n, 0))
+# A column w_j whose Householder pivot |R[j, j]| is at most this fraction of
+# ||w_j|| lies in the span of the columns before it: one-hot indicators that
+# sum to the intercept, x**2 == x on 0/1 columns, zero products of two
+# indicators of one variable.  Kept, such a column would turn rounding noise
+# into a fitted direction.  On one-hot and target-encoded mixed designs the
+# pivots of exactly dependent columns stay below 1e-14 of the norm and all
+# others above 1e-2, so the cut sits far from both.
+_COLLAPSE_TOL = 1e-10
+
+
+def _prefix_residuals(Wt: np.ndarray, y: np.ndarray, prefixes: list[int]) -> list[float]:
+    """Residual sum of squares of ``y`` regressed on the first k columns of
+    W, for each k in ``prefixes``, from one Householder QR of ``[W, y]``.
+
+    ``Wt`` is W transposed, one row per column, so that ``[W, y]`` is built
+    column-major, the layout LAPACK works in.  Row k of R's last column is
+    y's component along the k-th orthogonalised column, so the residual of
+    the first k columns is ``sum(R[k:, -1]**2)``.  Collapsed columns (see
+    ``_COLLAPSE_TOL``) are dropped and the kept ones factored once more;
+    dropping a spanned column can only enlarge the later pivots, so that
+    pass collapses nothing.  Requires more rows than columns.
+    """
+    R = np.linalg.qr(np.vstack([Wt, y]).T, mode="r")
+    kept = np.abs(np.diagonal(R)[:-1]) > _COLLAPSE_TOL * np.linalg.norm(Wt, axis=1)
+    if not kept.all():
+        R = np.linalg.qr(np.vstack([Wt[kept], y]).T, mode="r")
+    kept_before = np.concatenate(([0], np.cumsum(kept)))
+    return [float(np.sum(R[kept_before[k]:, -1] ** 2)) for k in prefixes]
 
 
 def ela_meta(pd) -> _Emitter:
-    """Surrogate-model features: four OLS fits on the processed sample."""
+    """Surrogate-model features: four OLS fits on the processed sample.
+
+    ``lin`` (on X) and ``quad`` (on X and X**2) report coefficients and go
+    through ``fit_least_squares``.  Of ``lin_int`` (X plus the pairwise
+    products) and ``quad_int`` (X, X**2 and the products) only the adjusted
+    R^2 is reported; both residual sums come from one QR of
+    ``[1, X, inter, X**2, y]``, in which ``lin_int`` is a prefix, with
+    collapsed columns dropped (``_prefix_residuals``).  Each adjusted R^2
+    counts every column of its design in p, dependent or not, and a fit
+    with n <= p + 1 is missing.
+    """
     out = _Emitter()
     X = pd.matrix
     y = pd.objective
     n, d = X.shape
-    inter = _interaction_terms(X)
-    designs = {
-        "lin": X,
-        "lin_int": np.column_stack([X, inter]) if inter.size else X,
-        "quad": np.column_stack([X, X**2]),
-        "quad_int": np.column_stack([X, X**2, inter]) if inter.size else np.column_stack([X, X**2]),
+    fits = {
+        key: fit_least_squares(Z, y) if n > Z.shape[1] + 1 else None
+        for key, Z in (("lin", X), ("quad", np.column_stack([X, X**2])))
     }
-    fits: dict[str, LeastSquaresFit | None] = {}
-    for key, Z in designs.items():
-        fits[key] = fit_least_squares(Z, y) if n > Z.shape[1] + 1 else None
+    pairs = d * (d - 1) // 2
+    widths = [p for p in (d + pairs, 2 * d + pairs) if n > p + 1]
+    interact_r2 = [None, None]
+    if widths:
+        Xt = X.T.copy()  # contiguous variables: fast products, column-major W
+        products = [Xt[i] * Xt[i + 1 :] for i in range(d - 1)]
+        Wt = np.concatenate([np.ones((1, n)), Xt, *products, Xt**2])[: widths[-1] + 1]
+        ssrs = _prefix_residuals(Wt, y, [p + 1 for p in widths])
+        sst = float(np.sum((y - float(y.mean())) ** 2))
+        for i, (p, ssr) in enumerate(zip(widths, ssrs)):
+            interact_r2[i] = _adjusted_r2(0.0 if sst == 0.0 else 1.0 - ssr / sst, n, p)
 
     lin = fits["lin"]
     lin_names = [
@@ -277,12 +321,7 @@ def ela_meta(pd) -> _Emitter:
         else:
             out.put("ela_meta.lin_simple.coef.max_by_min", cmax / cmin)
 
-    li = fits["lin_int"]
-    out.put(
-        "ela_meta.lin_w_interact.adj_r2",
-        None if li is None else li.adjusted_r2,
-        "insufficient_sample",
-    )
+    out.put("ela_meta.lin_w_interact.adj_r2", interact_r2[0], "insufficient_sample")
 
     quad = fits["quad"]
     if quad is None:
@@ -298,12 +337,7 @@ def ela_meta(pd) -> _Emitter:
         else:
             out.put("ela_meta.quad_simple.cond", qmax / qmin)
 
-    qi = fits["quad_int"]
-    out.put(
-        "ela_meta.quad_w_interact.adj_r2",
-        None if qi is None else qi.adjusted_r2,
-        "insufficient_sample",
-    )
+    out.put("ela_meta.quad_w_interact.adj_r2", interact_r2[1], "insufficient_sample")
     return out
 
 

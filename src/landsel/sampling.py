@@ -78,19 +78,7 @@ class Design:
             col.setflags(write=False)
             self.columns[v.name] = col
         if self.y is not None:
-            yarr = np.asarray(self.y)
-            if yarr.dtype != object:
-                yarr = yarr.astype(float)
-                if not np.all(np.isfinite(yarr)):
-                    raise ValueError("objective values must all be finite")
-            else:
-                for v in yarr:
-                    if not math.isfinite(float(v)):
-                        raise ValueError("objective values must all be finite")
-            if len(yarr) != n:
-                raise ValueError("y must have one value per row")
-            yarr.setflags(write=False)
-            object.__setattr__(self, "y", yarr)
+            object.__setattr__(self, "y", _objective_column(self.y, n))
 
     @property
     def n(self) -> int:
@@ -112,6 +100,23 @@ class Design:
             else:
                 out.append(cell)
         return tuple(out)
+
+
+def _objective_column(y, n: int) -> np.ndarray:
+    """``y`` as a read-only column of n finite objective values."""
+    yarr = np.asarray(y)
+    if yarr.dtype != object:
+        yarr = yarr.astype(float)
+        if not np.all(np.isfinite(yarr)):
+            raise ValueError("objective values must all be finite")
+    else:
+        for v in yarr:
+            if not math.isfinite(float(v)):
+                raise ValueError("objective values must all be finite")
+    if len(yarr) != n:
+        raise ValueError("y must have one value per row")
+    yarr.setflags(write=False)
+    return yarr
 
 
 def _unit_sample(strategy: str, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -216,8 +221,20 @@ def evaluate_design(problem: Problem, design: Design) -> Design:
 
 
 def with_objective(design: Design, y) -> Design:
-    """A copy of the design with its objective column replaced."""
-    return replace(design, columns=dict(design.columns), y=np.asarray(y), meta=dict(design.meta))
+    """A copy of the design with its objective column replaced.
+
+    The columns were validated when ``design`` was built and are read-only,
+    so only the new objective is checked.
+    """
+    out = object.__new__(Design)
+    for name, value in (
+        ("space", design.space),
+        ("columns", dict(design.columns)),
+        ("y", _objective_column(y, design.n)),
+        ("meta", dict(design.meta)),
+    ):
+        object.__setattr__(out, name, value)
+    return out
 
 
 # ── CSV round-trip ────────────────────────────────────────────────────────────

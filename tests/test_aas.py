@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from landsel.aas import (
     ErtTable,
+    _column_medians,
     FeatureVector,
     PerformanceRecord,
     compute_ert,
@@ -379,6 +380,22 @@ class TestTrainSelector:
         # a fresh vector with g missing is imputed the same way
         probe = fv(g=None, noise=1.0, flat=1.0)
         assert model.predict(probe) in ("a", "b")
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 40, 650])
+    def test_column_medians_match_nanmedian_bits(self, rows):
+        # nanmedian takes numpy.ma's sort below 600 rows and np.median per
+        # column above; zeros of both signs test which zero comes out
+        rng = np.random.default_rng(rows)
+        for trial in range(40):
+            matrix = rng.normal(size=(rows, 9)) * 10.0 ** rng.integers(-3, 4)
+            matrix[:, :3] = np.round(matrix[:, :3])
+            matrix[:, 3] *= 0.0
+            matrix[rng.random(matrix.shape) < rng.random()] = np.nan
+            matrix[:, 4] = np.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
+                expected = np.nanmedian(matrix, axis=0)
+            assert _column_medians(matrix).tobytes() == expected.tobytes()
 
     def test_misaligned_features_rejected(self):
         features, table = self.cluster_setup()

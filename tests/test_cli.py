@@ -439,6 +439,16 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_aas_loads_no_numpy_ma(tmp_path):
+    # the selector's training medians are read off a sort; np.nanmedian
+    # would import numpy.ma (about 2 MiB) on every fit
+    argv = ["aas", TOY_FEATURES, TOY_PERFORMANCE, "--out", str(tmp_path / "report.json")]
+    code = f"import sys; from landsel import cli; print(cli.main({argv!r}), 'numpy.ma' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 @pytest.mark.usefixtures("landsel_on_path")
 class TestInstalledEntryPoints:
     def test_console_script(self, tmp_path):

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +28,13 @@ from landsel.ela import (
     information_content,
     nearest_better_clustering,
 )
+from landsel.preprocess import preprocess_pipeline
+from landsel.sampling import create_initial_design, evaluate_design
+from landsel.space import BUILTIN_FUNCTIONS, builtin_problem
 
 from conftest import make_processed
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 class TestElaConfig:
@@ -144,6 +151,120 @@ class TestElaMeta:
         out = ela_meta(make_processed(X, np.zeros(30)))
         assert out.values["ela_meta.lin_simple.coef.max_by_min"] is None
         assert out.reasons["ela_meta.lin_simple.coef.max_by_min"] == "zero_coefficient"
+
+
+def lstsq_interaction_r2(pd):
+    """Oracle for the two interaction features: adjusted R^2 of minimum-norm
+    ``lstsq`` fits on [1, X, inter] and [1, X, X**2, inter], p counting
+    every column; None when n <= p + 1."""
+    X, y = pd.matrix, pd.objective
+    n, d = X.shape
+    inter = [X[:, i] * X[:, j] for i in range(d) for j in range(i + 1, d)]
+    out = []
+    for Z in (np.column_stack([X, *inter]), np.column_stack([X, X**2, *inter])):
+        p = Z.shape[1]
+        if n <= p + 1:
+            out.append(None)
+            continue
+        A = np.column_stack([np.ones(n), Z])
+        beta, *_ = np.linalg.lstsq(A, y, rcond=None)
+        sst = float(np.sum((y - y.mean()) ** 2))
+        r2 = 0.0 if sst == 0.0 else 1.0 - float(np.sum((y - A @ beta) ** 2)) / sst
+        out.append(1.0 - (1.0 - r2) * (n - 1) / (n - p - 1))
+    return out
+
+
+def interaction_deviation(pd) -> float:
+    """Largest |ela_meta - oracle| over the two interaction adjusted R^2
+    values; both must be missing exactly when the oracle's are."""
+    values = ela_meta(pd).values
+    got = [values["ela_meta.lin_w_interact.adj_r2"], values["ela_meta.quad_w_interact.adj_r2"]]
+    expected = lstsq_interaction_r2(pd)
+    assert [g is None for g in got] == [e is None for e in expected]
+    return max((abs(g - e) for g, e in zip(got, expected) if g is not None), default=0.0)
+
+
+def builtin_processed(fid: str, d: int, n: int, seed: int, repeats: int = 0):
+    problem = builtin_problem(fid, seed % 5, d)
+    pd = preprocess_pipeline(evaluate_design(problem, create_initial_design(problem.space, n, seed=seed)))
+    if repeats:
+        rows = np.random.default_rng(seed).integers(0, n, repeats)
+        pd = make_processed(np.vstack([pd.matrix, pd.matrix[rows]]),
+                            np.concatenate([pd.objective, pd.objective[rows]]))
+    return pd
+
+
+class TestInteractionFitsMatchLstsq:
+    """``lin_w_interact`` and ``quad_w_interact`` come from one QR; an
+    ``lstsq`` fit per design is the reference."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_continuous_builtins(self, d):
+        p_lin, p_quad = d + d * (d - 1) // 2, 2 * d + d * (d - 1) // 2
+        for i, n in enumerate((p_lin + 2, p_quad + 2, p_quad + 9, 3 * p_quad + 5)):
+            fid = BUILTIN_FUNCTIONS[(d + i) % len(BUILTIN_FUNCTIONS)]
+            assert interaction_deviation(builtin_processed(fid, d, n, seed=10 * d + i)) <= 1e-12
+            repeated = builtin_processed(fid, d, n, seed=10 * d + i, repeats=max(1, n // 4))
+            assert interaction_deviation(repeated) <= 1e-12
+
+    @pytest.mark.parametrize(("encoding", "n"), [("one_hot", 300), ("target", 300), ("one_hot", 1200)])
+    def test_mixed_digest_design(self, encoding, n):
+        # one-hot indicators sum to the intercept, x**2 == x on them and two
+        # indicators of one variable multiply to zero: 456 of the 1176
+        # columns collapse at n = 1200
+        mixed_problem = runpy.run_path(str(SCRIPTS / "output_digest.py"))["mixed_problem"]
+        problem = mixed_problem(0)
+        design = evaluate_design(problem, create_initial_design(problem.space, n, seed=0))
+        assert interaction_deviation(preprocess_pipeline(design, encoding=encoding)) <= 1e-12
+
+    def test_dependent_columns(self):
+        rng = np.random.default_rng(21)
+        x = rng.random((60, 2))
+        binary = (rng.random(60) < 0.4).astype(float)
+        X = np.column_stack([x, x[:, 0], np.zeros(60), binary])  # duplicate, zero, 0/1
+        y = rng.random(60)
+        y = (y - y.min()) / (y.max() - y.min())
+        assert interaction_deviation(make_processed(X, y)) <= 1e-12
+
+    def test_near_collinear_column_is_kept(self):
+        # x3 is x0 moved by at most 1e-2, so x3**2 lies within about 1e-4 of
+        # the span of x0**2 and x0*x3; closer copies leave the problem so
+        # ill-conditioned that lstsq itself is no 1e-12 reference
+        rng = np.random.default_rng(22)
+        x = rng.random((80, 3))
+        X = np.column_stack([x, 0.99 * x[:, 0] + 0.01 * rng.random(80)])
+        y = np.sin(5.0 * X[:, 3]) + x[:, 1]
+        y = (y - y.min()) / (y.max() - y.min())
+        pd = make_processed(X, y)
+        assert interaction_deviation(pd) <= 1e-12
+        # dropping the near copy would change the fit
+        values = ela_meta(pd).values
+        without = lstsq_interaction_r2(make_processed(np.column_stack([x, x[:, 0]]), y))
+        assert abs(values["ela_meta.quad_w_interact.adj_r2"] - without[1]) > 1e-9
+
+    def test_constant_objective(self):
+        X = np.random.default_rng(23).random((30, 3))
+        assert interaction_deviation(make_processed(X, np.zeros(30))) == 0.0
+
+    @pytest.mark.parametrize(("d", "n", "seed"), [(1, 12, 0), (3, 40, 1), (6, 90, 2), (12, 300, 3)])
+    def test_simple_fits_are_fit_least_squares(self, d, n, seed):
+        pd = builtin_processed("rastrigin", d, n, seed)
+        X, y = pd.matrix, pd.objective
+        lin, quad = fit_least_squares(X, y), fit_least_squares(np.column_stack([X, X**2]), y)
+        mags, qmags = np.abs(lin.coefficients), np.abs(quad.coefficients[d:])
+        expected = {
+            "ela_meta.lin_simple.adj_r2": lin.adjusted_r2,
+            "ela_meta.lin_simple.intercept": lin.intercept,
+            "ela_meta.lin_simple.coef.min": float(mags.min()),
+            "ela_meta.lin_simple.coef.max": float(mags.max()),
+            "ela_meta.lin_simple.coef.max_by_min": float(mags.max()) / float(mags.min()),
+            "ela_meta.quad_simple.adj_r2": quad.adjusted_r2,
+            "ela_meta.quad_simple.cond": float(qmags.max()) / float(qmags.min()),
+        }
+        values = ela_meta(pd).values
+        assert {name: values[name].hex() for name in expected} == {
+            name: value.hex() for name, value in expected.items()
+        }
 
 
 class TestElaDistr:

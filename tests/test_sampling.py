@@ -172,6 +172,17 @@ class TestEvaluateDesign:
         assert out.y.tolist() == [1.0, 2.0, 3.0]
         assert d.y is None
 
+    def test_with_objective_shares_columns_and_validates_y(self):
+        d = create_initial_design(mixed_space(), n=4, seed=2)
+        out = with_objective(d, np.arange(4.0))
+        assert out.columns is not d.columns and out.meta is not d.meta
+        assert all(out.columns[name] is d.columns[name] for name in d.space.names)
+        assert not out.y.flags.writeable
+        with pytest.raises(ValueError, match="must all be finite"):
+            with_objective(d, [0.0, 1.0, float("inf"), 2.0])
+        with pytest.raises(ValueError, match="one value per row"):
+            with_objective(d, [0.0, 1.0])
+
 
 class TestCsvRoundTrip:
     def test_unevaluated_design(self, tmp_path):
