@@ -18,7 +18,9 @@ ERT-minimizing algorithms (ties lexicographic).  The cost-sensitive variant
 votes with per-instance normalized ERT costs instead of labels, so instances
 where the choice barely matters barely influence the vote.  Evaluation runs
 leave-one-group-out cross-validation with folds keyed by instance id, by
-function id, or by explicit group labels.
+function id, or by explicit group labels; the features become one matrix,
+and each fold fits on its training rows and predicts its held-out rows of
+it, in algorithm column indices.
 """
 
 from __future__ import annotations
@@ -228,18 +230,11 @@ def f1_macro(confusion: np.ndarray) -> float:
         raise ValueError("confusion counts must be non-negative")
     if not np.any(c.sum(axis=1) > 0):
         raise ValueError("confusion matrix needs at least one non-zero row")
-    scores = []
-    for k in range(c.shape[0]):
-        tp = c[k, k]
-        col = c[:, k].sum()
-        row = c[k, :].sum()
-        precision = tp / col if col > 0 else 0.0
-        recall = tp / row if row > 0 else 0.0
-        if precision + recall == 0.0:
-            scores.append(0.0)
-        else:
-            scores.append(2 * precision * recall / (precision + recall))
-    return float(np.mean(scores))
+    tp, predicted, true = np.diag(c), c.sum(axis=0), c.sum(axis=1)
+    precision = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
+    recall = np.divide(tp, true, out=np.zeros_like(tp), where=true > 0)
+    total = precision + recall
+    return float(np.divide(2 * precision * recall, total, out=np.zeros_like(tp), where=total > 0).mean())
 
 
 # ── selector models ──────────────────────────────────────────────────────────
@@ -261,7 +256,7 @@ def _feature_matrix(
     for r, inst in enumerate(instances):
         if list(features[inst].names()) != names:
             raise ValueError(f"feature names differ for instance {inst}")
-        matrix[r] = [np.nan if v is None else v for v in features[inst].values.values()]
+        matrix[r] = list(features[inst].values.values())  # None becomes NaN
     return matrix, names
 
 
@@ -271,55 +266,64 @@ class SelectorModel:
 
     Standardization parameters (training medians for imputing missing
     features, means, and standard deviations) come from the training split
-    only; constant and all-missing training columns are dropped and recorded.
+    only; constant and all-missing training columns are dropped, and
+    ``columns`` keeps the indices of the others among the input ``names``.
+    ``labels`` holds each training row's algorithm column, and ``centroids``
+    one row per labelled algorithm in sorted-algorithm order.
     """
 
     kind: str
     k: int
     cost_sensitive: bool
     algorithms: list[str]
-    feature_names: list[str]
-    dropped_columns: list[str]
+    names: list[str]
+    columns: np.ndarray
     medians: np.ndarray
     center: np.ndarray
     scale: np.ndarray
     train_matrix: np.ndarray
-    labels: list[str]
+    labels: np.ndarray
     cost_matrix: np.ndarray
-    centroids: dict[str, np.ndarray] = field(default_factory=dict)
+    centroids: np.ndarray
     imputed_cells: list[tuple[str, str, str]] = field(default_factory=list)
 
-    def _prepare(self, fv: FeatureVector) -> np.ndarray:
-        raw = np.empty(len(self.feature_names))
-        for c, name in enumerate(self.feature_names):
-            v = fv.values.get(name)
-            raw[c] = self.medians[c] if v is None else v
-        z = (raw - self.center) / self.scale
-        if not np.all(np.isfinite(z)):
-            raise ValueError("feature vector is not finite after standardization")
-        return z
+    @property
+    def feature_names(self) -> list[str]:
+        return [self.names[c] for c in self.columns]
 
-    def _neighbors(self, z: np.ndarray) -> np.ndarray:
-        d = np.sqrt(((self.train_matrix - z) ** 2).sum(axis=1))
-        return np.argsort(d, kind="stable")[: self.k]
+    @property
+    def dropped_columns(self) -> list[str]:
+        return [name for c, name in enumerate(self.names) if c not in self.columns]
+
+    def select(self, rows: np.ndarray) -> np.ndarray:
+        """The algorithm column chosen for each raw row (input ``names``
+        layout, NaN where missing).  Ties go to the first algorithm: the
+        first maximum vote, the first minimum cost sum, the first nearest
+        centroid."""
+        raw = rows[:, self.columns]
+        z = (np.where(np.isnan(raw), self.medians, raw) - self.center) / self.scale
+        if not np.all(np.isfinite(z)):
+            raise ValueError("feature rows are not finite after standardization")
+        classes = np.flatnonzero(np.bincount(self.labels, minlength=len(self.algorithms)))
+        selected = np.empty(len(z), dtype=np.intp)
+        # one held-out row at a time: no held-out x train x width array
+        for r, row in enumerate(z):
+            if self.kind == "nearest_centroid":
+                selected[r] = classes[np.argmin(np.sqrt(((self.centroids - row) ** 2).sum(axis=1)))]
+                continue
+            distances = np.sqrt(((self.train_matrix - row) ** 2).sum(axis=1))
+            near = np.argsort(distances, kind="stable")[: self.k]
+            if self.cost_sensitive:
+                selected[r] = np.argmin(self.cost_matrix[near].sum(axis=0))
+            else:
+                selected[r] = np.argmax(np.bincount(self.labels[near], minlength=len(self.algorithms)))
+        return selected
 
     def predict(self, fv: FeatureVector) -> str:
-        z = self._prepare(fv)
-        if self.kind == "nearest_centroid":
-            return min(
-                self.centroids,
-                key=lambda a: (float(np.sqrt(((self.centroids[a] - z) ** 2).sum())), a),
-            )
-        idx = self._neighbors(z)
-        if self.cost_sensitive:
-            sums = self.cost_matrix[idx].sum(axis=0)
-            best = np.flatnonzero(sums == sums.min())
-            return self.algorithms[int(best[0])]
-        votes: dict[str, int] = {}
-        for i in idx:
-            votes[self.labels[i]] = votes.get(self.labels[i], 0) + 1
-        top = max(votes.values())
-        return min(a for a, v in votes.items() if v == top)
+        """The algorithm chosen for one feature vector; absent features count
+        as missing."""
+        row = np.array([[fv.values.get(name) for name in self.names]], dtype=float)
+        return self.algorithms[int(self.select(row)[0])]
 
 
 def _column_medians(matrix: np.ndarray) -> np.ndarray:
@@ -349,46 +353,40 @@ def _fit(matrix: np.ndarray, names: list[str], erts: np.ndarray, algorithms: lis
 
     center = filled.mean(axis=0)
     scale = filled.std(axis=0)
-    keep = np.isfinite(medians) & (scale > 0.0)
-    dropped = [names[c] for c in range(len(names)) if not keep[c]]
-    if not np.any(keep):
+    columns = np.flatnonzero(np.isfinite(medians) & (scale > 0.0))
+    if not columns.size:
         raise ValueError("every feature column is constant or missing; nothing to train on")
-    kept_names = [names[c] for c in range(len(names)) if keep[c]]
-    Z = (filled[:, keep] - center[keep]) / scale[keep]
+    Z = (filled[:, columns] - center[columns]) / scale[columns]
 
     # argmin keeps the first minimum: ties go to the lexicographically first algorithm
-    labels = [algorithms[j] for j in erts.argmin(axis=1)]
+    labels = erts.argmin(axis=1)
     means = erts.mean(axis=1)
     weights = (means - erts.min(axis=1)) / means
     cost_matrix = erts / means[:, None]
 
-    centroids: dict[str, np.ndarray] = {}
+    centroids = []
     if kind == "nearest_centroid":
-        for algorithm in sorted(set(labels)):
-            rows = [r for r, lab in enumerate(labels) if lab == algorithm]
-            if cost_sensitive:
-                w = weights[rows]
-                if w.sum() > 0:
-                    centroids[algorithm] = (Z[rows] * w[:, None]).sum(axis=0) / w.sum()
-                else:
-                    centroids[algorithm] = Z[rows].mean(axis=0)
+        for c in np.flatnonzero(np.bincount(labels, minlength=len(algorithms))):
+            rows, w = Z[labels == c], weights[labels == c]
+            if cost_sensitive and w.sum() > 0:
+                centroids.append((rows * w[:, None]).sum(axis=0) / w.sum())
             else:
-                centroids[algorithm] = Z[rows].mean(axis=0)
+                centroids.append(rows.mean(axis=0))
 
     return SelectorModel(
         kind=kind,
         k=k,
         cost_sensitive=cost_sensitive,
         algorithms=algorithms,
-        feature_names=kept_names,
-        dropped_columns=dropped,
-        medians=medians[keep],
-        center=center[keep],
-        scale=scale[keep],
+        names=names,
+        columns=columns,
+        medians=medians[columns],
+        center=center[columns],
+        scale=scale[columns],
         train_matrix=Z,
         labels=labels,
         cost_matrix=cost_matrix,
-        centroids=centroids,
+        centroids=np.array(centroids),
     )
 
 
@@ -450,10 +448,11 @@ def cross_validate(
     predictions depend on the training folds only.  The table is imputed
     once and the features become one matrix; each fold fits on its training
     rows of the matrix and the ERT array, so medians, means and standard
-    deviations still come from the training rows alone.  The report carries
-    per instance selections, the confusion of predicted versus ERT-optimal
-    algorithms, pooled and per-fold SBS/VBS/model means, the gap closure
-    with its inputs, macro F1, and the imputation log.
+    deviations still come from the training rows alone, and predicts its
+    held-out rows of the same matrix with ``SelectorModel.select``.  The
+    report carries per instance selections, the confusion of predicted
+    versus ERT-optimal algorithms, pooled and per-fold SBS/VBS/model means,
+    the gap closure with its inputs, macro F1, and the imputation log.
     """
     imputed, log = impute_table(table, penalty)
     instances, algorithms, erts = imputed.instances, imputed.algorithms, imputed.ert
@@ -469,8 +468,7 @@ def cross_validate(
     for key in sorted(folds):
         train = np.delete(rows, folds[key])
         model = _fit(matrix[train], names, erts[train], algorithms, kind, min(k, len(train)), cost_sensitive)
-        for r in folds[key]:
-            selected[r] = algorithms.index(model.predict(features[instances[r]]))
+        selected[folds[key]] = model.select(matrix[folds[key]])
 
     sbs_algorithm = sbs(imputed)
     # SBS, VBS and model columns; an axis-0 sum adds their C-ordered rows in order

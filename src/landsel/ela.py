@@ -174,7 +174,7 @@ class _Emitter:
         else:
             self.values[name] = value
 
-    def put_all_missing(self, names: list[str], reason: str) -> None:
+    def put_all_missing(self, names: tuple[str, ...] | list[str], reason: str) -> None:
         for name in names:
             self.put(name, None, reason)
 
@@ -267,6 +267,13 @@ def _prefix_residuals(Wt: np.ndarray, y: np.ndarray, prefixes: list[int]) -> lis
     return [float(np.sum(R[kept_before[k]:, -1] ** 2)) for k in prefixes]
 
 
+_META_NAMES = (
+    "ela_meta.lin_simple.adj_r2", "ela_meta.lin_simple.intercept", "ela_meta.lin_simple.coef.min",
+    "ela_meta.lin_simple.coef.max", "ela_meta.lin_simple.coef.max_by_min", "ela_meta.lin_w_interact.adj_r2",
+    "ela_meta.quad_simple.adj_r2", "ela_meta.quad_simple.cond", "ela_meta.quad_w_interact.adj_r2",
+)
+
+
 def ela_meta(pd) -> _Emitter:
     """Surrogate-model features: four OLS fits on the processed sample.
 
@@ -300,15 +307,8 @@ def ela_meta(pd) -> _Emitter:
             interact_r2[i] = _adjusted_r2(0.0 if sst == 0.0 else 1.0 - ssr / sst, n, p)
 
     lin = fits["lin"]
-    lin_names = [
-        "ela_meta.lin_simple.adj_r2",
-        "ela_meta.lin_simple.intercept",
-        "ela_meta.lin_simple.coef.min",
-        "ela_meta.lin_simple.coef.max",
-        "ela_meta.lin_simple.coef.max_by_min",
-    ]
     if lin is None:
-        out.put_all_missing(lin_names, "insufficient_sample")
+        out.put_all_missing(_META_NAMES[:5], "insufficient_sample")  # lin_simple
     else:
         out.put("ela_meta.lin_simple.adj_r2", lin.adjusted_r2)
         out.put("ela_meta.lin_simple.intercept", lin.intercept)
@@ -325,9 +325,7 @@ def ela_meta(pd) -> _Emitter:
 
     quad = fits["quad"]
     if quad is None:
-        out.put_all_missing(
-            ["ela_meta.quad_simple.adj_r2", "ela_meta.quad_simple.cond"], "insufficient_sample"
-        )
+        out.put_all_missing(_META_NAMES[6:8], "insufficient_sample")  # quad_simple
     else:
         out.put("ela_meta.quad_simple.adj_r2", quad.adjusted_r2)
         qmag = np.abs(quad.coefficients[d:])
@@ -358,14 +356,16 @@ def _kde_peak_count(y: np.ndarray, grid_points: int) -> int:
     return int(np.count_nonzero(peaks))
 
 
+_DISTR_NAMES = ("ela_distr.skewness", "ela_distr.kurtosis", "ela_distr.number_of_peaks")
+
+
 def ela_distr(pd, cfg: ElaConfig | None = None) -> _Emitter:
     """Skewness, excess kurtosis (population estimators), and KDE peak count."""
     cfg = cfg or ElaConfig()
     out = _Emitter()
     y = pd.objective
-    names = ["ela_distr.skewness", "ela_distr.kurtosis", "ela_distr.number_of_peaks"]
     if y.size < 4:
-        out.put_all_missing(names, "insufficient_sample")
+        out.put_all_missing(_DISTR_NAMES, "insufficient_sample")
         return out
     centered = y - y.mean()
     m2 = float(np.mean(centered**2))
@@ -385,22 +385,15 @@ def ela_distr(pd, cfg: ElaConfig | None = None) -> _Emitter:
 # ── dispersion ───────────────────────────────────────────────────────────────
 
 
-def _quantile_suffix(q: float) -> str:
-    return f"{int(round(q * 100)):02d}"
+def _quantile_names(q: float) -> tuple[str, ...]:
+    """The four dispersion features of quantile q, suffixed with q in percent."""
+    s = f"{int(round(q * 100)):02d}"
+    return (f"disp.ratio_mean_{s}", f"disp.ratio_median_{s}", f"disp.diff_mean_{s}", f"disp.diff_median_{s}")
 
 
 def dispersion_feature_names(cfg: ElaConfig | None = None) -> list[str]:
     cfg = cfg or ElaConfig()
-    names = []
-    for q in cfg.dispersion_quantiles:
-        s = _quantile_suffix(q)
-        names += [
-            f"disp.ratio_mean_{s}",
-            f"disp.ratio_median_{s}",
-            f"disp.diff_mean_{s}",
-            f"disp.diff_median_{s}",
-        ]
-    return names
+    return [name for q in cfg.dispersion_quantiles for name in _quantile_names(q)]
 
 
 def _upper_triangle(n: int) -> np.ndarray:
@@ -431,13 +424,7 @@ def dispersion(pd, cfg: ElaConfig | None = None) -> _Emitter:
     full_median = float(np.median(full))
     order = np.argsort(y, kind="stable")
     for q in cfg.dispersion_quantiles:
-        s = _quantile_suffix(q)
-        names = [
-            f"disp.ratio_mean_{s}",
-            f"disp.ratio_median_{s}",
-            f"disp.diff_mean_{s}",
-            f"disp.diff_median_{s}",
-        ]
+        names = _quantile_names(q)
         size = math.ceil(q * n)
         if size < 2:
             out.put_all_missing(names, "subset_too_small")
@@ -557,6 +544,9 @@ def _entropy_from_counts(counts: list[list[int]], total: int) -> float:
     return h
 
 
+_IC_NAMES = ("ic.h.max", "ic.eps.s", "ic.eps.max", "ic.eps.ratio", "ic.m0")
+
+
 def information_content(pd, cfg: ElaConfig | None = None, seed: int = 0) -> _Emitter:
     """Information content of the slope-sign sequence along a seeded tour.
 
@@ -588,13 +578,12 @@ def information_content(pd, cfg: ElaConfig | None = None, seed: int = 0) -> _Emi
     """
     cfg = cfg or ElaConfig()
     out = _Emitter()
-    names = ["ic.h.max", "ic.eps.s", "ic.eps.max", "ic.eps.ratio", "ic.m0"]
     canon = _canonical_order(pd.matrix, pd.objective)
     X = pd.matrix[canon]
     y = pd.objective[canon]
     n = X.shape[0]
     if n < 3:
-        out.put_all_missing(names, "insufficient_sample")
+        out.put_all_missing(_IC_NAMES, "insufficient_sample")
         return out
     tour = _greedy_tour(pd.distances[np.ix_(canon, canon)], seed)
     steps = np.diff(X[tour], axis=0)
@@ -602,7 +591,7 @@ def information_content(pd, cfg: ElaConfig | None = None, seed: int = 0) -> _Emi
     dy = np.diff(y[tour])
     keep = lengths > 0.0
     if not np.any(keep):
-        out.put_all_missing(names, "duplicate_points")
+        out.put_all_missing(_IC_NAMES, "duplicate_points")
         return out
     phi = dy[keep] / lengths[keep]
     m = phi.size
@@ -673,6 +662,12 @@ def information_content(pd, cfg: ElaConfig | None = None, seed: int = 0) -> _Emi
 # ── nearest-better clustering ────────────────────────────────────────────────
 
 
+_NBC_NAMES = (
+    "nbc.nn_nb.mean_ratio", "nbc.nn_nb.sd_ratio", "nbc.nn_nb.cor",
+    "nbc.dist_ratio.coeff_var", "nbc.nb_fitness.cor",
+)
+
+
 def nearest_better_clustering(pd) -> _Emitter:
     """Nearest-neighbor versus nearest-better distance structure.
 
@@ -682,20 +677,13 @@ def nearest_better_clustering(pd) -> _Emitter:
     all points.  Distances come from the shared matrix ``pd.distances``.
     """
     out = _Emitter()
-    names = [
-        "nbc.nn_nb.mean_ratio",
-        "nbc.nn_nb.sd_ratio",
-        "nbc.nn_nb.cor",
-        "nbc.dist_ratio.coeff_var",
-        "nbc.nb_fitness.cor",
-    ]
     y = pd.objective
     n = pd.n
     if n < 3:
-        out.put_all_missing(names, "insufficient_sample")
+        out.put_all_missing(_NBC_NAMES, "insufficient_sample")
         return out
     if float(y.min()) == float(y.max()):
-        out.put_all_missing(names, "constant_objective")
+        out.put_all_missing(_NBC_NAMES, "constant_objective")
         return out
     dm = pd.distances.copy()
     np.fill_diagonal(dm, np.inf)
@@ -747,23 +735,20 @@ def nearest_better_clustering(pd) -> _Emitter:
 # ── fitness-distance correlation ─────────────────────────────────────────────
 
 
+_FDC_NAMES = (
+    "fdc.coef", "fdc.dist.mean", "fdc.dist.sd", "fdc.dist.max",
+    "fdc.fitness.mean", "fdc.fitness.sd", "fdc.cov",
+)
+
+
 def fitness_distance_correlation(pd) -> _Emitter:
     """Correlation between objective value and distance to the sample best."""
     out = _Emitter()
-    names = [
-        "fdc.coef",
-        "fdc.dist.mean",
-        "fdc.dist.sd",
-        "fdc.dist.max",
-        "fdc.fitness.mean",
-        "fdc.fitness.sd",
-        "fdc.cov",
-    ]
     X = pd.matrix
     y = pd.objective
     n = X.shape[0]
     if n < 3:
-        out.put_all_missing(names, "insufficient_sample")
+        out.put_all_missing(_FDC_NAMES, "insufficient_sample")
         return out
     best = int(np.argmin(y))  # ties: lowest row index
     d = np.sqrt(((X - X[best]) ** 2).sum(axis=1))
@@ -785,42 +770,7 @@ def fitness_distance_correlation(pd) -> _Emitter:
 def feature_names(cfg: ElaConfig | None = None) -> list[str]:
     """Canonical feature order: ela_meta, ela_distr, disp, ic, nbc, fdc."""
     cfg = cfg or ElaConfig()
-    return (
-        [
-            "ela_meta.lin_simple.adj_r2",
-            "ela_meta.lin_simple.intercept",
-            "ela_meta.lin_simple.coef.min",
-            "ela_meta.lin_simple.coef.max",
-            "ela_meta.lin_simple.coef.max_by_min",
-            "ela_meta.lin_w_interact.adj_r2",
-            "ela_meta.quad_simple.adj_r2",
-            "ela_meta.quad_simple.cond",
-            "ela_meta.quad_w_interact.adj_r2",
-            "ela_distr.skewness",
-            "ela_distr.kurtosis",
-            "ela_distr.number_of_peaks",
-        ]
-        + dispersion_feature_names(cfg)
-        + [
-            "ic.h.max",
-            "ic.eps.s",
-            "ic.eps.max",
-            "ic.eps.ratio",
-            "ic.m0",
-            "nbc.nn_nb.mean_ratio",
-            "nbc.nn_nb.sd_ratio",
-            "nbc.nn_nb.cor",
-            "nbc.dist_ratio.coeff_var",
-            "nbc.nb_fitness.cor",
-            "fdc.coef",
-            "fdc.dist.mean",
-            "fdc.dist.sd",
-            "fdc.dist.max",
-            "fdc.fitness.mean",
-            "fdc.fitness.sd",
-            "fdc.cov",
-        ]
-    )
+    return [*_META_NAMES, *_DISTR_NAMES, *dispersion_feature_names(cfg), *_IC_NAMES, *_NBC_NAMES, *_FDC_NAMES]
 
 
 def compute_all(pd, cfg: ElaConfig | None = None, seed: int = 0) -> FeatureVector:

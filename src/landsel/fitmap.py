@@ -124,6 +124,20 @@ def _pixel_cells(coords: np.ndarray, resolution: int) -> np.ndarray:
     return np.minimum((coords * resolution).astype(int), resolution - 1)
 
 
+def _raster(points: np.ndarray, columns: tuple[int, int], objective, resolution: int, channel) -> FitnessMap:
+    """Map two columns of ``points`` (in [0, 1]); shared pixels keep the smaller objective."""
+    check_raster_size(1, resolution)
+    if len(columns) != 2:
+        raise ValueError("exactly two columns are required")
+    (c0, c1), width = columns, points.shape[1]
+    if not (0 <= c0 < width and 0 <= c1 < width) or c0 == c1:
+        raise ValueError(f"column pair {columns} invalid for width {width}")
+    cells = (_pixel_cells(points[:, c0], resolution), _pixel_cells(points[:, c1], resolution))
+    grid = np.full((resolution, resolution), np.nan)
+    np.fmin.at(grid, cells, np.asarray(objective, dtype=float))
+    return FitnessMap(pixels=grid, resolution=resolution, channel=channel)
+
+
 def rasterize_2d(
     pd: ProcessedDesign,
     columns: tuple[int, int] = (0, 1),
@@ -135,17 +149,7 @@ def rasterize_2d(
     coordinates exactly at 1.0 fall into the last cell.  Collisions keep the
     smaller objective value.
     """
-    check_raster_size(1, resolution)
-    if len(columns) != 2:
-        raise ValueError("exactly two columns are required")
-    c0, c1 = columns
-    if not (0 <= c0 < pd.width and 0 <= c1 < pd.width) or c0 == c1:
-        raise ValueError(f"column pair {columns} invalid for width {pd.width}")
-    ix = _pixel_cells(pd.matrix[:, c0], resolution)
-    iy = _pixel_cells(pd.matrix[:, c1], resolution)
-    grid = np.full((resolution, resolution), np.nan)
-    np.fmin.at(grid, (ix, iy), pd.objective)
-    return FitnessMap(pixels=grid, resolution=resolution, channel=(c0, c1))
+    return _raster(pd.matrix, columns, pd.objective, resolution, tuple(columns))
 
 
 @dataclass(frozen=True)
@@ -209,11 +213,7 @@ def rasterize_projection(
     projection: PcaProjection, objective: np.ndarray, resolution: int = DEFAULT_RESOLUTION
 ) -> FitnessMap:
     """Rasterize PCA coordinates with their objective values."""
-    check_raster_size(1, resolution)
-    cells = _pixel_cells(projection.coordinates, resolution)
-    grid = np.full((resolution, resolution), np.nan)
-    np.fmin.at(grid, (cells[:, 0], cells[:, 1]), np.asarray(objective, dtype=float))
-    return FitnessMap(pixels=grid, resolution=resolution, channel=None)
+    return _raster(projection.coordinates, (0, 1), objective, resolution, None)
 
 
 def multichannel(pd: ProcessedDesign, resolution: int = DEFAULT_RESOLUTION) -> MapStack:

@@ -325,6 +325,25 @@ class TestF1Macro:
         # class 0: precision 0.5, recall 1 -> f1 = 2/3; class 1: 0
         assert score == pytest.approx(1 / 3)
 
+    def test_equals_per_class_loop_bits(self):
+        # the per-class loop f1_macro replaced; zero rows and columns included
+        def reference(c):
+            scores = []
+            for k in range(len(c)):
+                col, row = c[:, k].sum(), c[k, :].sum()
+                precision = c[k, k] / col if col > 0 else 0.0
+                recall = c[k, k] / row if row > 0 else 0.0
+                total = precision + recall
+                scores.append(0.0 if total == 0.0 else 2 * precision * recall / total)
+            return float(np.mean(scores))
+
+        rng = np.random.default_rng(5)
+        for trial in range(500):
+            size = int(rng.integers(1, 10))
+            c = rng.integers(0, 40, size=(size, size)) * (rng.random((size, size)) < rng.random())
+            c[0, 0] += 1
+            assert f1_macro(c) == reference(c.astype(float))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             f1_macro(np.zeros((2, 3)))
@@ -586,11 +605,36 @@ class TestCrossValidate:
         assert report["selector"]["k"] == 4
 
 
+def reference_predict(model, vector) -> str:
+    """The name-keyed per-vector rule that SelectorModel.select replaced:
+    missing features take the training median by name, neighbours come from
+    a stable argsort of the distances, knn votes count names and break ties
+    with the smallest name, centroids are keyed by (distance, name), and
+    cost-sensitive votes take the first minimum of the summed costs."""
+    raw = np.array([model.medians[c] if vector.values.get(name) is None else vector.values[name]
+                    for c, name in enumerate(model.feature_names)])
+    z = (raw - model.center) / model.scale
+    labels = [model.algorithms[j] for j in model.labels]
+    if model.kind == "nearest_centroid":
+        centroids = dict(zip(sorted(set(labels)), model.centroids))
+        return min(centroids, key=lambda a: (float(np.sqrt(((centroids[a] - z) ** 2).sum())), a))
+    idx = np.argsort(np.sqrt(((model.train_matrix - z) ** 2).sum(axis=1)), kind="stable")[: model.k]
+    if model.cost_sensitive:
+        sums = model.cost_matrix[idx].sum(axis=0)
+        return model.algorithms[int(np.flatnonzero(sums == sums.min())[0])]
+    votes: dict[str, int] = {}
+    for i in idx:
+        votes[labels[i]] = votes.get(labels[i], 0) + 1
+    top = max(votes.values())
+    return min(a for a, v in votes.items() if v == top)
+
+
 def reference_cross_validate(records, features, scheme, kind, k, cost_sensitive, groups, feature_cost):
     """The per-fold loop cross_validate replaced, over plain dicts: ERTs,
     imputation, baselines and labels come from loops over the records, and
     each sorted fold fits train_selector on a table built from its training
-    records alone, then predicts its held-out instances one by one."""
+    records alone, then predicts its held-out instances one by one with
+    reference_predict."""
     runs = {}
     for r in records:
         runs.setdefault((r.fid, r.iid, r.algorithm), []).append(r)
@@ -620,7 +664,7 @@ def reference_cross_validate(records, features, scheme, kind, k, cost_sensitive,
             kind=kind, k=min(k, len(train)), cost_sensitive=cost_sensitive,
         )
         for inst in folds[key]:
-            selections[inst] = model.predict(features[inst])
+            selections[inst] = reference_predict(model, features[inst])
 
     sbs_algorithm, best = None, math.inf
     for algorithm in algorithms:
@@ -705,6 +749,29 @@ class TestCrossValidateOracle:
             records, features, scheme, kind, k, cost_sensitive, groups, feature_cost
         )
         assert json.dumps(report, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "kind, k", [("knn", 1), ("knn", 2), ("knn", 3), ("knn", 5), ("nearest_centroid", 1)]
+    )
+    @pytest.mark.parametrize("cost_sensitive", [False, True])
+    def test_select_on_matrix_rows_equals_reference_predict(self, kind, k, cost_sensitive):
+        # each leave_iid_out fold: a model trained on the other folds picks its
+        # held-out rows of one matrix (NaN where missing) as the name-keyed
+        # rule picks their feature vectors; k = 2 ties votes in some folds
+        features, records = self.corpus()
+        instances = sorted(features)
+        matrix = np.array([list(features[inst].values.values()) for inst in instances], dtype=float)
+        for iid in sorted({inst[1] for inst in instances}):
+            held = [r for r, inst in enumerate(instances) if inst[1] == iid]
+            train = [inst for inst in instances if inst[1] != iid]
+            model = train_selector(
+                {inst: features[inst] for inst in train},
+                ErtTable.from_records([r for r in records if r.iid != iid]),
+                kind=kind, k=k, cost_sensitive=cost_sensitive,
+            )
+            expected = [reference_predict(model, features[instances[r]]) for r in held]
+            assert [model.algorithms[j] for j in model.select(matrix[held])] == expected
+            assert [model.predict(features[instances[r]]) for r in held] == expected
 
     def test_csv_table_equals_record_table(self, tmp_path):
         _, records = self.corpus()
