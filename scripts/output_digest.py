@@ -32,8 +32,14 @@ The ``preprocess`` line hashes the CLI's ``preprocess`` CSV and
 allows (``none`` only for numeric spaces), with target smoothing 0 and 0.5.
 The ``maps`` line hashes the ``fitmap --mode rmc``, ``mc`` and ``pca-func``
 PGMs of the three large designs and of the mixed design under both encodings.
-``report``, ``preprocess`` and ``maps`` are printed on their own lines and are
-not part of ``all``, so ``all`` stays comparable with older checkouts.
+The ``exact`` line hashes, for the first six corpus designs and for the mixed
+design under both encodings, the processed objective and the
+``design_to_csv`` bytes after three seeded exact rescalings ``a*y + b`` (scale
+10^U(-200, 200), shift U(-1e6, 1e6)) through ``apply_transform`` and
+``with_objective``.
+``report``, ``preprocess``, ``maps`` and ``exact`` are printed on their own
+lines and are not part of ``all``, so ``all`` stays comparable with older
+checkouts.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digest.py --seed 0 --designs 120
@@ -55,10 +61,20 @@ from landsel.aas import PerformanceRecord, write_features_csv, write_performance
 from landsel.ela import compute_all
 from landsel.fitmap import knn_cloud
 from landsel.preprocess import ENCODINGS, preprocess_pipeline
-from landsel.sampling import Design, create_initial_design, design_to_csv, evaluate_design
-from landsel.space import BUILTIN_FUNCTIONS, Condition, Problem, SearchSpace, VariableSpec, builtin_problem
+from landsel.sampling import Design, create_initial_design, design_to_csv, evaluate_design, with_objective
+from landsel.space import (
+    BUILTIN_FUNCTIONS,
+    Condition,
+    ObjectiveTransform,
+    Problem,
+    SearchSpace,
+    VariableSpec,
+    apply_transform,
+    builtin_problem,
+)
 
 LARGE = ((10, 500), (20, 1000), (40, 2000))
+EXACT_DESIGNS = 6  # leading corpus designs that go into the ``exact`` digest
 ALGORITHMS = ("bfgs", "cmaes", "de", "nelder_mead")
 SELECTION_GRID = tuple(
     (scheme, selector, k, cost)
@@ -184,6 +200,20 @@ def map_bytes(path: Path, encoding: str, workdir: Path) -> list[bytes]:
     return outputs
 
 
+def exact_bytes(design: Design, encoding: str, rng: np.random.Generator, workdir: Path) -> list[bytes]:
+    """The processed objective and the ``design_to_csv`` bytes of the design
+    under three seeded exact rescalings of its objective."""
+    path = workdir / "rescaled.csv"
+    outputs = []
+    for _ in range(3):
+        t = ObjectiveTransform(scale=float(10.0 ** rng.uniform(-200.0, 200.0)), shift=float(rng.uniform(-1e6, 1e6)))
+        rescaled = with_objective(design, apply_transform(t, design.y))
+        outputs.append(preprocess_pipeline(rescaled, encoding=encoding).objective.tobytes())
+        design_to_csv(rescaled, path)
+        outputs.append(path.read_bytes())
+    return outputs
+
+
 def selection_tables(seed: int, workdir: Path) -> tuple[Path, Path]:
     """Write the seeded feature and performance CSVs of the ``report`` digest."""
     rng = np.random.default_rng([seed, 6])
@@ -242,7 +272,7 @@ def main(argv=None) -> int:
             h.update(len(chunk).to_bytes(8, "little"))
             h.update(chunk)
 
-    separate = {name: hashlib.sha256() for name in ("report", "preprocess", "maps")}
+    separate = {name: hashlib.sha256() for name in ("report", "preprocess", "maps", "exact")}
 
     def feed_separate(name: str, chunks: list[bytes]) -> None:
         for chunk in chunks:
@@ -252,6 +282,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     count = 0
     previous = None
+    exact_rng = np.random.default_rng([args.seed, 11])
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         path = workdir / "design.csv"
@@ -272,6 +303,8 @@ def main(argv=None) -> int:
                 feed_separate("preprocess", preprocess_bytes(path, design, workdir))
             if mapped:
                 feed_separate("maps", map_bytes(path, encoding, workdir))
+            if count <= EXACT_DESIGNS or encoding != "none":
+                feed_separate("exact", exact_bytes(design, encoding, exact_rng, workdir))
             previous = design
         feed_separate("report", report_bytes(args.seed, workdir))
     for name, h in sections.items():
