@@ -178,15 +178,8 @@ def _require(cfg: dict, key: str, command: str):
     return cfg[key]
 
 
-def _load_design(path_text: str) -> sampling.Design:
-    path = Path(path_text)
-    if not path.exists():
-        raise ValueError(f"design file not found: {path}")
-    return sampling.design_from_csv(path)
-
-
 def _processed(cfg: dict, command: str) -> preprocess.ProcessedDesign:
-    design = _load_design(_require(cfg, "design", command))
+    design = sampling.design_from_csv(_require(cfg, "design", command))
     if design.y is None:
         raise ValueError(f"{command}: design has no objective values; evaluate it first")
     return preprocess.preprocess_pipeline(
@@ -217,7 +210,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "evaluate")
-    design = _load_design(_require(cfg, "design", "evaluate"))
+    design = sampling.design_from_csv(_require(cfg, "design", "evaluate"))
     source = _parse_source(_require(cfg, "source", "evaluate"))
     if not isinstance(source, space.Problem):
         raise ValueError("evaluate needs a builtin problem source, not a bare search space")
@@ -249,10 +242,7 @@ def cmd_features(args: argparse.Namespace) -> int:
     ela_cfg = ela.ElaConfig(**overrides)
     fv = ela.compute_all(pd, ela_cfg, seed=int(cfg["seed"]))
     out = Path(_require(cfg, "out", "features"))
-    if out.suffix == ".csv":
-        out.write_text(fv.to_csv())
-    else:
-        out.write_text(fv.to_json() + "\n")
+    out.write_text(fv.to_csv() if out.suffix == ".csv" else fv.to_json() + "\n")
     log.info("wrote %d features to %s", len(fv.values), out)
     return 0
 
@@ -271,27 +261,24 @@ def cmd_fitmap(args: argparse.Namespace) -> int:
         except ValueError as e:
             raise ValueError(f"--resolution {resolution} is too large: {e}") from None
     out = Path(_require(cfg, "out", "fitmap"))
+    written = [out]
     if mode == "raw2d":
         fitmap.write_pgm(fitmap.rasterize_2d(pd, resolution=resolution), out)
-        written = [out]
     elif mode in ("pca", "pca-func"):
         projection = fitmap.pca_project(pd, include_objective=(mode == "pca-func"))
         fitmap.write_pgm(
             fitmap.rasterize_projection(projection, pd.objective, resolution=resolution), out
         )
-        written = [out]
     elif mode == "mc":
         stem = out.with_suffix("") if out.suffix == ".pgm" else out
         written = fitmap.write_stack(fitmap.multichannel(pd, resolution=resolution), stem)
     elif mode == "rmc":
         fitmap.write_pgm(fitmap.reduce_mean(fitmap.multichannel(pd, resolution=resolution)), out)
-        written = [out]
     else:  # cloud
         k = int(cfg["k"])
         if k < 1:
             raise ValueError("cloud mode needs --k >= 1")
         fitmap.cloud_to_csv(fitmap.knn_cloud(pd, k), out)
-        written = [out]
     log.info("wrote %d file(s): %s", len(written), ", ".join(str(p) for p in written))
     return 0
 
@@ -329,9 +316,7 @@ def cmd_aas(args: argparse.Namespace) -> int:
     out = Path(_require(cfg, "out", "aas"))
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     pooled = report["pooled"]
-    log.info(
-        "sbs=%s gap_closure=%s", pooled["sbs_algorithm"], pooled["gap_closure"]
-    )
+    log.info("sbs=%s gap_closure=%s", pooled["sbs_algorithm"], pooled["gap_closure"])
     return 0
 
 

@@ -342,10 +342,10 @@ def ela_meta(pd) -> _Emitter:
 # ── objective-distribution features ──────────────────────────────────────────
 
 
-def _kde_peak_count(y: np.ndarray, grid_points: int) -> int:
+def _kde_peak_count(y: np.ndarray, sd: float, grid_points: int) -> int:
     n = y.size
-    sd = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
-    iqr = float(np.quantile(y, 0.75) - np.quantile(y, 0.25))
+    q1, q3 = np.quantile(y, (0.25, 0.75))
+    iqr = float(q3 - q1)
     scale = sd if iqr == 0.0 else min(sd, iqr / 1.34)
     bandwidth = 0.9 * scale * n ** (-1 / 5)
     grid = np.linspace(0.0, 1.0, grid_points)
@@ -378,7 +378,7 @@ def ela_distr(pd, cfg: ElaConfig | None = None) -> _Emitter:
     m4 = float(np.mean(centered**4))
     out.put("ela_distr.skewness", m3 / m2**1.5)
     out.put("ela_distr.kurtosis", m4 / m2**2 - 3.0)
-    out.put("ela_distr.number_of_peaks", float(_kde_peak_count(y, cfg.kde_grid_points)))
+    out.put("ela_distr.number_of_peaks", float(_kde_peak_count(y, math.sqrt(m2), cfg.kde_grid_points)))
     return out
 
 
@@ -396,9 +396,16 @@ def dispersion_feature_names(cfg: ElaConfig | None = None) -> list[str]:
     return [name for q in cfg.dispersion_quantiles for name in _quantile_names(q)]
 
 
+_TRIANGLE = np.triu(np.ones((256, 256), dtype=bool), 1)
+_TRIANGLE.setflags(write=False)
+
+
 def _upper_triangle(n: int) -> np.ndarray:
     """Boolean n-by-n mask of the pairs i < j; indexing a distance matrix
-    with it yields the condensed vector in row-major (pdist) order."""
+    with it yields the condensed vector in row-major (pdist) order.  Up to
+    256 rows it is a read-only block of one mask built at import."""
+    if n <= len(_TRIANGLE):
+        return _TRIANGLE[:n, :n]
     return np.triu(np.ones((n, n), dtype=bool), 1)
 
 
@@ -528,19 +535,20 @@ def _pair_counts(symbols: list[int]) -> list[list[int]]:
     return counts
 
 
+@functools.lru_cache(maxsize=16)
+def _entropy_terms(total: int) -> tuple[float, ...]:
+    """p * log6 p for p = c / total, indexed by c = 0..total (zero at c = 0)."""
+    return (0.0, *((c / total) * math.log(c / total) / _PAIR_LOG_BASE for c in range(1, total + 1)))
+
+
 def _entropy_from_counts(counts: list[list[int]], total: int) -> float:
     """-sum over unequal symbol pairs of p * log6 p."""
-    if total == 0:
-        return 0.0
+    terms = _entropy_terms(total)
     h = 0.0
     for a in range(3):
         for b in range(3):
-            if a == b:
-                continue
-            c = counts[a][b]
-            if c > 0:
-                p = c / total
-                h -= p * math.log(p) / _PAIR_LOG_BASE
+            if a != b:
+                h -= terms[counts[a][b]]
     return h
 
 

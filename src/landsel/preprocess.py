@@ -10,12 +10,14 @@ form only, which is what makes them invariant to shifting and scaling of the
 raw objective: any strictly monotone affine map a*y + b (a > 0) is cancelled
 by the min-max normalization.
 
-The cancellation is exact, not approximate.  ``minmax_unit`` converts
-each input value to an exact integer ratio, forms (y_i - min) / (max - min) in
-arbitrary-precision integer arithmetic, and rounds once to float64.  Two input
-vectors that are exact affine images of each other therefore normalize to
-bit-identical outputs; pairing this with the exact rationals returned by
-``apply_transform`` makes the invariance a theorem rather than a tolerance.
+The cancellation is exact, not approximate.  The objective has one exact
+form, :class:`~landsel.space.ExactColumn`: Python-int numerators over one
+shared denominator.  ``apply_transform`` returns one, ``Design`` keeps it,
+and ``minmax_unit`` takes any input to one, forms (y_i - min) / (max - min)
+in arbitrary-precision integer arithmetic, and rounds once to float64.  Two
+input vectors that are exact affine images of each other therefore normalize
+to bit-identical outputs, which makes the invariance a theorem rather than a
+tolerance.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .sampling import Design
-from .space import SearchSpace, exact_ratio
+from .space import ExactColumn, SearchSpace
 
 ENCODINGS = ("none", "one_hot", "target")
 
@@ -44,23 +46,12 @@ MAX_DISTANCE_BYTES = 1 << 30
 def minmax_unit(values) -> np.ndarray:
     """Min-max rescale a real vector to [0, 1], exactly; constant input -> zeros.
 
-    Accepts floats, ints, or exact rationals.  The ratio (v - min) / (max - min)
-    is computed in exact integer arithmetic with a single correctly rounded
-    float64 division at the end, so vectors related by an exact affine map with
-    positive scale produce bit-identical results.
+    ``values`` is anything ``ExactColumn.of`` takes, an ``ExactColumn``
+    included.  Each (v - min) / (max - min) is one correctly rounded division
+    of exact integers, so vectors related by an exact affine map with positive
+    scale give bit-identical results.
     """
-    seq = list(values)
-    if len(seq) == 0:
-        raise ValueError("cannot normalize an empty vector")
-    pairs = [exact_ratio(v) for v in seq]
-    denom_lcm = math.lcm(*(d for _, d in pairs))
-    nums = [nu * (denom_lcm // de) for nu, de in pairs]
-    lo = min(nums)
-    hi = max(nums)
-    if hi == lo:
-        return np.zeros(len(nums))
-    span = hi - lo
-    return np.array([(x - lo) / span for x in nums])
+    return ExactColumn.of(values).minmax()
 
 
 @dataclass
@@ -161,10 +152,11 @@ def pairwise_distances(X) -> np.ndarray:
 # ── hierarchy relaxation ─────────────────────────────────────────────────────
 
 
-def _is_missing(v, kind: str) -> bool:
+def _missing_cells(col: np.ndarray, kind: str) -> np.ndarray:
+    """Boolean mask of a column's missing cells: None or NaN."""
     if kind == "categorical":
-        return v is None
-    return v != v  # NaN
+        return np.array([cell is None for cell in col], dtype=bool)
+    return np.isnan(col)
 
 
 def _activity_mask(design: Design) -> np.ndarray:
@@ -174,7 +166,6 @@ def _activity_mask(design: Design) -> np.ndarray:
     space = design.space
     n = design.n
     mask = np.ones((n, space.dimension), dtype=bool)
-    index = {name: j for j, name in enumerate(space.names)}
     resolved: dict[str, np.ndarray] = {}
 
     def resolve(name: str) -> np.ndarray:
@@ -191,8 +182,8 @@ def _activity_mask(design: Design) -> np.ndarray:
         resolved[name] = active
         return active
 
-    for name in space.names:
-        mask[:, index[name]] = resolve(name)
+    for j, name in enumerate(space.names):
+        mask[:, j] = resolve(name)
     return mask
 
 
@@ -208,27 +199,23 @@ def relax_hierarchy(design: Design) -> Design:
     """
     space = design.space
     has_conditions = any(v.condition is not None for v in space.variables)
-    has_missing = any(
-        any(_is_missing(cell, v.kind) for cell in design.columns[v.name])
-        for v in space.variables
-    )
-    if not has_conditions and not has_missing:
+    missing = {v.name: _missing_cells(design.columns[v.name], v.kind) for v in space.variables}
+    if not has_conditions and not any(m.any() for m in missing.values()):
         return design
     mask = _activity_mask(design)
     columns: dict[str, np.ndarray] = {}
     for j, v in enumerate(space.variables):
+        gaps = missing[v.name]
+        active = np.flatnonzero(gaps & mask[:, j])
+        if active.size:
+            raise ValueError(f"row {active[0]}: missing value for active variable {v.name!r}")
         col = np.array(design.columns[v.name], dtype=object if v.kind == "categorical" else float)
-        for i in range(design.n):
-            if not _is_missing(col[i], v.kind):
-                continue
-            if mask[i, j]:
-                raise ValueError(f"row {i}: missing value for active variable {v.name!r}")
-            if v.kind == "categorical":
-                col[i] = v.categories[0]
-            elif v.kind == "integer":
-                col[i] = float(math.ceil((v.lower + v.upper) / 2 - 0.5))
-            else:
-                col[i] = (v.lower + v.upper) / 2
+        if v.kind == "categorical":
+            col[gaps] = v.categories[0]
+        elif v.kind == "integer":
+            col[gaps] = float(math.ceil((v.lower + v.upper) / 2 - 0.5))
+        else:
+            col[gaps] = (v.lower + v.upper) / 2
         columns[v.name] = col
     meta = dict(design.meta)
     meta["active_mask"] = mask
@@ -285,9 +272,7 @@ def preprocess_pipeline(
             else:
                 cols.append((np.asarray(raw, dtype=float) - v.lower) / (v.upper - v.lower))
         elif encoding == "one_hot":
-            indicators = [
-                np.array([1.0 if cell == cat else 0.0 for cell in raw]) for cat in v.categories
-            ]
+            indicators = [(raw == cat).astype(float) for cat in v.categories]
             # a category that equals none of its own cells (a NaN label, say)
             # leaves rows without an indicator
             if not np.all(sum(indicators) == 1.0):
@@ -297,7 +282,7 @@ def preprocess_pipeline(
         else:
             means = {}
             for cat in v.categories:
-                hits = np.array([cell == cat for cell in raw], dtype=bool)
+                hits = raw == cat
                 count = int(hits.sum())
                 if count == 0:
                     if smoothing == 0:

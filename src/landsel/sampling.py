@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .space import Problem, SearchSpace, space_from_obj, space_to_obj
+from .space import ExactColumn, Problem, SearchSpace, space_from_obj, space_to_obj
 
 STRATEGIES = ("uniform", "latin_hypercube", "sobol")
 DEFAULT_POINTS_PER_DIMENSION = 50
@@ -38,14 +38,16 @@ class Design:
     ``columns`` maps variable name to a length-n array: float64 for continuous
     and integer variables (NaN marks a missing cell), object/str for
     categorical ones (None marks a missing cell).  ``y`` is None until the
-    design is evaluated; it may hold any real numbers, including the exact
-    rationals produced by ``apply_transform``.  Treat instances as immutable:
-    operations return new designs.
+    design is evaluated; then it is either a read-only float64 array of
+    finite values or an :class:`~landsel.space.ExactColumn` of exact
+    rationals, as ``apply_transform`` returns them.  An object-dtype ``y``
+    (Fractions, say) is kept exact as an ``ExactColumn``.  Treat instances as
+    immutable: operations return new designs.
     """
 
     space: SearchSpace
     columns: dict[str, np.ndarray]
-    y: np.ndarray | None = None
+    y: np.ndarray | ExactColumn | None = None
     meta: dict = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -102,21 +104,21 @@ class Design:
         return tuple(out)
 
 
-def _objective_column(y, n: int) -> np.ndarray:
-    """``y`` as a read-only column of n finite objective values."""
-    yarr = np.asarray(y)
-    if yarr.dtype != object:
-        yarr = yarr.astype(float)
-        if not np.all(np.isfinite(yarr)):
-            raise ValueError("objective values must all be finite")
-    else:
-        for v in yarr:
-            if not math.isfinite(float(v)):
+def _objective_column(y, n: int) -> np.ndarray | ExactColumn:
+    """``y`` as n finite objective values: an exact column stays exact, any
+    other input becomes a read-only float64 array."""
+    if not isinstance(y, ExactColumn):
+        yarr = np.asarray(y)
+        if yarr.dtype == object:
+            y = ExactColumn.of(yarr)
+        else:
+            y = yarr.astype(float)
+            if not np.all(np.isfinite(y)):
                 raise ValueError("objective values must all be finite")
-    if len(yarr) != n:
+            y.setflags(write=False)
+    if len(y) != n:
         raise ValueError("y must have one value per row")
-    yarr.setflags(write=False)
-    return yarr
+    return y
 
 
 def _unit_sample(strategy: str, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -268,14 +270,15 @@ def design_to_csv(design: Design, path: str | Path) -> None:
     path = Path(path)
     header = [f"x.{name}" for name in design.space.names] + ["y"]
     lines = [",".join(header)]
+    if design.y is None:
+        y = [""] * design.n
+    else:  # one conversion of the whole column, exact or not
+        y = [repr(v) for v in np.asarray(design.y, dtype=float).tolist()]
     for i in range(design.n):
         cells = [
             _format_cell(design.columns[v.name][i], v.kind) for v in design.space.variables
         ]
-        if design.y is None:
-            cells.append("")
-        else:
-            cells.append(repr(float(design.y[i])))
+        cells.append(y[i])
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
     sidecar = {"meta": _jsonable_meta(design.meta), "space": space_to_obj(design.space)}
@@ -283,13 +286,7 @@ def design_to_csv(design: Design, path: str | Path) -> None:
 
 
 def _jsonable_meta(meta: dict) -> dict:
-    out = {}
-    for key, value in meta.items():
-        if isinstance(value, np.ndarray):
-            out[key] = value.tolist()
-        else:
-            out[key] = value
-    return out
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in meta.items()}
 
 
 def design_from_csv(path: str | Path, space: SearchSpace | None = None) -> Design:

@@ -205,39 +205,63 @@ class ObjectiveTransform:
             raise ValueError("transform scale must be strictly positive")
 
 
-def apply_transform(transform: ObjectiveTransform, values: Sequence) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class ExactColumn:
+    """Exact rationals ``numerators[i] / denominator``: Python ints over one
+    shared positive denominator, so affine maps and min-max ratios take no
+    per-value gcd.  Indexing yields a ``Fraction``, ``np.asarray(col)`` the
+    correctly rounded float64 values.  Finite by construction."""
+
+    numerators: tuple[int, ...]
+    denominator: int
+
+    @classmethod
+    def of(cls, values) -> ExactColumn:
+        """Floats, ints, numpy scalars or Fractions, exactly, over the lcm of
+        their denominators; a non-finite value raises ``ValueError``."""
+        if isinstance(values, cls):
+            return values
+        seq = values.tolist() if isinstance(values, np.ndarray) else values
+        try:  # numpy integers go through int, so no fixed-width product wraps
+            ratios = [(int(v), 1) if isinstance(v, np.integer) else v.as_integer_ratio() for v in seq]
+        except (ValueError, OverflowError) as e:  # NaN or infinity
+            raise ValueError(f"objective values must be finite: {e}") from None
+        den = math.lcm(*(d for _, d in ratios))
+        return cls(tuple(n * (den // d) for n, d in ratios), den)
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(self.numerators[i], self.denominator)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array([n / self.denominator for n in self.numerators], dtype=dtype)
+
+    def minmax(self) -> np.ndarray:
+        """(v - min) / (max - min) per value in exact integer arithmetic, one
+        correctly rounded division each."""
+        if not self.numerators:
+            raise ValueError("cannot normalize an empty vector")
+        lo = min(self.numerators)
+        span = max(self.numerators) - lo or 1  # a constant column: all zeros
+        return np.array([(x - lo) / span for x in self.numerators])
+
+
+def apply_transform(transform: ObjectiveTransform, values: Sequence) -> ExactColumn:
     """Apply ``scale * y + shift`` elementwise, exactly.
 
-    Returns an object array of exact rationals rather than rounded floats:
-    every float is an exact rational, so the transform loses no information,
-    and the min-max normalization downstream (which also computes its ratio
-    exactly) cancels the transform bit-for-bit.  Convert with
-    ``np.asarray(out, dtype=float)`` when approximate values suffice.
+    Returns an :class:`ExactColumn`, not rounded floats: every float is an
+    exact rational, so the transform loses no information, and the exact
+    min-max normalization downstream cancels it bit-for-bit.  Indexing the
+    result yields ``Fraction``s; ``np.asarray(out)`` gives rounded floats.
     """
-    an, ad = Fraction(transform.scale).as_integer_ratio()
-    bn, bd = Fraction(transform.shift).as_integer_ratio()
-    out = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        # (an/ad) * (vn/vd) + bn/bd over one common denominator: one gcd per value
-        vn, vd = exact_ratio(v)
-        out[i] = Fraction(an * vn * bd + bn * ad * vd, ad * vd * bd)
-    return out
-
-
-def exact_ratio(value) -> tuple[int, int]:
-    """``value`` as an exact (numerator, denominator) pair of Python ints.
-
-    Floats, ints and Fractions carry ``as_integer_ratio``; numpy integers do
-    not and are taken through ``int``, so no fixed-width product can wrap.
-    """
-    try:
-        if hasattr(value, "as_integer_ratio"):
-            return value.as_integer_ratio()
-        if isinstance(value, np.integer):
-            return int(value), 1
-        return Fraction(value).as_integer_ratio()
-    except (ValueError, OverflowError) as e:
-        raise ValueError(f"objective values must be finite: {value!r}") from e
+    an, ad = transform.scale.as_integer_ratio()
+    bn, bd = transform.shift.as_integer_ratio()
+    col = ExactColumn.of(values)
+    # (an/ad) * (n/den) + bn/bd over the denominator ad * bd * den: no gcd
+    p, q = an * bd, bn * ad * col.denominator
+    return ExactColumn(tuple(p * n + q for n in col.numerators), ad * bd * col.denominator)
 
 
 @dataclass(frozen=True, eq=False)

@@ -773,6 +773,26 @@ class TestCrossValidateOracle:
             assert [model.algorithms[j] for j in model.select(matrix[held])] == expected
             assert [model.predict(features[instances[r]]) for r in held] == expected
 
+    @pytest.mark.parametrize("cost_sensitive", [False, True])
+    def test_tied_neighbours_go_to_the_earlier_training_row(self, cost_sensitive):
+        # fa:0's row is copied to fb:1 and fc:2, one copy in each other iid
+        # fold, so every held-out copy has two training rows at distance 0.
+        # At k = 1 the stable sort keeps the earlier one in instance order:
+        # fb:1 (label b) for fa:0, and fa:0 (label a) for fb:1 and fc:2
+        features, records = self.corpus()
+        for inst in (("fb", "1"), ("fc", "2")):
+            features[inst] = features[("fa", "0")]
+        table = ErtTable.from_records(records)
+        report = cross_validate(
+            features, table, scheme="leave_iid_out", k=1, cost_sensitive=cost_sensitive
+        )
+        reference = reference_cross_validate(
+            records, features, "leave_iid_out", "knn", 1, cost_sensitive, None, 0
+        )
+        assert json.dumps(report, sort_keys=True) == json.dumps(reference, sort_keys=True)
+        picked = {inst: report["selections"][inst] for inst in ("fa:0", "fb:1", "fc:2")}
+        assert picked == {"fa:0": "b", "fb:1": "a", "fc:2": "a"}
+
     def test_csv_table_equals_record_table(self, tmp_path):
         _, records = self.corpus()
         path = tmp_path / "perf.csv"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,16 @@ from landsel.sampling import (
     evaluate_design,
     with_objective,
 )
-from landsel.space import Problem, SearchSpace, VariableSpec, builtin_problem
+from landsel.preprocess import preprocess_pipeline
+from landsel.space import (
+    ExactColumn,
+    ObjectiveTransform,
+    Problem,
+    SearchSpace,
+    VariableSpec,
+    apply_transform,
+    builtin_problem,
+)
 
 from conftest import unit_space
 
@@ -183,6 +194,25 @@ class TestEvaluateDesign:
         with pytest.raises(ValueError, match="one value per row"):
             with_objective(d, [0.0, 1.0])
 
+    def test_object_dtype_y_stays_exact(self):
+        d = create_initial_design(unit_space(1), n=4, seed=1)
+        y = np.array([Fraction(1, 3), Fraction(2, 3), Fraction(-1, 10**400), Fraction(1, 7)], dtype=object)
+        for out in (with_objective(d, y), Design(space=d.space, columns=dict(d.columns), y=y)):
+            assert isinstance(out.y, ExactColumn)
+            assert list(out.y) == list(y)
+            lo, hi = min(y), max(y)
+            expected = [float((v - lo) / (hi - lo)) for v in y]
+            assert preprocess_pipeline(out).objective.tolist() == expected
+
+    def test_exact_objective_is_kept_and_checked(self):
+        d = create_initial_design(unit_space(1), n=3, seed=1)
+        col = apply_transform(ObjectiveTransform(scale=3.0, shift=0.1), [0.0, 1.0, 2.0])
+        assert with_objective(d, col).y is col
+        with pytest.raises(ValueError, match="one value per row"):
+            with_objective(d, ExactColumn.of([1.0, 2.0]))
+        with pytest.raises(ValueError, match="must be finite"):
+            with_objective(d, np.array([1.0, float("nan"), 2.0], dtype=object))
+
 
 class TestCsvRoundTrip:
     def test_unevaluated_design(self, tmp_path):
@@ -244,3 +274,23 @@ class TestCsvRoundTrip:
         design_to_csv(d, path)
         back = design_from_csv(path, space=unit_space(2))
         assert back.space == d.space
+
+    # digests of the same files written when apply_transform built Fractions
+    @pytest.mark.parametrize(
+        "scale, shift, digest",
+        [
+            (0.1, 0.2, "ad3d0298d9adb4093c86b86dfc64b9f92e100310baab85ce2bf6a8ca1c5d900b"),
+            (1e-320, 0.0, "6f37ccd8f0569176eec24b77522883b63f7dc8f7bd73d8b0fa77c82d48c00796"),
+            (7.5e300, -1e6, "a90d7f5151f0442d889819b8f3cfba83bb9c22c128c6a7da7e056e43ec641d62"),
+            (1.0, 0.0, "71a4f54d3ef5704a3b2747483cec2430f8aa5771c16ee134c436e1c79c2b5fd9"),
+        ],
+    )
+    def test_rescaled_design_writes_each_value_rounded_once(self, tmp_path, scale, shift, digest):
+        p = builtin_problem("rastrigin", 2, 2)
+        d = evaluate_design(p, create_initial_design(p.space, n=12, seed=5))
+        path = tmp_path / "rescaled.csv"
+        design_to_csv(with_objective(d, apply_transform(ObjectiveTransform(scale, shift), d.y)), path)
+        a, b = Fraction(scale), Fraction(shift)
+        fields = [line.split(",")[-1] for line in path.read_text().splitlines()[1:]]
+        assert fields == [repr(float(a * Fraction(v) + b)) for v in d.y]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -29,3 +29,11 @@ def test_run_selector_benchmark_on_the_toy_corpus(capsys, scheme):
     # out closes the whole gap, leaving a function out inverts it
     gap = "1.0000" if scheme == "leave_iid_out" else "-1.0000"
     assert all(row[3] == gap for row in rows)
+
+
+def test_run_invariance_sweep_smoke(capsys):
+    main = runpy.run_path(str(ROOT / "scripts" / "run_invariance_sweep.py"))["main"]
+    assert main(["--instances", "2", "--transforms", "3", "--n", "30"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].startswith("2 instances x 3 transforms (6 feature vectors")
+    assert "invariance holds" in out

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from landsel.space import (
     BUILTIN_FUNCTIONS,
     Condition,
+    ExactColumn,
     ObjectiveTransform,
     SearchSpace,
     VariableSpec,
@@ -244,3 +245,58 @@ class TestObjectiveTransform:
         assert {i for i, v in enumerate(out) if v == lo} == set(
             np.flatnonzero(y == y.min()).tolist()
         )
+
+
+class TestExactColumn:
+    def test_empty_column(self):
+        col = ExactColumn.of([])
+        assert len(col) == 0 and col.denominator == 1
+        assert np.asarray(col).dtype == np.float64 and np.asarray(col).shape == (0,)
+        with pytest.raises(ValueError, match="empty"):
+            col.minmax()
+
+    @pytest.mark.parametrize("values", [[2.5], [2.5] * 4, [np.int64(-3)] * 3, [Fraction(1, 3)] * 2])
+    def test_constant_column_gives_zeros(self, values):
+        zeros = np.zeros(len(values)).tobytes()
+        assert ExactColumn.of(values).minmax().tobytes() == zeros
+        t = ObjectiveTransform(scale=0.1, shift=-7.3)
+        assert apply_transform(t, values).minmax().tobytes() == zeros
+
+    def test_smallest_subnormal_and_largest_magnitudes_in_one_column(self):
+        values = [5e-324, 1e308, -1e308, 0.0, -5e-324]
+        col = ExactColumn.of(values)
+        assert col.denominator == 2**1074
+        assert np.asarray(col).tobytes() == np.array(values).tobytes()
+        assert list(col) == [Fraction(v) for v in values]
+        lo, hi = Fraction(-1e308), Fraction(1e308)
+        expected = [float((Fraction(v) - lo) / (hi - lo)) for v in values]
+        assert col.minmax().tolist() == expected
+        # half the smallest subnormal is a tie that rounds to even, zero
+        halved = apply_transform(ObjectiveTransform(scale=0.5, shift=0.0), values)
+        assert np.asarray(halved).tolist() == [float(Fraction(v) / 2) for v in values]
+        assert np.asarray(halved)[0] == 0.0
+
+    def test_numpy_integers_take_no_fixed_width_product(self):
+        values = [np.int64(2**62), np.int32(-7), np.uint8(200), 3]
+        col = ExactColumn.of(values)
+        assert col.numerators == (2**62, -7, 200, 3) and col.denominator == 1
+        out = apply_transform(ObjectiveTransform(scale=4.0, shift=1.0), np.array(values[:2]))
+        assert list(out) == [2**64 + 1, -27]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("container", [list, lambda v: np.array(v, dtype=object), np.array])
+    def test_non_finite_values_rejected(self, bad, container):
+        with pytest.raises(ValueError, match="objective values must be finite"):
+            ExactColumn.of(container([1.0, bad]))
+
+    def test_floats_are_rounded_once(self):
+        rng = np.random.default_rng(3)
+        values = [
+            Fraction(int(rng.integers(-2**62, 2**62)) * 10**12, int(rng.integers(1, 2**62)))
+            for _ in range(50)
+        ]
+        values += [Fraction(1, 3), Fraction(2, 3), Fraction(-1, 10**400)]
+        col = ExactColumn.of(values)
+        assert all(type(v) is Fraction for v in col) and list(col) == values
+        assert np.asarray(col).tolist() == [float(v) for v in values]
+        assert np.asarray(col, dtype=np.float32).dtype == np.float32
