@@ -15,22 +15,20 @@ The pipeline runs in stages, each a module of its own:
   clustering, fitness-distance correlation).
 - :mod:`landsel.fitmap` — feature-free representations: 2D fitness maps,
   PCA projections, multi-channel stacks with mean reduction, kNN clouds.
-- :mod:`landsel.aas` — ERT tables, SBS/VBS baselines, selectors, and
-  leave-one-group-out evaluation with gap-closure reporting.
+- :mod:`landsel.aas` — ERT tables, SBS/VBS baselines, and
+  leave-one-group-out evaluation with gap-closure reporting; selectors are
+  fitted and scored only inside ``cross_validate``.
 - :mod:`landsel.cli` — the ``landsel`` batch command.
 """
 
 from .aas import (
     ErtTable,
     PerformanceRecord,
-    compute_ert,
     cross_validate,
     f1_macro,
     gap_closure,
-    impute_ert,
     impute_table,
     sbs,
-    train_selector,
     vbs_performance,
 )
 from .ela import ElaConfig, FeatureVector, compute_all, feature_names
@@ -64,7 +62,6 @@ __all__ = [
     "apply_transform",
     "builtin_problem",
     "compute_all",
-    "compute_ert",
     "create_initial_design",
     "cross_validate",
     "design_from_csv",
@@ -73,7 +70,6 @@ __all__ = [
     "f1_macro",
     "feature_names",
     "gap_closure",
-    "impute_ert",
     "impute_table",
     "knn_cloud",
     "minmax_unit",
@@ -82,7 +78,6 @@ __all__ = [
     "rasterize_2d",
     "reduce_mean",
     "sbs",
-    "train_selector",
     "vbs_performance",
     "__version__",
 ]

@@ -16,18 +16,19 @@ Selectors are nearest-neighbor or nearest-centroid classifiers over
 standardized landscape features; training labels are the per-instance
 ERT-minimizing algorithms (ties lexicographic).  The cost-sensitive variant
 votes with per-instance normalized ERT costs instead of labels, so instances
-where the choice barely matters barely influence the vote.  Evaluation runs
-leave-one-group-out cross-validation with folds keyed by instance id, by
-function id, or by explicit group labels; the features become one matrix,
-and each fold fits on its training rows and predicts its held-out rows of
-it, in algorithm column indices.
+where the choice barely matters barely influence the vote.  Selectors are
+fitted and scored only inside :func:`cross_validate`: leave-one-group-out
+cross-validation with folds keyed by instance id, by function id, or by
+explicit group labels; the features become one matrix, and each fold fits
+on its training rows and predicts its held-out rows of it, in algorithm
+column indices.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,32 +67,6 @@ class PerformanceRecord:
     def __post_init__(self):
         _check_run(self.evaluations, self.budget)
 
-    @property
-    def instance(self) -> InstanceKey:
-        return (self.fid, self.iid)
-
-
-def _ert(evaluations: int, successes: int) -> float:
-    return evaluations / successes if successes else math.inf
-
-
-def compute_ert(records: list[PerformanceRecord]) -> float:
-    """Sum of evaluations over runs divided by the success count; infinite
-    when no run succeeded."""
-    if not records:
-        raise ValueError("cannot compute an ERT from zero runs")
-    return _ert(sum(r.evaluations for r in records), sum(1 for r in records if r.success))
-
-
-def impute_ert(ert: float, budget: int, runs: int, penalty: float = DEFAULT_PENALTY) -> float:
-    """Replace an infinite ERT with budget * runs * penalty; finite values
-    pass through unchanged."""
-    if not penalty >= 1:
-        raise ValueError("penalty must be at least 1")
-    if math.isinf(ert):
-        return float(budget) * runs * penalty
-    return ert
-
 
 def _add_run(cells: dict, key: tuple[str, str, str], run: int, evaluations: int, success: bool,
              budget: int) -> None:
@@ -127,13 +102,6 @@ class ErtTable:
     rank: np.ndarray
 
     @classmethod
-    def from_records(cls, records: list[PerformanceRecord]) -> "ErtTable":
-        cells: dict = {}
-        for r in records:
-            _add_run(cells, (r.fid, r.iid, r.algorithm), r.run, r.evaluations, r.success, r.budget)
-        return cls._from_cells(cells)
-
-    @classmethod
     def _from_cells(cls, cells: dict) -> "ErtTable":
         if not cells:
             raise ValueError("no performance records")
@@ -146,7 +114,7 @@ class ErtTable:
         runs, budget, rank = (np.full(shape, -1, dtype=np.int64) for _ in range(3))
         for n, ((fid, iid, algorithm), (evaluations, successes, ids, top)) in enumerate(cells.items()):
             r, c = row[fid, iid], col[algorithm]
-            ert[r, c] = _ert(evaluations, successes)
+            ert[r, c] = evaluations / successes if successes else math.inf
             runs[r, c], budget[r, c], rank[r, c] = len(ids), top, n
         if len(cells) < rank.size:
             r, c = np.argwhere(rank < 0)[0]
@@ -164,7 +132,7 @@ def impute_table(table: ErtTable, penalty: float = DEFAULT_PENALTY) -> tuple[Ert
     log = []
     for r, c in infinite[np.argsort(table.rank[tuple(infinite.T)])].tolist():
         budget, runs = int(table.budget[r, c]), int(table.runs[r, c])
-        ert[r, c] = value = impute_ert(math.inf, budget, runs, penalty)
+        ert[r, c] = value = float(budget) * runs * penalty
         fid, iid = table.instances[r]
         log.append({"fid": fid, "iid": iid, "algorithm": table.algorithms[c], "imputed_ert": value,
                     "budget": budget, "runs": runs, "penalty": penalty})
@@ -200,13 +168,6 @@ def instance_labels(table: ErtTable) -> np.ndarray:
     return _finite_ert(table).argmin(axis=1)
 
 
-def feature_cost_adjust(performance: np.ndarray, design_size: int) -> np.ndarray:
-    """Charge the evaluations spent on the feature design to each instance."""
-    if design_size < 0:
-        raise ValueError("design size must be non-negative")
-    return performance + design_size
-
-
 def gap_closure(sbs_mean: float, vbs_mean: float, model_mean: float) -> float:
     """Fraction of the SBS-to-VBS gap closed: (sbs - model) / (sbs - vbs).
 
@@ -240,11 +201,9 @@ def f1_macro(confusion: np.ndarray) -> float:
 # ── selector models ──────────────────────────────────────────────────────────
 
 
-def _feature_matrix(
-    features: dict[InstanceKey, FeatureVector], instances: list[InstanceKey]
-) -> tuple[np.ndarray, list[str]]:
+def _feature_matrix(features: dict[InstanceKey, FeatureVector], instances: list[InstanceKey]) -> np.ndarray:
     """The feature matrix (NaN where missing), one row per instance of the
-    table, and its column names."""
+    table."""
     only = set(features) ^ set(instances)
     if only:
         side = "the features" if min(only) in features else "the performance table"
@@ -257,17 +216,17 @@ def _feature_matrix(
         if list(features[inst].names()) != names:
             raise ValueError(f"feature names differ for instance {inst}")
         matrix[r] = list(features[inst].values.values())  # None becomes NaN
-    return matrix, names
+    return matrix
 
 
 @dataclass
 class SelectorModel:
-    """A trained landscape-aware selector.
+    """A landscape-aware selector fitted on one cross-validation fold.
 
     Standardization parameters (training medians for imputing missing
     features, means, and standard deviations) come from the training split
     only; constant and all-missing training columns are dropped, and
-    ``columns`` keeps the indices of the others among the input ``names``.
+    ``columns`` keeps the indices of the others among the matrix columns.
     ``labels`` holds each training row's algorithm column, and ``centroids``
     one row per labelled algorithm in sorted-algorithm order.
     """
@@ -276,7 +235,6 @@ class SelectorModel:
     k: int
     cost_sensitive: bool
     algorithms: list[str]
-    names: list[str]
     columns: np.ndarray
     medians: np.ndarray
     center: np.ndarray
@@ -285,21 +243,12 @@ class SelectorModel:
     labels: np.ndarray
     cost_matrix: np.ndarray
     centroids: np.ndarray
-    imputed_cells: list[tuple[str, str, str]] = field(default_factory=list)
-
-    @property
-    def feature_names(self) -> list[str]:
-        return [self.names[c] for c in self.columns]
-
-    @property
-    def dropped_columns(self) -> list[str]:
-        return [name for c, name in enumerate(self.names) if c not in self.columns]
 
     def select(self, rows: np.ndarray) -> np.ndarray:
-        """The algorithm column chosen for each raw row (input ``names``
-        layout, NaN where missing).  Ties go to the first algorithm: the
-        first maximum vote, the first minimum cost sum, the first nearest
-        centroid."""
+        """The algorithm column chosen for each raw row (the training
+        matrix's column layout, NaN where missing).  Ties go to the first
+        algorithm: the first maximum vote, the first minimum cost sum, the
+        first nearest centroid."""
         raw = rows[:, self.columns]
         z = (np.where(np.isnan(raw), self.medians, raw) - self.center) / self.scale
         if not np.all(np.isfinite(z)):
@@ -319,12 +268,6 @@ class SelectorModel:
                 selected[r] = np.argmax(np.bincount(self.labels[near], minlength=len(self.algorithms)))
         return selected
 
-    def predict(self, fv: FeatureVector) -> str:
-        """The algorithm chosen for one feature vector; absent features count
-        as missing."""
-        row = np.array([[fv.values.get(name) for name in self.names]], dtype=float)
-        return self.algorithms[int(self.select(row)[0])]
-
 
 def _column_medians(matrix: np.ndarray) -> np.ndarray:
     """Median of each column's present (non-NaN) cells; NaN where none is
@@ -339,10 +282,16 @@ def _column_medians(matrix: np.ndarray) -> np.ndarray:
     return (ordered[(counts - 1) // 2, columns] + ordered[counts // 2, columns] + 0.0) / 2
 
 
-def _fit(matrix: np.ndarray, names: list[str], erts: np.ndarray, algorithms: list[str],
-         kind: str, k: int, cost_sensitive: bool) -> SelectorModel:
+def _fit(matrix: np.ndarray, erts: np.ndarray, algorithms: list[str], kind: str, k: int,
+         cost_sensitive: bool) -> SelectorModel:
     """Fit a selector on training rows: one instance per row of ``matrix``
-    and of ``erts``."""
+    and of the imputed ``erts``.
+
+    Per-instance regret weights are (mean ERT - min ERT) / mean ERT; the
+    cost matrix normalizes each instance's ERT row by its mean, so a
+    neighbor where all algorithms tie contributes no preference to
+    cost-sensitive votes.
+    """
     if kind not in SELECTOR_KINDS:
         raise ValueError(f"unknown selector kind {kind!r}")
     if not 1 <= k <= len(erts):
@@ -378,7 +327,6 @@ def _fit(matrix: np.ndarray, names: list[str], erts: np.ndarray, algorithms: lis
         k=k,
         cost_sensitive=cost_sensitive,
         algorithms=algorithms,
-        names=names,
         columns=columns,
         medians=medians[columns],
         center=center[columns],
@@ -388,31 +336,6 @@ def _fit(matrix: np.ndarray, names: list[str], erts: np.ndarray, algorithms: lis
         cost_matrix=cost_matrix,
         centroids=np.array(centroids),
     )
-
-
-def train_selector(
-    features: dict[InstanceKey, FeatureVector],
-    table: ErtTable,
-    kind: str = "knn",
-    k: int = 1,
-    cost_sensitive: bool = False,
-    penalty: float = DEFAULT_PENALTY,
-) -> SelectorModel:
-    """Fit a selector on aligned features and performance.
-
-    ``features`` must cover exactly the table's instances.  Infinite ERT
-    cells are imputed (recorded on the model), and the fit that serves each
-    cross-validation fold runs on all rows.
-    Per-instance regret weights are (mean ERT - min ERT) / mean ERT; the
-    cost matrix normalizes each instance's ERT row by its mean, so a
-    neighbor where all algorithms tie contributes no preference to
-    cost-sensitive votes.
-    """
-    table, log = impute_table(table, penalty)
-    matrix, names = _feature_matrix(features, table.instances)
-    model = _fit(matrix, names, table.ert, table.algorithms, kind, k, cost_sensitive)
-    model.imputed_cells = [(e["fid"], e["iid"], e["algorithm"]) for e in log]
-    return model
 
 
 # ── cross-validation ─────────────────────────────────────────────────────────
@@ -453,10 +376,14 @@ def cross_validate(
     report carries per instance selections, the confusion of predicted
     versus ERT-optimal algorithms, pooled and per-fold SBS/VBS/model means,
     the gap closure with its inputs, macro F1, and the imputation log.
+    ``feature_cost`` evaluations, spent on each instance's feature design,
+    are charged to every model selection.
     """
+    if feature_cost < 0:
+        raise ValueError("design size must be non-negative")
     imputed, log = impute_table(table, penalty)
     instances, algorithms, erts = imputed.instances, imputed.algorithms, imputed.ert
-    matrix, names = _feature_matrix(features, instances)
+    matrix = _feature_matrix(features, instances)
     folds: dict[str, list[int]] = {}
     for row, inst in enumerate(instances):
         folds.setdefault(_fold_key(scheme, inst, groups), []).append(row)
@@ -467,13 +394,13 @@ def cross_validate(
     selected = np.empty(len(instances), dtype=np.intp)
     for key in sorted(folds):
         train = np.delete(rows, folds[key])
-        model = _fit(matrix[train], names, erts[train], algorithms, kind, min(k, len(train)), cost_sensitive)
+        model = _fit(matrix[train], erts[train], algorithms, kind, min(k, len(train)), cost_sensitive)
         selected[folds[key]] = model.select(matrix[folds[key]])
 
     sbs_algorithm = sbs(imputed)
     # SBS, VBS and model columns; an axis-0 sum adds their C-ordered rows in order
     perf = np.column_stack([erts[:, algorithms.index(sbs_algorithm)], vbs_performance(imputed),
-                            feature_cost_adjust(erts[rows, selected], feature_cost)])
+                            erts[rows, selected] + feature_cost])
     labels = instance_labels(imputed)
     confusion = np.zeros((len(algorithms), len(algorithms)), dtype=int)
     np.add.at(confusion, (labels, selected), 1)

@@ -236,7 +236,10 @@ class ExactColumn:
         return Fraction(self.numerators[i], self.denominator)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array([n / self.denominator for n in self.numerators], dtype=dtype)
+        try:
+            return np.array([n / self.denominator for n in self.numerators], dtype=dtype)
+        except OverflowError:
+            raise ValueError("objective value is beyond the float64 range") from None
 
     def minmax(self) -> np.ndarray:
         """(v - min) / (max - min) per value in exact integer arithmetic, one

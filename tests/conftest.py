@@ -1,11 +1,12 @@
-"""Shared test helpers: hypothesis profile, design builders and the
-``landsel`` console script."""
+"""Shared test helpers: hypothesis profile, design and performance-table
+builders and the ``landsel`` console script."""
 
 from __future__ import annotations
 
 import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from landsel.aas import ErtTable, PerformanceRecord, read_performance_csv, write_performance_csv
 from landsel.preprocess import ProcessedDesign
 from landsel.sampling import create_initial_design, evaluate_design
 from landsel.space import Problem, SearchSpace, VariableSpec
@@ -57,6 +59,15 @@ def check_fuzzed_read(reader, tmp_path_factory, text):
     except ValueError as e:
         assert str(e).startswith(str(path)), str(e)
         return None
+
+
+def ert_table(records: list[PerformanceRecord]) -> ErtTable:
+    """The table of ``records`` as the library reads it: written with
+    ``write_performance_csv`` and parsed back by ``read_performance_csv``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "performance.csv"
+        write_performance_csv(records, path)
+        return read_performance_csv(path)
 
 
 def unit_space(width: int) -> SearchSpace:

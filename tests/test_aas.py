@@ -15,28 +15,24 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from landsel.aas import (
-    ErtTable,
     _column_medians,
+    _fit,
     FeatureVector,
     PerformanceRecord,
-    compute_ert,
     cross_validate,
     f1_macro,
-    feature_cost_adjust,
     gap_closure,
-    impute_ert,
     impute_table,
     instance_labels,
     read_features_csv,
     read_performance_csv,
     sbs,
-    train_selector,
     vbs_performance,
     write_features_csv,
     write_performance_csv,
 )
 
-from conftest import check_fuzzed_read, fuzz_files
+from conftest import check_fuzzed_read, ert_table, fuzz_files
 
 DATA = Path(__file__).parent / "data"
 
@@ -67,7 +63,12 @@ def table_from(rows):
         records.append(
             PerformanceRecord(fid, iid, algorithm, 1, int(ert), True, max(int(ert), 1000))
         )
-    return ErtTable.from_records(records)
+    return ert_table(records)
+
+
+def only_ert(records) -> float:
+    """The ERT of a table holding one (instance, algorithm) cell."""
+    return ert_table(records).ert.item()
 
 
 class TestPerformanceRecord:
@@ -79,9 +80,6 @@ class TestPerformanceRecord:
         with pytest.raises(ValueError):
             rec(evaluations=1001, budget=1000)
 
-    def test_instance_key(self):
-        assert rec(fid="sphere", iid="3").instance == ("sphere", "3")
-
 
 class TestComputeErt:
     def test_hand_example(self):
@@ -90,15 +88,11 @@ class TestComputeErt:
             rec(run=2, evaluations=200, success=False),
             rec(run=3, evaluations=300, success=True),
         ]
-        assert compute_ert(runs) == 300.0
+        assert only_ert(runs) == 300.0
 
     def test_no_success_is_infinite(self):
         runs = [rec(run=1, success=False), rec(run=2, success=False)]
-        assert compute_ert(runs) == math.inf
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compute_ert([])
+        assert only_ert(runs) == math.inf
 
     @given(
         st.lists(
@@ -117,7 +111,7 @@ class TestComputeErt:
             if any(s for _, s in runs)
             else math.inf
         )
-        assert compute_ert(records) == expected
+        assert only_ert(records) == expected
 
     @given(
         st.lists(
@@ -134,19 +128,23 @@ class TestComputeErt:
         ]
         shuffled = list(records)
         rnd.shuffle(shuffled)
-        assert compute_ert(records) == compute_ert(shuffled)
+        assert only_ert(records) == only_ert(shuffled)
 
 
 class TestImputation:
     def test_infinite_becomes_penalized_budget(self):
-        assert impute_ert(math.inf, budget=1000, runs=20, penalty=10.0) == 200000.0
+        table = ert_table([rec(run=run, success=False) for run in range(20)])
+        assert impute_table(table, penalty=10.0)[0].ert.tolist() == [[200000.0]]
 
     def test_finite_passes_through(self):
-        assert impute_ert(123.5, budget=1000, runs=20) == 123.5
+        # (100 + 147) / 2 successes: 123.5
+        table = ert_table([rec(run=1, evaluations=100), rec(run=2, evaluations=147)])
+        imputed, log = impute_table(table)
+        assert imputed.ert.tolist() == [[123.5]] and log == []
 
     def test_penalty_floor(self):
-        with pytest.raises(ValueError):
-            impute_ert(math.inf, budget=10, runs=1, penalty=0.5)
+        with pytest.raises(ValueError, match="penalty"):
+            impute_table(ert_table([rec(budget=10, evaluations=10, success=False)]), penalty=0.5)
 
     def test_impute_table_logs_each_cell(self):
         records = [
@@ -154,7 +152,7 @@ class TestImputation:
             rec(fid="f", iid="0", algorithm="b", run=1, evaluations=1000, success=False),
             rec(fid="f", iid="0", algorithm="b", run=2, evaluations=1000, success=False),
         ]
-        table = ErtTable.from_records(records)
+        table = ert_table(records)
         imputed, log = impute_table(table, penalty=10.0)
         assert cell(imputed, "f", "0", "a") == 50.0
         assert cell(imputed, "f", "0", "b") == 20000.0
@@ -179,7 +177,7 @@ class TestImputation:
             rec(fid=fid, algorithm=algorithm, evaluations=10, success=False, budget=budget)
             for fid, algorithm, budget in cells
         ]
-        imputed, log = impute_table(ErtTable.from_records(records))
+        imputed, log = impute_table(ert_table(records))
         assert [(e["fid"], e["algorithm"], e["budget"]) for e in log] == cells
         assert imputed.ert.tolist() == [[2000.0, 4000.0], [3000.0, 1000.0]]
         assert all(type(e["budget"]) is int and type(e["runs"]) is int for e in log)
@@ -195,14 +193,14 @@ class TestImputation:
 class TestErtTable:
     def test_duplicate_run_rejected(self):
         with pytest.raises(ValueError, match="duplicate run"):
-            ErtTable.from_records([rec(run=1), rec(run=1)])
+            ert_table([rec(run=1), rec(run=1)])
 
     def test_budget_is_max_over_runs(self):
         records = [
             rec(run=1, evaluations=10, budget=500),
             rec(run=2, evaluations=10, budget=2000),
         ]
-        table = ErtTable.from_records(records)
+        table = ert_table(records)
         assert table.budget.tolist() == [[2000]]
         assert table.runs.tolist() == [[2]]
 
@@ -224,9 +222,9 @@ class TestErtTable:
             rec(iid="0", algorithm="a", run=3, evaluations=300, success=True, budget=600),
             rec(iid="0", algorithm="b", run=1, evaluations=50, success=False, budget=50),
         ]
-        table = ErtTable.from_records(records)
+        table = ert_table(records)
         assert table.ert.tolist() == [[300.0, math.inf]]
-        assert table.ert[0, 0] == compute_ert(records[:3])
+        assert table.ert[0, 0] == (100 + 200 + 300) / 2
         assert table.runs.tolist() == [[3, 1]]
         assert table.budget.tolist() == [[700, 50]]
         assert table.ert.dtype == np.float64 and table.runs.dtype == table.budget.dtype == np.int64
@@ -234,23 +232,24 @@ class TestErtTable:
     def test_require_complete(self):
         # completeness is checked when the table is built; the first gap in
         # sorted instance-then-algorithm order is named
-        with pytest.raises(ValueError, match=exactly("table is missing 'b' on ('f', '1')")):
+        # the message follows the path of the file the table was read from
+        with pytest.raises(ValueError, match=re.escape(": table is missing 'b' on ('f', '1')") + "$"):
             table_from([("f", "0", "a", 10), ("f", "1", "a", 10), ("f", "0", "b", 10)])
 
     def test_require_finite(self):
-        table = ErtTable.from_records([rec(success=False)])
+        table = ert_table([rec(success=False)])
         for baseline in (sbs, vbs_performance, instance_labels):
             with pytest.raises(ValueError, match=r"infinite ERT at \('f', '0', 'a'\); impute"):
                 baseline(table)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no performance records"):
-            ErtTable.from_records([])
+            ert_table([])
 
     def test_budget_must_fit_in_64_bits(self):
-        ErtTable.from_records([rec(budget=2**63 - 1)])
+        ert_table([rec(budget=2**63 - 1)])
         with pytest.raises(ValueError, match="does not fit in 64 bits"):
-            ErtTable.from_records([rec(budget=2**63)])
+            ert_table([rec(budget=2**63)])
 
 
 class TestBaselines:
@@ -287,13 +286,6 @@ class TestBaselines:
             [("f", "0", "b", 100), ("f", "0", "a", 100), ("f", "1", "a", 300), ("f", "1", "b", 100)]
         )
         assert [table.algorithms[j] for j in instance_labels(table)] == ["a", "b"]
-
-    def test_feature_cost_adjust(self):
-        perf = np.array([100.0, 300.0])
-        assert feature_cost_adjust(perf, 50).tolist() == [150.0, 350.0]
-        assert perf.tolist() == [100.0, 300.0]
-        with pytest.raises(ValueError):
-            feature_cost_adjust(perf, -1)
 
 
 class TestGapClosure:
@@ -353,6 +345,24 @@ class TestF1Macro:
             f1_macro(np.zeros((2, 2)))
 
 
+def matrix_of(features, instances) -> np.ndarray:
+    """One row per instance in the given order, columns in the first
+    vector's name order, NaN where a feature is missing."""
+    names = list(features[instances[0]].values)
+    return np.array([[features[inst].values.get(name) for name in names] for inst in instances], dtype=float)
+
+
+def fit(features, table, kind="knn", k=1, cost_sensitive=False):
+    """A selector fitted by ``_fit`` on every instance of the table."""
+    imputed = impute_table(table)[0]
+    return _fit(matrix_of(features, imputed.instances), imputed.ert, imputed.algorithms, kind, k, cost_sensitive)
+
+
+def pick(model, *values) -> str:
+    """The algorithm the model selects for one row of raw feature values."""
+    return model.algorithms[model.select(np.array([values], dtype=float))[0]]
+
+
 class TestTrainSelector:
     def cluster_setup(self):
         # two well-separated clusters in one informative feature; g decides
@@ -369,36 +379,33 @@ class TestTrainSelector:
 
     def test_training_instance_predicts_its_own_label(self):
         features, table = self.cluster_setup()
-        model = train_selector(features, table, k=1)
-        for inst, vector in features.items():
-            expected = "a" if inst[0] == "f" else "b"
-            assert model.predict(vector) == expected
+        model = fit(features, table, k=1)
+        selected = model.select(matrix_of(features, table.instances))
+        assert [model.algorithms[j] for j in selected] == ["a"] * 4 + ["b"] * 4
 
     def test_constant_column_dropped_and_recorded(self):
+        # columns g, noise, flat
         features, table = self.cluster_setup()
-        model = train_selector(features, table, k=1)
-        assert "flat" in model.dropped_columns
-        assert "flat" not in model.feature_names
+        assert fit(features, table, k=1).columns.tolist() == [0, 1]
 
     def test_all_missing_column_dropped_without_warning(self):
         features, table = self.cluster_setup()
         features = {key: fv(**vector.values, empty=None) for key, vector in features.items()}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = train_selector(features, table, k=1)
-        assert "empty" in model.dropped_columns
+            model = fit(features, table, k=1)
+        assert model.columns.tolist() == [0, 1]
 
     def test_missing_feature_filled_with_training_median(self):
         features, table = self.cluster_setup()
         features[("f", "0")] = fv(g=None, noise=0.0, flat=1.0)
-        model = train_selector(features, table, k=1)
-        g_col = model.feature_names.index("g")
+        model = fit(features, table, k=1)
+        g_col = model.columns.tolist().index(0)
         # median over the remaining finite g values
         finite = [0.11, 0.12, 0.13, 0.8, 0.81, 0.82, 0.83]
         assert model.medians[g_col] == np.median(finite)
-        # a fresh vector with g missing is imputed the same way
-        probe = fv(g=None, noise=1.0, flat=1.0)
-        assert model.predict(probe) in ("a", "b")
+        # a fresh row with g missing is imputed the same way
+        assert pick(model, None, 1.0, 1.0) in ("a", "b")
 
     @pytest.mark.parametrize("rows", [1, 2, 7, 40, 650])
     def test_column_medians_match_nanmedian_bits(self, rows):
@@ -420,13 +427,13 @@ class TestTrainSelector:
         features, table = self.cluster_setup()
         del features[("g", "3")]
         with pytest.raises(ValueError, match="align"):
-            train_selector(features, table)
+            cross_validate(features, table)
 
     def test_misalignment_names_the_instance_and_its_side(self):
         features, table = self.cluster_setup()
         del features[("g", "3")]
         with pytest.raises(ValueError, match=r"\('g', '3'\) is only in the performance table"):
-            train_selector(features, table)
+            cross_validate(features, table)
         features[("g", "3")] = features[("g", "2")]
         features[("e", "0")] = features[("g", "2")]
         with pytest.raises(ValueError, match=r"\('e', '0'\) is only in the features"):
@@ -435,21 +442,21 @@ class TestTrainSelector:
     def test_k_bounds(self):
         features, table = self.cluster_setup()
         with pytest.raises(ValueError):
-            train_selector(features, table, k=0)
+            fit(features, table, k=0)
         with pytest.raises(ValueError):
-            train_selector(features, table, k=9)
+            fit(features, table, k=9)
 
     def test_all_columns_degenerate_rejected(self):
         features = {("f", "0"): fv(flat=1.0), ("f", "1"): fv(flat=1.0)}
         table = table_from([("f", "0", "a", 10), ("f", "0", "b", 20),
                             ("f", "1", "a", 10), ("f", "1", "b", 20)])
         with pytest.raises(ValueError, match="constant or missing"):
-            train_selector(features, table, k=1)
+            fit(features, table, k=1)
 
     def test_unknown_kind(self):
         features, table = self.cluster_setup()
         with pytest.raises(ValueError, match="selector kind"):
-            train_selector(features, table, kind="random_forest")
+            fit(features, table, kind="random_forest")
 
     def test_cost_sensitive_tie_prefers_first_algorithm(self):
         # both algorithms cost the same on every training instance, so the
@@ -462,31 +469,20 @@ class TestTrainSelector:
         table = table_from(
             [("f", str(i), a, 100) for i in range(3) for a in ("a", "b")]
         )
-        model = train_selector(features, table, k=3, cost_sensitive=True)
-        assert model.predict(fv(g=0.5)) == "a"
+        model = fit(features, table, k=3, cost_sensitive=True)
+        assert pick(model, 0.5) == "a"
 
     def test_cost_sensitive_picks_cheaper_algorithm(self):
         features, table = self.cluster_setup()
-        model = train_selector(features, table, k=1, cost_sensitive=True)
-        assert model.predict(fv(g=0.1, noise=0.0, flat=1.0)) == "a"
-        assert model.predict(fv(g=0.83, noise=0.0, flat=1.0)) == "b"
+        model = fit(features, table, k=1, cost_sensitive=True)
+        assert pick(model, 0.1, 0.0, 1.0) == "a"
+        assert pick(model, 0.83, 0.0, 1.0) == "b"
 
     def test_nearest_centroid(self):
         features, table = self.cluster_setup()
-        model = train_selector(features, table, kind="nearest_centroid")
-        assert model.predict(fv(g=0.05, noise=2.0, flat=1.0)) == "a"
-        assert model.predict(fv(g=0.95, noise=2.0, flat=1.0)) == "b"
-
-    def test_infinite_cells_imputed_and_recorded(self):
-        features = {("f", "0"): fv(g=0.1), ("f", "1"): fv(g=0.9)}
-        records = [
-            rec(fid="f", iid="0", algorithm="a", run=1, evaluations=50, success=True),
-            rec(fid="f", iid="0", algorithm="b", run=1, evaluations=1000, success=False),
-            rec(fid="f", iid="1", algorithm="a", run=1, evaluations=60, success=True),
-            rec(fid="f", iid="1", algorithm="b", run=1, evaluations=70, success=True),
-        ]
-        model = train_selector(features, ErtTable.from_records(records), k=1)
-        assert model.imputed_cells == [("f", "0", "b")]
+        model = fit(features, table, kind="nearest_centroid")
+        assert pick(model, 0.05, 2.0, 1.0) == "a"
+        assert pick(model, 0.95, 2.0, 1.0) == "b"
 
 
 class TestCrossValidate:
@@ -523,6 +519,12 @@ class TestCrossValidate:
         assert set(report["selections"]) == {f"{f}:{i}" for f in ("fa", "fb") for i in "0123"}
         assert report["true_labels"]["fa:0"] == "alg_a"
         assert report["true_labels"]["fb:0"] == "alg_b"
+
+    def test_negative_feature_cost_rejected_before_any_fold(self):
+        # the check comes first: the misaligned features are never reached
+        _, table = self.toy()
+        with pytest.raises(ValueError, match="design size must be non-negative"):
+            cross_validate({}, table, k=1, feature_cost=-1)
 
     def test_feature_cost_shifts_model_mean(self):
         features, table = self.toy()
@@ -566,12 +568,12 @@ class TestCrossValidate:
                     budget = int(10 ** rng.integers(2, 9))
                     records.append(rec("f" if iid % 2 else "g", str(iid), algorithm, run,
                                        int(rng.integers(1, budget + 1)), run != 2 or iid % 3 == 0, budget))
-        table = ErtTable.from_records(records)
+        table = ert_table(records)
         report = cross_validate(features, table, k=1)
         runs = {}
         for r in records:
             runs.setdefault((r.fid, r.iid, r.algorithm), []).append(r)
-        erts = {key: compute_ert(cell_runs) for key, cell_runs in runs.items()}
+        erts = {key: direct_ert(cell_runs) for key, cell_runs in runs.items()}
         column = [erts[(*inst, report["pooled"]["sbs_algorithm"])] for inst in table.instances]
         assert report["pooled"]["sbs_mean"] == sum(column) / len(column)
         assert float(np.sum(column)) != sum(column)  # the case a pairwise sum gets wrong
@@ -605,14 +607,23 @@ class TestCrossValidate:
         assert report["selector"]["k"] == 4
 
 
-def reference_predict(model, vector) -> str:
+def direct_ert(runs) -> float:
+    """sum(evaluations) / #successes over one cell's runs; infinite when no
+    run succeeded."""
+    successes = sum(1 for r in runs if r.success)
+    return sum(r.evaluations for r in runs) / successes if successes else math.inf
+
+
+def reference_predict(model, names, vector) -> str:
     """The name-keyed per-vector rule that SelectorModel.select replaced:
-    missing features take the training median by name, neighbours come from
-    a stable argsort of the distances, knn votes count names and break ties
-    with the smallest name, centroids are keyed by (distance, name), and
-    cost-sensitive votes take the first minimum of the summed costs."""
+    missing features take the training median by name (``names`` is the
+    training matrix's column layout), neighbours come from a stable argsort
+    of the distances, knn votes count names and break ties with the smallest
+    name, centroids are keyed by (distance, name), and cost-sensitive votes
+    take the first minimum of the summed costs."""
+    kept = [names[c] for c in model.columns]
     raw = np.array([model.medians[c] if vector.values.get(name) is None else vector.values[name]
-                    for c, name in enumerate(model.feature_names)])
+                    for c, name in enumerate(kept)])
     z = (raw - model.center) / model.scale
     labels = [model.algorithms[j] for j in model.labels]
     if model.kind == "nearest_centroid":
@@ -632,18 +643,18 @@ def reference_predict(model, vector) -> str:
 def reference_cross_validate(records, features, scheme, kind, k, cost_sensitive, groups, feature_cost):
     """The per-fold loop cross_validate replaced, over plain dicts: ERTs,
     imputation, baselines and labels come from loops over the records, and
-    each sorted fold fits train_selector on a table built from its training
-    records alone, then predicts its held-out instances one by one with
-    reference_predict."""
+    each sorted fold fits ``_fit`` on a matrix and ERT array built from its
+    training instances alone, then predicts its held-out instances one by
+    one with reference_predict."""
     runs = {}
     for r in records:
         runs.setdefault((r.fid, r.iid, r.algorithm), []).append(r)
     ert, log = {}, []
     for (fid, iid, algorithm), cell_runs in runs.items():
-        value = compute_ert(cell_runs)
+        value = direct_ert(cell_runs)
         if math.isinf(value):
             budget = max(r.budget for r in cell_runs)
-            value = impute_ert(value, budget, len(cell_runs))
+            value = float(budget) * len(cell_runs) * 10.0
             log.append({"fid": fid, "iid": iid, "algorithm": algorithm, "imputed_ert": value,
                         "budget": budget, "runs": len(cell_runs), "penalty": 10.0})
         ert[(fid, iid), algorithm] = value
@@ -658,13 +669,12 @@ def reference_cross_validate(records, features, scheme, kind, k, cost_sensitive,
     selections = {}
     for key in sorted(folds):
         train = [inst for inst in instances if inst not in folds[key]]
-        train_records = [r for r in records if (r.fid, r.iid) in train]
-        model = train_selector(
-            {inst: features[inst] for inst in train}, ErtTable.from_records(train_records),
-            kind=kind, k=min(k, len(train)), cost_sensitive=cost_sensitive,
-        )
+        names = list(features[train[0]].values)
+        matrix = np.array([[features[inst].values[name] for name in names] for inst in train], dtype=float)
+        erts = np.array([[ert[inst, a] for a in algorithms] for inst in train])
+        model = _fit(matrix, erts, algorithms, kind, min(k, len(train)), cost_sensitive)
         for inst in folds[key]:
-            selections[inst] = reference_predict(model, features[inst])
+            selections[inst] = reference_predict(model, names, features[inst])
 
     sbs_algorithm, best = None, math.inf
     for algorithm in algorithms:
@@ -738,7 +748,7 @@ class TestCrossValidateOracle:
     @pytest.mark.parametrize("cost_sensitive", [False, True])
     def test_report_equals_per_fold_refit(self, scheme, kind, k, cost_sensitive):
         features, records = self.corpus()
-        table = ErtTable.from_records(records)
+        table = ert_table(records)
         groups = {inst: f"g{int(inst[1]) % 3}" for inst in table.instances}
         feature_cost = 100 if cost_sensitive else 0
         report = cross_validate(
@@ -759,19 +769,16 @@ class TestCrossValidateOracle:
         # held-out rows of one matrix (NaN where missing) as the name-keyed
         # rule picks their feature vectors; k = 2 ties votes in some folds
         features, records = self.corpus()
-        instances = sorted(features)
-        matrix = np.array([list(features[inst].values.values()) for inst in instances], dtype=float)
+        imputed = impute_table(ert_table(records))[0]
+        instances = imputed.instances
+        names = list(features[instances[0]].values)
+        matrix = matrix_of(features, instances)
         for iid in sorted({inst[1] for inst in instances}):
             held = [r for r, inst in enumerate(instances) if inst[1] == iid]
-            train = [inst for inst in instances if inst[1] != iid]
-            model = train_selector(
-                {inst: features[inst] for inst in train},
-                ErtTable.from_records([r for r in records if r.iid != iid]),
-                kind=kind, k=k, cost_sensitive=cost_sensitive,
-            )
-            expected = [reference_predict(model, features[instances[r]]) for r in held]
+            train = [r for r, inst in enumerate(instances) if inst[1] != iid]
+            model = _fit(matrix[train], imputed.ert[train], imputed.algorithms, kind, k, cost_sensitive)
+            expected = [reference_predict(model, names, features[instances[r]]) for r in held]
             assert [model.algorithms[j] for j in model.select(matrix[held])] == expected
-            assert [model.predict(features[instances[r]]) for r in held] == expected
 
     @pytest.mark.parametrize("cost_sensitive", [False, True])
     def test_tied_neighbours_go_to_the_earlier_training_row(self, cost_sensitive):
@@ -782,7 +789,7 @@ class TestCrossValidateOracle:
         features, records = self.corpus()
         for inst in (("fb", "1"), ("fc", "2")):
             features[inst] = features[("fa", "0")]
-        table = ErtTable.from_records(records)
+        table = ert_table(records)
         report = cross_validate(
             features, table, scheme="leave_iid_out", k=1, cost_sensitive=cost_sensitive
         )
@@ -793,25 +800,16 @@ class TestCrossValidateOracle:
         picked = {inst: report["selections"][inst] for inst in ("fa:0", "fb:1", "fc:2")}
         assert picked == {"fa:0": "b", "fb:1": "a", "fc:2": "a"}
 
-    def test_csv_table_equals_record_table(self, tmp_path):
-        _, records = self.corpus()
-        path = tmp_path / "perf.csv"
-        write_performance_csv(records, path)
-        read, built = read_performance_csv(path), ErtTable.from_records(records)
-        assert read.instances == built.instances and read.algorithms == built.algorithms
-        for name in ("ert", "runs", "budget", "rank"):
-            assert np.array_equal(getattr(read, name), getattr(built, name))
-
     def test_corpus_has_the_edge_cases(self):
         features, records = self.corpus()
-        table = ErtTable.from_records(records)
+        table = ert_table(records)
         imputed, log = impute_table(table)
         # the log follows the input, where fb:2 comes after fa:3
         assert [(e["fid"], e["iid"], e["algorithm"]) for e in log] == [("fa", "3", "a"), ("fb", "2", "c")]
         assert cell(imputed, "fa", "1", "a") == cell(imputed, "fa", "1", "b")
         assert imputed.algorithms[instance_labels(imputed)[imputed.instances.index(("fa", "1"))]] == "a"
-        model = train_selector(features, table)
-        assert model.dropped_columns == ["empty", "flat"]
+        # columns g, h, empty, flat: the last two are dropped
+        assert fit(features, table).columns.tolist() == [0, 1]
         assert any(vector["h"] is None for vector in features.values())
 
 
@@ -826,11 +824,9 @@ class TestPerformanceCsv:
         out = tmp_path / "perf.csv"
         write_performance_csv(records, out)
         assert out.read_text() == (DATA / "toy_performance.csv").read_text()
-        table, built = read_performance_csv(out), ErtTable.from_records(records)
-        assert table.instances == built.instances == [(f, str(i)) for f in ("fa", "fb") for i in range(4)]
-        assert table.algorithms == built.algorithms == ["alg_a", "alg_b"]
-        for name in ("ert", "runs", "budget", "rank"):
-            assert np.array_equal(getattr(table, name), getattr(built, name))
+        table = read_performance_csv(out)
+        assert table.instances == [(f, str(i)) for f in ("fa", "fb") for i in range(4)]
+        assert table.algorithms == ["alg_a", "alg_b"]
         assert table.ert[:, 0].tolist() == [100.0] * 4 + [900.0] * 4
         assert table.runs.tolist() == [[2, 2]] * 8
 

@@ -22,9 +22,9 @@ from landsel.aas import (
     ErtTable,
     FeatureVector,
     PerformanceRecord,
-    compute_ert,
     cross_validate,
     gap_closure,
+    read_performance_csv,
     write_performance_csv,
 )
 from landsel.ela import compute_all, ela_meta, information_content, nearest_better_clustering
@@ -40,7 +40,7 @@ from landsel.space import (
     builtin_problem,
 )
 
-from conftest import make_processed
+from conftest import ert_table, make_processed
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -130,12 +130,14 @@ def test_criterion_02_gap_closure_reference_percentages():
 # ── 3: expected running time against the direct definition ───────────────────
 
 
-def test_criterion_03_ert_matches_brute_force_definition():
-    """1000 randomized run-sets: compute_ert must equal sum(evaluations) /
-    #successes exactly, and be +inf exactly when no run succeeded."""
+def test_criterion_03_ert_matches_brute_force_definition(tmp_path):
+    """1000 randomized run-sets, one instance each of a single performance
+    CSV: the ERT that read_performance_csv puts in each cell must equal
+    sum(evaluations) / #successes exactly, and be +inf exactly when no run
+    succeeded."""
     rng = np.random.default_rng(5150)
     cases = 1000
-    mismatches = infinity_mismatches = all_failed = 0
+    run_sets = []
     for case in range(cases):
         runs = int(rng.integers(1, 21))
         budget = int(rng.integers(50, 5001))
@@ -145,7 +147,7 @@ def test_criterion_03_ert_matches_brute_force_definition():
             records.append(
                 PerformanceRecord(
                     fid="f",
-                    iid="0",
+                    iid=str(case),
                     algorithm="a",
                     run=r,
                     evaluations=int(rng.integers(1, budget + 1)),
@@ -153,10 +155,17 @@ def test_criterion_03_ert_matches_brute_force_definition():
                     budget=budget,
                 )
             )
+        run_sets.append(records)
+    path = tmp_path / "performance.csv"
+    write_performance_csv([rec for records in run_sets for rec in records], path)
+    table = read_performance_csv(path)
+    row = {inst: r for r, inst in enumerate(table.instances)}
+    mismatches = infinity_mismatches = all_failed = 0
+    for case, records in enumerate(run_sets):
         successes = sum(1 for rec in records if rec.success)
         total = sum(rec.evaluations for rec in records)
         expected = math.inf if successes == 0 else total / successes
-        got = compute_ert(records)
+        got = float(table.ert[row["f", str(case)], 0])
         if got != expected:
             mismatches += 1
         if math.isinf(got) != (successes == 0):
@@ -383,7 +392,7 @@ def _synthetic_portfolio() -> tuple[dict, ErtTable]:
                         budget=2000,
                     )
                 )
-    return features, ErtTable.from_records(records)
+    return features, ert_table(records)
 
 
 def test_criterion_09_selector_closes_gap_iff_features_inform():

@@ -294,3 +294,14 @@ class TestCsvRoundTrip:
         fields = [line.split(",")[-1] for line in path.read_text().splitlines()[1:]]
         assert fields == [repr(float(a * Fraction(v) + b)) for v in d.y]
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_objective_beyond_float64_range_refused_before_writing(self, tmp_path):
+        # the exact column holds 1e305 * y with y up to about 1e7, which no
+        # float64 can hold; the refusal is a ValueError and no file is left
+        p = builtin_problem("ellipsoid", 0, 2)
+        d = evaluate_design(p, create_initial_design(p.space, n=20, seed=0))
+        huge = with_objective(d, apply_transform(ObjectiveTransform(1e305, 0.0), d.y))
+        path = tmp_path / "huge.csv"
+        with pytest.raises(ValueError, match="beyond the float64 range"):
+            design_to_csv(huge, path)
+        assert list(tmp_path.iterdir()) == []

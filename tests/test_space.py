@@ -276,6 +276,14 @@ class TestExactColumn:
         assert np.asarray(halved).tolist() == [float(Fraction(v) / 2) for v in values]
         assert np.asarray(halved)[0] == 0.0
 
+    def test_beyond_float64_range_is_a_value_error(self):
+        largest = float(np.finfo(np.float64).max)
+        assert np.asarray(ExactColumn.of([largest, -largest])).tolist() == [largest, -largest]
+        doubled = apply_transform(ObjectiveTransform(scale=2.0, shift=0.0), [largest, 1.0])
+        assert doubled[0] == 2 * Fraction(largest)  # still exact, only not a float
+        with pytest.raises(ValueError, match="beyond the float64 range"):
+            np.asarray(doubled)
+
     def test_numpy_integers_take_no_fixed_width_product(self):
         values = [np.int64(2**62), np.int32(-7), np.uint8(200), 3]
         col = ExactColumn.of(values)
