@@ -476,12 +476,15 @@ def read_performance_csv(path: str | Path) -> ErtTable:
 
 
 def write_performance_csv(records: list[PerformanceRecord], path: str | Path) -> None:
-    lines = [",".join(PERFORMANCE_HEADER)]
-    for r in records:
-        lines.append(
-            f"{r.fid},{r.iid},{r.algorithm},{r.run},{r.evaluations},{1 if r.success else 0},{r.budget}"
+    """Write runs in the layout ``read_performance_csv`` reads; cells that
+    hold a comma, a quote or a line break are quoted, all others written
+    as they are."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(PERFORMANCE_HEADER)
+        writer.writerows(
+            (r.fid, r.iid, r.algorithm, r.run, r.evaluations, 1 if r.success else 0, r.budget) for r in records
         )
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_features_csv(path: str | Path) -> dict[InstanceKey, FeatureVector]:
@@ -521,14 +524,14 @@ def read_features_csv(path: str | Path) -> dict[InstanceKey, FeatureVector]:
 
 
 def write_features_csv(features: dict[InstanceKey, FeatureVector], path: str | Path) -> None:
+    """Write a batch feature table in the layout ``read_features_csv``
+    reads, quoting cells as ``write_performance_csv`` does; missing features
+    are empty cells."""
     keys = sorted(features)
     names = list(features[keys[0]].names())
-    lines = [",".join(["fid", "iid"] + names)]
-    for key in keys:
-        fv = features[key]
-        cells = [key[0], key[1]]
-        for name in names:
-            v = fv[name]
-            cells.append("" if v is None else repr(float(v)))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["fid", "iid", *names])
+        for key in keys:
+            values = [features[key][name] for name in names]
+            writer.writerow([*key, *("" if v is None else repr(float(v)) for v in values)])

@@ -24,7 +24,8 @@ and scaling of the raw objective:
 
 Dispersion, the information-content tour and nearest-better clustering all
 read the design's one shared distance matrix, ``ProcessedDesign.distances``,
-which is computed on first use and then reused (also by ``fitmap.knn_cloud``).
+which is computed on first use and then reused (also by ``fitmap.knn_cloud``);
+each reads it by rows or row blocks and builds no second n-by-n array.
 
 Missing values never appear as NaN or infinity: a feature that is undefined on
 the given sample is reported as an explicit missing entry with a reason code.
@@ -247,22 +248,27 @@ def fit_least_squares(Z: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
 _COLLAPSE_TOL = 1e-10
 
 
-def _prefix_residuals(Wt: np.ndarray, y: np.ndarray, prefixes: list[int]) -> list[float]:
-    """Residual sum of squares of ``y`` regressed on the first k columns of
-    W, for each k in ``prefixes``, from one Householder QR of ``[W, y]``.
+def _prefix_residuals(M: np.ndarray, prefixes: list[int]) -> list[float]:
+    """Residual sum of squares of y regressed on the first k columns of W,
+    for each k in ``prefixes``, from one Householder QR of ``[W, y]``.
 
-    ``Wt`` is W transposed, one row per column, so that ``[W, y]`` is built
-    column-major, the layout LAPACK works in.  Row k of R's last column is
-    y's component along the k-th orthogonalised column, so the residual of
-    the first k columns is ``sum(R[k:, -1]**2)``.  Collapsed columns (see
-    ``_COLLAPSE_TOL``) are dropped and the kept ones factored once more;
-    dropping a spanned column can only enlarge the later pivots, so that
-    pass collapses nothing.  Requires more rows than columns.
+    ``M`` is ``[W, y]`` transposed, one row per column with y last, so that
+    ``M.T`` is column-major, the layout LAPACK works in.  Row k of R's last
+    column is y's component along the k-th orthogonalised column, so the
+    residual of the first k columns is ``sum(R[k:, -1]**2)``.  Collapsed
+    columns (see ``_COLLAPSE_TOL``) are dropped and the kept ones factored
+    once more; dropping a spanned column can only enlarge the later pivots,
+    so that pass collapses nothing.  The kept rows are moved to the front of
+    ``M`` in place, which therefore holds no copy of the design.  Requires
+    more rows than columns.
     """
-    R = np.linalg.qr(np.vstack([Wt, y]).T, mode="r")
-    kept = np.abs(np.diagonal(R)[:-1]) > _COLLAPSE_TOL * np.linalg.norm(Wt, axis=1)
+    R = np.linalg.qr(M.T, mode="r")
+    kept = np.abs(np.diagonal(R)[:-1]) > _COLLAPSE_TOL * np.linalg.norm(M[:-1], axis=1)
     if not kept.all():
-        R = np.linalg.qr(np.vstack([Wt[kept], y]).T, mode="r")
+        rows = np.append(np.flatnonzero(kept), len(kept))  # y stays last
+        for dst, src in enumerate(rows.tolist()):  # dst <= src: nothing is overwritten before it is read
+            M[dst] = M[src]
+        R = np.linalg.qr(M[: rows.size].T, mode="r")
     kept_before = np.concatenate(([0], np.cumsum(kept)))
     return [float(np.sum(R[kept_before[k]:, -1] ** 2)) for k in prefixes]
 
@@ -285,6 +291,10 @@ def ela_meta(pd) -> _Emitter:
     collapsed columns dropped (``_prefix_residuals``).  Each adjusted R^2
     counts every column of its design in p, dependent or not, and a fit
     with n <= p + 1 is missing.
+
+    Memory: that design and y are written into one (p + 2)-by-n buffer,
+    cut to the widest fit, and the QR reads it in place; the fits allocate
+    no n-by-n array.
     """
     out = _Emitter()
     X = pd.matrix
@@ -298,10 +308,20 @@ def ela_meta(pd) -> _Emitter:
     widths = [p for p in (d + pairs, 2 * d + pairs) if n > p + 1]
     interact_r2 = [None, None]
     if widths:
-        Xt = X.T.copy()  # contiguous variables: fast products, column-major W
-        products = [Xt[i] * Xt[i + 1 :] for i in range(d - 1)]
-        Wt = np.concatenate([np.ones((1, n)), Xt, *products, Xt**2])[: widths[-1] + 1]
-        ssrs = _prefix_residuals(Wt, y, [p + 1 for p in widths])
+        # rows 1, X, the products x_i * x_j (i < j, lexicographic), X**2, y;
+        # contiguous rows make M.T the column-major [W, y]
+        M = np.empty((widths[-1] + 2, n))
+        M[0] = 1.0
+        Xt = M[1 : d + 1]
+        Xt[:] = X.T
+        row = d + 1
+        for i in range(d - 1):
+            np.multiply(Xt[i], Xt[i + 1 :], out=M[row : row + d - 1 - i])
+            row += d - 1 - i
+        if len(widths) == 2:
+            np.multiply(Xt, Xt, out=M[row : row + d])
+        M[-1] = y
+        ssrs = _prefix_residuals(M, [p + 1 for p in widths])
         sst = float(np.sum((y - float(y.mean())) ** 2))
         for i, (p, ssr) in enumerate(zip(widths, ssrs)):
             interact_r2[i] = _adjusted_r2(0.0 if sst == 0.0 else 1.0 - ssr / sst, n, p)
@@ -428,7 +448,7 @@ def dispersion(pd, cfg: ElaConfig | None = None) -> _Emitter:
     dm = pd.distances
     full = dm[_upper_triangle(n)]
     full_mean = float(full.mean())
-    full_median = float(np.median(full))
+    full_median = float(np.median(full, overwrite_input=True))  # reorders full, after its mean
     order = np.argsort(y, kind="stable")
     for q in cfg.dispersion_quantiles:
         names = _quantile_names(q)
@@ -466,20 +486,30 @@ def _canonical_order(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def _greedy_tour(dm: np.ndarray, seed: int) -> np.ndarray:
-    """Seeded random-start nearest-neighbor tour visiting every point once;
-    distance ties go to the lowest row index.  ``dm`` is a writable distance
-    matrix that the tour consumes."""
-    n = dm.shape[0]
+def _greedy_tour(dm: np.ndarray, canon: np.ndarray, seed: int) -> np.ndarray:
+    """Seeded random-start nearest-neighbor tour visiting every point once,
+    over the points in the order ``canon`` and in positions of that order;
+    distance ties go to the lowest position.
+
+    Memory: each step reads one row of the distance matrix ``dm`` through
+    ``canon`` and adds a penalty that is infinity at visited points and 0.0
+    elsewhere (which leaves every distance unchanged), so the tour reads
+    ``dm`` row by row and allocates no second n-by-n array.
+    """
+    n = canon.size
     rng = np.random.default_rng(seed)
     start = int(rng.integers(n))
     order = np.empty(n, dtype=int)
     order[0] = current = start
-    dm[:, start] = np.inf  # a visited point is never nearest
+    penalty = np.zeros(n)
+    penalty[start] = np.inf  # a visited point is never nearest
+    rows = canon.tolist()
     for step in range(1, n):
-        current = int(dm[current].argmin())
+        row = dm[rows[current]].take(canon)
+        row += penalty
+        current = int(row.argmin())
         order[step] = current
-        dm[:, current] = np.inf
+        penalty[current] = np.inf
     return order
 
 
@@ -593,7 +623,7 @@ def information_content(pd, cfg: ElaConfig | None = None, seed: int = 0) -> _Emi
     if n < 3:
         out.put_all_missing(_IC_NAMES, "insufficient_sample")
         return out
-    tour = _greedy_tour(pd.distances[np.ix_(canon, canon)], seed)
+    tour = _greedy_tour(pd.distances, canon, seed)
     steps = np.diff(X[tour], axis=0)
     lengths = np.sqrt((steps**2).sum(axis=1))
     dy = np.diff(y[tour])
@@ -676,13 +706,36 @@ _NBC_NAMES = (
 )
 
 
+def _nearest_better(pd, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's distance to its nearest other point, its distance to the
+    nearest point of lower ``rank``, and that point's index (ties to the
+    lowest index).  The sample best (rank 0) has no better point: infinity
+    and index 0.
+
+    Memory: reads ``pd.distances`` in row blocks (``distance_blocks``) and
+    allocates no second n-by-n array.
+    """
+    n = pd.n
+    dnn = np.empty(n)
+    dnb = np.empty(n)
+    nb_target = np.empty(n, dtype=np.intp)
+    for i0, block in pd.distance_blocks():
+        rows = slice(i0, i0 + len(block))
+        block.min(axis=1, out=dnn[rows])
+        block[rank >= rank[rows, None]] = np.inf  # keep the better points only
+        block.min(axis=1, out=dnb[rows])
+        block.argmin(axis=1, out=nb_target[rows])
+    return dnn, dnb, nb_target
+
+
 def nearest_better_clustering(pd) -> _Emitter:
     """Nearest-neighbor versus nearest-better distance structure.
 
     "Better" is strict on the objective with ties broken by row index, so
     every point except the sample best has a non-empty better set.  The sample
     best is excluded from the ratio statistics; the in-degree correlation uses
-    all points.  Distances come from the shared matrix ``pd.distances``.
+    all points.  Distances come from the shared matrix ``pd.distances``, read
+    in row blocks (``_nearest_better``): no second n-by-n array is allocated.
     """
     out = _Emitter()
     y = pd.objective
@@ -693,17 +746,10 @@ def nearest_better_clustering(pd) -> _Emitter:
     if float(y.min()) == float(y.max()):
         out.put_all_missing(_NBC_NAMES, "constant_objective")
         return out
-    dm = pd.distances.copy()
-    np.fill_diagonal(dm, np.inf)
-    dnn = dm.min(axis=1)
-
     order = np.argsort(y, kind="stable")
     rank = np.empty(n, dtype=int)
     rank[order] = np.arange(n)
-    better = rank[None, :] < rank[:, None]
-    masked = np.where(better, dm, np.inf)
-    dnb = masked.min(axis=1)
-    nb_target = masked.argmin(axis=1)
+    dnn, dnb, nb_target = _nearest_better(pd, rank)
 
     nonbest = rank > 0
     dnn_nb = dnn[nonbest]

@@ -279,43 +279,54 @@ def knn_cloud(pd: ProcessedDesign, k: int) -> FitnessCloud:
     """The k nearest neighbors of every sample point.
 
     Neighbors are ordered by distance, ties broken by row index; the point
-    itself is excluded.  Requires 1 <= k < n.  Distances are read from the
-    shared matrix ``pd.distances``.
+    itself is excluded.  Requires 1 <= k < n.  Memory: distances are read
+    from the shared matrix ``pd.distances`` in row blocks
+    (``distance_blocks``), and no second n-by-n array is allocated.
     """
     n = pd.n
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n (k={k}, n={n})")
-    dm = pd.distances
-    # a row's distance to itself is exactly 0, its minimum, so the entry at
-    # index k of the partitioned row is the k-th smallest distance to another
-    # point; every row's k nearest lie among the other entries <= it, and a
-    # stable sort of just those gives argsort(kind="stable")[:k]
-    kth = np.partition(dm, k, axis=1)[:, k]
     neighbors = np.empty((n, k), dtype=np.intp)
-    for i, row in enumerate(dm):
-        candidates = np.flatnonzero(row <= kth[i])
-        candidates = candidates[candidates != i]
-        neighbors[i] = candidates[np.argsort(row[candidates], kind="stable")[:k]]
+    distances = np.empty((n, k))
+    for i0, block in pd.distance_blocks():  # a row's own entry is inf, never a neighbor
+        # any k smallest entries of a row, sorted by index, then stably by
+        # distance; that is argsort(kind="stable")[:k] unless entries tied
+        # with the k-th distance were left out, and such rows are redone
+        nearest = np.sort(np.argpartition(block, k - 1, axis=1)[:, :k], axis=1)
+        by_distance = np.argsort(np.take_along_axis(block, nearest, axis=1), axis=1, kind="stable")
+        nearest = np.take_along_axis(nearest, by_distance, axis=1)
+        kth = np.take_along_axis(block, nearest[:, -1:], axis=1)
+        for r in np.flatnonzero(np.count_nonzero(block <= kth, axis=1) > k).tolist():
+            candidates = np.flatnonzero(block[r] <= kth[r])
+            nearest[r] = candidates[np.argsort(block[r, candidates], kind="stable")[:k]]
+        rows = slice(i0, i0 + len(block))
+        neighbors[rows] = nearest
+        distances[rows] = np.take_along_axis(block, nearest, axis=1)
     return FitnessCloud(
         points=np.column_stack([pd.matrix, pd.objective]),
         neighbors=neighbors,
-        distances=np.take_along_axis(dm, neighbors, axis=1),
+        distances=distances,
     )
 
 
 def cloud_to_csv(cloud: FitnessCloud, path: str | Path) -> None:
     """Write a cloud as CSV, one row per point: x0..x{D'-1},y, then
-    n<m>_x*,n<m>_y per neighbor, nearest first."""
+    n<m>_x*,n<m>_y per neighbor, nearest first.
+
+    Memory: rows are written one at a time through one open file; only each
+    point's formatted cells are kept, one string per point.
+    """
     width = cloud.points.shape[1] - 1
-    n, k = cloud.neighbors.shape
+    k = cloud.neighbors.shape[1]
     header = [f"x{j}" for j in range(width)] + ["y"]
     for m in range(1, k + 1):
         header += [f"n{m}_x{j}" for j in range(width)] + [f"n{m}_y"]
     # each point is formatted once and reused in every row that lists it
     cells = [",".join(map(repr, row)) for row in cloud.points.tolist()]
-    rows = np.column_stack([np.arange(n), cloud.neighbors]).tolist()
-    lines = [",".join(header)] + [",".join([cells[j] for j in row]) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for i, row in enumerate(cloud.neighbors.tolist()):
+            fh.write(",".join([cells[i], *[cells[j] for j in row]]) + "\n")
 
 
 # ── PGM export ───────────────────────────────────────────────────────────────

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,8 +36,9 @@ from .space import ExactColumn, SearchSpace
 
 ENCODINGS = ("none", "one_hot", "target")
 
-# Elements per temporary block of pairwise_distances: small enough to stay in
-# cache, large enough that per-call overhead is negligible.
+# Elements per temporary block of pairwise_distances and of the row blocks
+# that readers of the matrix walk (ProcessedDesign.distance_blocks): small
+# enough to stay in cache, large enough that per-call overhead is negligible.
 _DISTANCE_BLOCK = 1 << 15
 # Largest float64 distance matrix a design may allocate: 1 GiB, that is at
 # most 11,585 rows.  A (40, 2000) design needs 32 MB.
@@ -112,6 +114,20 @@ class ProcessedDesign:
         dm = pairwise_distances(self.matrix)
         dm.setflags(write=False)
         return dm
+
+    def distance_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``distances`` as ``(i0, block)`` pairs of consecutive rows from
+        row i0 on, each block a writable copy of about ``_DISTANCE_BLOCK``
+        elements whose entries on the diagonal (a row's distance to itself)
+        are infinity.  Readers that walk these blocks need no second n-by-n
+        array."""
+        dm = self.distances
+        n = self.n
+        step = max(1, _DISTANCE_BLOCK // n)
+        for i0 in range(0, n, step):
+            block = dm[i0 : i0 + step].copy()
+            block.reshape(-1)[i0 :: n + 1] = np.inf
+            yield i0, block
 
     @property
     def width(self) -> int:

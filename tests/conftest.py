@@ -7,6 +7,7 @@ import os
 import shutil
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,35 @@ def make_processed(X, y, encoding: str = "none") -> ProcessedDesign:
         space=unit_space(X.shape[1]),
         provenance={"stages": ["handmade"]},
     )
+
+
+def tied_lattice() -> ProcessedDesign:
+    """The 350 points of a 14 x 25 lattice, each listed twice: 700 rows,
+    which ``distance_blocks`` splits into 16 row blocks.  Rows tie in their
+    distances (a duplicate at 0, lattice neighbours at equal steps) and in
+    their objective, which takes eight levels."""
+    X = np.array([(a / 13, b / 24) for a in range(14) for b in range(25)] * 2)
+    return make_processed(X, np.round(3.5 * X.sum(axis=1)) / 7)
+
+
+@pytest.fixture(scope="module")
+def built_distances() -> ProcessedDesign:
+    """A (20, 1200) design whose 11.5 MB distance matrix is already built,
+    so that tracing a stage counts only what the stage allocates."""
+    rng = np.random.default_rng(41)
+    pd = make_processed(rng.random((1200, 20)), rng.random(1200))
+    pd.distances
+    return pd
+
+
+def traced_peak(fn):
+    """The result of ``fn()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="class")

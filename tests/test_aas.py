@@ -830,6 +830,20 @@ class TestPerformanceCsv:
         assert table.ert[:, 0].tolist() == [100.0] * 4 + [900.0] * 4
         assert table.runs.tolist() == [[2, 2]] * 8
 
+    def test_round_trip_quotes_commas_quotes_and_newlines(self):
+        instances = [("f,1", "0"), ('"f"', "i,2"), ("f\nline", '"3"')]
+        algorithms = ["a,b", '"q"', "l\nm"]
+        records = [
+            rec(fid, iid, algorithm, evaluations=10 * (r + 1) + c, budget=100)
+            for r, (fid, iid) in enumerate(instances) for c, algorithm in enumerate(algorithms)
+        ]
+        table = ert_table(records)
+        assert table.instances == sorted(instances)
+        assert table.algorithms == sorted(algorithms)
+        for r, (fid, iid) in enumerate(instances):
+            for c, algorithm in enumerate(algorithms):
+                assert cell(table, fid, iid, algorithm) == 10 * (r + 1) + c
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ValueError, match="not found"):
             read_performance_csv(tmp_path / "none.csv")
@@ -961,6 +975,17 @@ class TestFeaturesCsv:
         assert back[("f", "0")]["b"] is None
         assert back[("f", "0")].reasons["b"] == "missing_in_file"
         assert back[("f", "1")]["b"] == 0.25
+
+    def test_round_trip_quotes_commas_quotes_and_newlines(self, tmp_path):
+        features = {("f,1", "0"): fv(a=1.5, b=None), ('"f"', "i,2"): fv(a=2.5, b=0.25),
+                    ("f\nline", '"3"'): fv(a=-1.0, b=4.0)}
+        path = tmp_path / "features.csv"
+        write_features_csv(features, path)
+        back = read_features_csv(path)
+        assert list(back) == sorted(features)
+        assert {key: vector.values for key, vector in back.items()} == {
+            key: vector.values for key, vector in features.items()
+        }
 
     def test_duplicate_instance_rejected(self, tmp_path):
         p = tmp_path / "dup.csv"

@@ -16,6 +16,8 @@ from landsel.ela import (
     ElaConfig,
     _canonical_order,
     _entropy_from_counts,
+    _greedy_tour,
+    _nearest_better,
     _pair_counts,
     compute_all,
     dispersion,
@@ -32,7 +34,7 @@ from landsel.preprocess import preprocess_pipeline
 from landsel.sampling import create_initial_design, evaluate_design
 from landsel.space import BUILTIN_FUNCTIONS, builtin_problem
 
-from conftest import make_processed
+from conftest import make_processed, tied_lattice, traced_peak
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -241,6 +243,19 @@ class TestInteractionFitsMatchLstsq:
         values = ela_meta(pd).values
         without = lstsq_interaction_r2(make_processed(np.column_stack([x, x[:, 0]]), y))
         assert abs(values["ela_meta.quad_w_interact.adj_r2"] - without[1]) > 1e-9
+
+    def test_rank_cut_side_is_pinned(self):
+        # x3 is x0 moved by at most 1e-5: the pivot of x3**2 sits at about
+        # 1.6e-11 of its norm, under _COLLAPSE_TOL, so that column is
+        # dropped; any change to how the fit's columns are built or factored
+        # that moves it across the cut changes these bits
+        rng = np.random.default_rng(22)
+        x = rng.random((80, 3))
+        X = np.column_stack([x, (1 - 1e-5) * x[:, 0] + 1e-5 * rng.random(80)])
+        y = np.sin(5.0 * X[:, 3]) + x[:, 1]
+        values = ela_meta(make_processed(X, (y - y.min()) / (y.max() - y.min()))).values
+        assert values["ela_meta.lin_w_interact.adj_r2"].hex() == "0x1.d40e360bfae36p-1"
+        assert values["ela_meta.quad_w_interact.adj_r2"].hex() == "0x1.ddc2bd72b9c68p-1"
 
     def test_constant_objective(self):
         X = np.random.default_rng(23).random((30, 3))
@@ -462,6 +477,13 @@ class TestInformationContent:
             for name, expected in derived.items():
                 assert out.values[name] == expected, (seed, name)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tour_on_tied_lattice_equals_oracle(self, seed):
+        pd = tied_lattice()
+        canon = _canonical_order(pd.matrix, pd.objective)
+        tour = _greedy_tour(pd.distances, canon, seed)
+        assert tour.tolist() == oracle_tour(pd.matrix[canon], seed).tolist()
+
     def test_incremental_scan_equals_brute_force(self):
         rng = np.random.default_rng(21)
         X = rng.random((40, 2))
@@ -523,7 +545,30 @@ class TestInformationContent:
         assert out.reasons["ic.m0"] == "insufficient_sample"
 
 
+def reference_nearest_better(pd):
+    """The full-matrix formulation that ``_nearest_better`` replaced: the
+    ranks, then dnn, dnb and nb_target from one masked n-by-n copy."""
+    dm = pd.distances.copy()
+    np.fill_diagonal(dm, np.inf)
+    order = np.argsort(pd.objective, kind="stable")
+    rank = np.empty(pd.n, dtype=int)
+    rank[order] = np.arange(pd.n)
+    masked = np.where(rank[None, :] < rank[:, None], dm, np.inf)
+    return rank, dm.min(axis=1), masked.min(axis=1), masked.argmin(axis=1)
+
+
 class TestNearestBetterClustering:
+    @pytest.mark.parametrize("build", [
+        tied_lattice,
+        lambda: make_processed(np.random.default_rng(33).random((300, 3)), np.random.default_rng(34).random(300)),
+        lambda: builtin_processed("rastrigin", 10, 500, seed=4, repeats=60),
+    ], ids=["tied_lattice", "random", "repeated_rastrigin"])
+    def test_row_blocks_equal_full_matrix_reference(self, build):
+        pd = build()
+        rank, dnn, dnb, nb_target = reference_nearest_better(pd)
+        got = _nearest_better(pd, rank)
+        assert [a.tobytes() for a in got] == [dnn.tobytes(), dnb.tobytes(), nb_target.astype(np.intp).tobytes()]
+
     def test_equispaced_line(self):
         X = np.array([0.0, 0.25, 0.5, 0.75])
         y = np.array([0.0, 1 / 3, 2 / 3, 1.0])
@@ -573,6 +618,26 @@ class TestNearestBetterClustering:
         out = nearest_better_clustering(make_processed(X, y))
         assert out.values["nbc.dist_ratio.coeff_var"] is None
         assert out.reasons["nbc.dist_ratio.coeff_var"] == "duplicate_points"
+
+
+class TestDistanceReadersMemory:
+    """Peak traced bytes of each feature set that reads the shared distance
+    matrix, as a share of the matrix: none may build a second one."""
+
+    @pytest.mark.parametrize(("stage", "share"), [
+        (information_content, 0.25),
+        (nearest_better_clustering, 0.25),
+        (dispersion, 0.8),  # the condensed upper triangle is half the matrix
+    ], ids=["ic", "nbc", "disp"])
+    def test_peak_below_share_of_matrix(self, built_distances, stage, share):
+        _, peak = traced_peak(lambda: stage(built_distances))
+        assert peak < share * built_distances.distances.nbytes
+
+    def test_interaction_fit_holds_one_design_buffer(self, built_distances):
+        n, d = built_distances.matrix.shape
+        design_bytes = (2 * d + d * (d - 1) // 2 + 2) * n * 8  # [1, X, products, X**2, y]
+        _, peak = traced_peak(lambda: ela_meta(built_distances))
+        assert peak < 3 * design_bytes
 
 
 class TestFitnessDistanceCorrelation:

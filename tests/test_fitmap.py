@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from landsel.preprocess import preprocess_pipeline
 from landsel.sampling import create_initial_design, evaluate_design
 from landsel.space import BUILTIN_FUNCTIONS, builtin_problem
 
-from conftest import evaluate_design_on_mixed, make_processed
+from conftest import evaluate_design_on_mixed, make_processed, tied_lattice, traced_peak
 
 
 def grid_map(values, resolution=None):
@@ -246,16 +245,6 @@ class TestPointBackedStack:
             channels[6]
 
 
-def traced_peak(fn):
-    """The result of ``fn()`` and the peak bytes traced while it ran."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestStackMemory:
     def test_largest_reduction_builds_no_stack(self):
         # the dense 780-channel 224 x 224 stack alone would take 313 MB
@@ -393,17 +382,19 @@ class TestKnnCloud:
         assert d.shape == (20, 5)
         assert np.all(d[:, 1:] >= d[:, :-1])
 
-    def test_neighbor_order_equals_full_stable_argsort(self):
-        pd = doubled_lattice()
+    @pytest.mark.parametrize("build", [doubled_lattice, tied_lattice], ids=["doubled_lattice", "tied_lattice"])
+    def test_neighbor_order_equals_full_stable_argsort(self, build):
+        # duplicates and equal lattice steps tie many rows at their k-th
+        # distance; the 700 rows of tied_lattice span 16 row blocks
+        pd = build()
         dm = cdist(pd.matrix, pd.matrix)
         np.fill_diagonal(dm, np.inf)
-        for k in (1, 3, 8, pd.n - 1):
+        order = np.argsort(dm, axis=1, kind="stable")
+        for k in sorted({1, 2, 3, 5, 8, 9, pd.n // 2, pd.n - 1}):
             cloud = knn_cloud(pd, k=k)
             assert cloud.neighbors.dtype == np.intp
-            for i in range(pd.n):
-                expected = np.argsort(dm[i], kind="stable")[:k]
-                assert cloud.neighbors[i].tolist() == expected.tolist(), (k, i)
-                assert cloud.distances[i].tobytes() == dm[i][expected].tobytes()
+            assert np.array_equal(cloud.neighbors, order[:, :k]), k
+            assert cloud.distances.tobytes() == np.take_along_axis(dm, order[:, :k], axis=1).tobytes()
 
     def test_k_bounds(self):
         pd = make_processed(np.linspace(0, 1, 4), np.linspace(0, 1, 4))
@@ -446,6 +437,21 @@ class TestCloudCsvMatchesPerRecordWriter:
         assert pd.width == 5
         for k in (1, 8, pd.n - 1):
             self.assert_same_bytes(pd, k, tmp_path)
+
+
+class TestCloudMemory:
+    """Neither the cloud nor its writer may build an n-by-n array next to
+    the shared distance matrix."""
+
+    def test_knn_cloud(self, built_distances):
+        cloud, peak = traced_peak(lambda: knn_cloud(built_distances, 8))
+        assert cloud.neighbors.shape == (1200, 8)
+        assert peak < built_distances.distances.nbytes / 4
+
+    def test_cloud_to_csv(self, built_distances, tmp_path):
+        cloud = knn_cloud(built_distances, 8)
+        _, peak = traced_peak(lambda: cloud_to_csv(cloud, tmp_path / "cloud.csv"))
+        assert peak < built_distances.distances.nbytes / 4
 
 
 class TestPgmExport:

@@ -374,6 +374,17 @@ class TestPairwiseDistances:
         pd = preprocess_pipeline(evaluate_design_on_mixed(3), encoding="one_hot")
         self.assert_matches_scipy(pd.matrix)
 
+    # 300 rows: blocks of 109 rows, the last one short
+    @pytest.mark.parametrize(("n", "block"), [(1, 1 << 15), (300, 1 << 15), (7, 1), (7, 20)])
+    def test_distance_blocks_tile_the_matrix_with_an_infinite_diagonal(self, monkeypatch, n, block):
+        monkeypatch.setattr(preprocess, "_DISTANCE_BLOCK", block)
+        pd = make_processed(np.random.default_rng(n).random((n, 2)), np.zeros(n))
+        expected = pd.distances.copy()
+        np.fill_diagonal(expected, np.inf)
+        blocks = list(pd.distance_blocks())
+        assert [i0 for i0, _ in blocks] == list(range(0, n, max(1, block // n)))
+        assert np.concatenate([b for _, b in blocks]).tobytes() == expected.tobytes()
+
     def test_oversized_matrix_refused_before_allocation(self, monkeypatch):
         # 20000 rows would need a 3052 MiB matrix; the design itself is 160 kB
         pd = make_processed(np.linspace(0.0, 1.0, 20_000), np.linspace(0.0, 1.0, 20_000))

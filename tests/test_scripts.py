@@ -37,3 +37,16 @@ def test_run_invariance_sweep_smoke(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("2 instances x 3 transforms (6 feature vectors")
     assert "invariance holds" in out
+
+
+def test_stage_memory_smoke(capsys):
+    main = runpy.run_path(str(ROOT / "scripts" / "stage_memory.py"))["main"]
+    assert main(["--fid", "sphere", "--d", "3", "--n", "60"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("sphere d=3 n=60 seed=0: distance matrix")
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == [
+        "design", "ela_meta", "ela_distr", "dispersion", "information_content", "nearest_better_clustering",
+        "fitness_distance_correlation", "knn_cloud", "cloud_to_csv", "rmc", "pca_func",
+    ]
+    assert all(float(row[1]) > 0.0 and float(row[2]) >= 0.0 for row in rows)
