@@ -41,6 +41,7 @@ both neighbors.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -513,47 +514,6 @@ def _greedy_tour(dm: np.ndarray, canon: np.ndarray, seed: int) -> np.ndarray:
     return order
 
 
-class _RunCounter:
-    """Number of maximal equal-value blocks in a sign sequence under element
-    deletion, maintained via a doubly linked list in O(1) per deletion."""
-
-    def __init__(self, signs: list[int], alive: list[bool]):
-        self.sign = signs
-        self.left = {}
-        self.right = {}
-        prev = None
-        runs = 0
-        last_sign = None
-        for i, sign in enumerate(signs):
-            if not alive[i]:
-                continue
-            self.left[i] = prev
-            if prev is not None:
-                self.right[prev] = i
-            prev = i
-            if last_sign is None or sign != last_sign:
-                runs += 1
-            last_sign = sign
-        if prev is not None:
-            self.right[prev] = None
-        self.runs = runs
-
-    def remove(self, i: int) -> None:
-        l = self.left.pop(i)
-        r = self.right.pop(i)
-        if l is not None:
-            self.right[l] = r
-        if r is not None:
-            self.left[r] = l
-        x = self.sign[i]
-        left_same = l is not None and self.sign[l] == x
-        right_same = r is not None and self.sign[r] == x
-        if not left_same and not right_same:
-            self.runs -= 1
-            if l is not None and r is not None and self.sign[l] == self.sign[r]:
-                self.runs -= 1
-
-
 _PAIR_LOG_BASE = math.log(6.0)
 
 
@@ -580,6 +540,45 @@ def _entropy_from_counts(counts: list[list[int]], total: int) -> float:
             if a != b:
                 h -= terms[counts[a][b]]
     return h
+
+
+def _deletion_states(phi: np.ndarray, events: list[int], n: int) -> tuple[list[float], list[float]]:
+    """H and M of the symbol string sign(phi) before any deletion, then after
+    each deletion in ``events`` (distinct indices of nonzero slopes).
+
+    A deletion turns one symbol into 0, which moves the pair counts of its two
+    neighbouring pairs.  The surviving nonzero slopes stay in one sorted list;
+    deleting one drops a run when its sign differs from both surviving
+    neighbours, and one more when those neighbours exist and agree.
+    """
+    symbols = np.sign(phi).astype(int).tolist()
+    last = len(symbols) - 1  # also the number of consecutive pairs
+    counts = _pair_counts(symbols)
+    alive = [i for i, sign in enumerate(symbols) if sign]
+    signs = [symbols[i] for i in alive]
+    runs = sum(a != b for a, b in zip([0] + signs, signs))
+    h_states = [_entropy_from_counts(counts, last)]
+    m_states = [runs / (n - 1)]
+    for i in events:
+        old = symbols[i]
+        if i > 0:
+            counts[symbols[i - 1] + 1][old + 1] -= 1
+            counts[symbols[i - 1] + 1][1] += 1
+        if i < last:
+            counts[old + 1][symbols[i + 1] + 1] -= 1
+            counts[1][symbols[i + 1] + 1] += 1
+        symbols[i] = 0
+        k = bisect.bisect_left(alive, i)
+        del alive[k]
+        left = symbols[alive[k - 1]] if k > 0 else 0
+        right = symbols[alive[k]] if k < len(alive) else 0
+        if left != old and right != old:
+            runs -= 1
+            if left and left == right:
+                runs -= 1
+        h_states.append(_entropy_from_counts(counts, last))
+        m_states.append(runs / (n - 1))
+    return h_states, m_states
 
 
 _IC_NAMES = ("ic.h.max", "ic.eps.s", "ic.eps.max", "ic.eps.ratio", "ic.m0")
@@ -609,58 +608,32 @@ def information_content(pd, cfg: ElaConfig | None = None, seed: int = 0) -> _Emi
 
     H and M change only when a slope turns into a zero symbol, so the scan
     runs over these deletion events rather than over the grid: slopes are
-    deleted in order of |phi|, with pair counts and run counts updated in
-    O(1) per deletion, and H and M are recorded once per event.  Each grid
-    level then reads the state after deleting every slope with |phi| <= eps.
-    The tour walks the shared matrix ``pd.distances`` in canonical order.
+    deleted in order of |phi| (:func:`_deletion_states`), and H and M are
+    recorded once per event.  Each grid level then reads the state after
+    deleting every slope with |phi| <= eps.  The tour walks the shared
+    matrix ``pd.distances`` in canonical order.
     """
     cfg = cfg or ElaConfig()
     out = _Emitter()
-    canon = _canonical_order(pd.matrix, pd.objective)
-    X = pd.matrix[canon]
-    y = pd.objective[canon]
-    n = X.shape[0]
+    n = pd.n
     if n < 3:
         out.put_all_missing(_IC_NAMES, "insufficient_sample")
         return out
-    tour = _greedy_tour(pd.distances, canon, seed)
-    steps = np.diff(X[tour], axis=0)
+    canon = _canonical_order(pd.matrix, pd.objective)
+    path = canon[_greedy_tour(pd.distances, canon, seed)]
+    steps = np.diff(pd.matrix[path], axis=0)
     lengths = np.sqrt((steps**2).sum(axis=1))
-    dy = np.diff(y[tour])
+    dy = np.diff(pd.objective[path])
     keep = lengths > 0.0
     if not np.any(keep):
         out.put_all_missing(_IC_NAMES, "duplicate_points")
         return out
     phi = dy[keep] / lengths[keep]
-    m = phi.size
     mags = np.abs(phi)
-    nonzero = mags > 0.0
-    signs = np.sign(phi).astype(int).tolist()
-
-    # symbol state at epsilon zero: sign(phi), which is zero where phi == 0
-    symbols = signs.copy()
-    pair_total = m - 1
-    counts = _pair_counts(symbols)
-    runs = _RunCounter(signs, nonzero.tolist())
-
-    # deletion events sorted by |phi| ascending, ties in index order; state k
-    # is the symbol string after the first k deletions
+    # deletion events sorted by |phi| ascending, ties in index order
     events = np.argsort(mags, kind="stable")
-    events = events[nonzero[events]]
-    h_states = [_entropy_from_counts(counts, pair_total)]
-    m_states = [runs.runs / (n - 1)]
-    for i in events.tolist():
-        old = symbols[i]
-        if i > 0:
-            counts[symbols[i - 1] + 1][old + 1] -= 1
-            counts[symbols[i - 1] + 1][1] += 1
-        if i < m - 1:
-            counts[old + 1][symbols[i + 1] + 1] -= 1
-            counts[1][symbols[i + 1] + 1] += 1
-        symbols[i] = 0
-        runs.remove(i)
-        h_states.append(_entropy_from_counts(counts, pair_total))
-        m_states.append(runs.runs / (n - 1))
+    events = events[mags[events] > 0.0]
+    h_states, m_states = _deletion_states(phi, events.tolist(), n)
 
     # level eps has deleted exactly the events with |phi| <= eps
     grid = _scan_levels(cfg.epsilon_grid)

@@ -22,6 +22,7 @@ tolerance.
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import math
@@ -178,46 +179,33 @@ def _missing_cells(col: np.ndarray, kind: str) -> np.ndarray:
 def _activity_mask(design: Design) -> np.ndarray:
     """Row-by-variable activity: unconditioned variables are always active; a
     conditioned variable is active where its parent is active and takes an
-    activating value.  Evaluated in dependency order (the graph is acyclic)."""
+    activating value.  Filled in the space's ``resolution_order``, so every
+    parent's column is final before its children read it."""
     space = design.space
-    n = design.n
-    mask = np.ones((n, space.dimension), dtype=bool)
-    resolved: dict[str, np.ndarray] = {}
-
-    def resolve(name: str) -> np.ndarray:
-        if name in resolved:
-            return resolved[name]
-        v = space[name]
-        if v.condition is None:
-            active = np.ones(n, dtype=bool)
-        else:
-            parent_active = resolve(v.condition.parent)
-            parent_col = design.columns[v.condition.parent]
-            hits = np.array([cell in v.condition.values for cell in parent_col], dtype=bool)
-            active = parent_active & hits
-        resolved[name] = active
-        return active
-
-    for j, name in enumerate(space.names):
-        mask[:, j] = resolve(name)
+    index = {name: j for j, name in enumerate(space.names)}
+    mask = np.ones((design.n, space.dimension), dtype=bool)
+    for j in space.resolution_order:
+        cond = space.variables[j].condition
+        if cond is not None:
+            hits = [cell in cond.values for cell in design.columns[cond.parent]]
+            mask[:, j] = mask[:, index[cond.parent]] & hits
     return mask
 
 
-def relax_hierarchy(design: Design) -> Design:
-    """Fill hierarchically inactive cells so every variable is fully populated.
+def relax_hierarchy(design: Design) -> dict[str, np.ndarray]:
+    """The design's columns with hierarchically inactive cells filled, so
+    every variable is fully populated.
 
     Missing inactive cells are imputed with the variable's midpoint (integer
     midpoints round ties toward the lower value) or first category; a missing
-    cell for an *active* variable is an error.  The activity mask is kept in
-    the design meta under ``active_mask`` (row-major, variable order).  A
-    design without conditions and without missing cells passes through
-    unchanged.
+    cell for an *active* variable is an error.  A design without conditions
+    and without missing cells returns its own ``columns`` unchanged.
     """
     space = design.space
     has_conditions = any(v.condition is not None for v in space.variables)
     missing = {v.name: _missing_cells(design.columns[v.name], v.kind) for v in space.variables}
     if not has_conditions and not any(m.any() for m in missing.values()):
-        return design
+        return design.columns
     mask = _activity_mask(design)
     columns: dict[str, np.ndarray] = {}
     for j, v in enumerate(space.variables):
@@ -233,9 +221,7 @@ def relax_hierarchy(design: Design) -> Design:
         else:
             col[gaps] = (v.lower + v.upper) / 2
         columns[v.name] = col
-    meta = dict(design.meta)
-    meta["active_mask"] = mask
-    return Design(space=space, columns=columns, y=design.y, meta=meta)
+    return columns
 
 
 # ── the pipeline ─────────────────────────────────────────────────────────────
@@ -279,7 +265,7 @@ def preprocess_pipeline(
     cols: list[np.ndarray] = []
     column_map: dict[str, tuple[int, ...]] = {}
     for v in design.space.variables:
-        raw = relaxed.columns[v.name]
+        raw = relaxed[v.name]
         start = len(cols)
         if v.kind != "categorical":
             names.append(v.name)
@@ -337,14 +323,14 @@ def preprocess_pipeline(
 
 
 def processed_to_csv(pd: ProcessedDesign, path: str | Path) -> None:
-    """Write the processed matrix plus objective as CSV with a provenance sidecar."""
+    """Write the processed matrix plus objective as CSV with a provenance
+    sidecar; a column name that needs quoting is quoted."""
     path = Path(path)
-    lines = [",".join(list(pd.column_names) + ["y"])]
-    for i in range(pd.n):
-        cells = [repr(float(x)) for x in pd.matrix[i]]
-        cells.append(repr(float(pd.objective[i])))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*pd.column_names, "y"])
+        for row, y in zip(pd.matrix.tolist(), pd.objective.tolist()):
+            writer.writerow([*map(repr, row), repr(y)])
     sidecar = path.with_name(path.stem + ".provenance.json")
     doc = {
         "provenance": pd.provenance,

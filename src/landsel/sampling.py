@@ -262,25 +262,25 @@ def _sidecar_path(path: str | Path) -> Path:
 def design_to_csv(design: Design, path: str | Path) -> None:
     """Write the design as CSV plus a JSON sidecar.
 
-    Header is ``x.<name>`` per variable plus ``y``; categorical cells are
-    quoted labels; a missing objective is an empty field.  The sidecar
-    (``<stem>.meta.json``) carries the sampling meta and the space document so
-    the file round-trips without external context.
+    Header is ``x.<name>`` per variable plus ``y``, quoted where a name needs
+    it; categorical cells are quoted labels; a missing objective is an empty
+    field.  The sidecar (``<stem>.meta.json``) carries the sampling meta and
+    the space document so the file round-trips without external context.
     """
     path = Path(path)
     header = [f"x.{name}" for name in design.space.names] + ["y"]
-    lines = [",".join(header)]
     if design.y is None:
         y = [""] * design.n
     else:  # one conversion of the whole column, exact or not
         y = [repr(v) for v in np.asarray(design.y, dtype=float).tolist()]
-    for i in range(design.n):
-        cells = [
-            _format_cell(design.columns[v.name][i], v.kind) for v in design.space.variables
-        ]
-        cells.append(y[i])
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for i in range(design.n):
+            cells = [
+                _format_cell(design.columns[v.name][i], v.kind) for v in design.space.variables
+            ]
+            cells.append(y[i])
+            fh.write(",".join(cells) + "\n")
     sidecar = {"meta": _jsonable_meta(design.meta), "space": space_to_obj(design.space)}
     _sidecar_path(path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -118,29 +119,32 @@ class SearchSpace:
 
     Validation covers name uniqueness, condition parents (must exist, must be
     integer or categorical, activating values must be admissible for the
-    parent), and acyclicity of the condition graph.
+    parent), and acyclicity of the condition graph.  ``resolution_order``
+    lists the variable indices so that every parent precedes its children.
     """
 
     variables: tuple[VariableSpec, ...]
+    resolution_order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         if len(self.variables) == 0:
             raise ValueError("a search space needs at least one variable")
-        names = [v.name for v in self.variables]
-        twice = sorted({name for name in names if names.count(name) > 1})
+        counts = Counter(v.name for v in self.variables)
+        twice = sorted(name for name, count in counts.items() if count > 1)
         if twice:
             raise ValueError(f"variable names must be unique; repeated: {', '.join(twice)}")
-        by_name = {v.name: v for v in self.variables}
-        for v in self.variables:
+        index = {v.name: j for j, v in enumerate(self.variables)}
+        children: list[list[int]] = [[] for _ in self.variables]
+        for j, v in enumerate(self.variables):
             cond = v.condition
             if cond is None:
                 continue
-            if cond.parent not in by_name:
+            if cond.parent not in index:
                 raise ValueError(f"{v.name}: condition parent {cond.parent!r} does not exist")
             if cond.parent == v.name:
                 raise ValueError(f"{v.name}: variable cannot condition on itself")
-            parent = by_name[cond.parent]
+            parent = self.variables[index[cond.parent]]
             if parent.kind == "continuous":
                 raise ValueError(
                     f"{v.name}: conditions are only supported on integer or categorical parents"
@@ -155,22 +159,17 @@ class SearchSpace:
                         raise ValueError(f"{v.name}: integer parent needs integer activating values")
                     if not parent.lower <= x <= parent.upper:
                         raise ValueError(f"{v.name}: activating value {x} outside parent bounds")
-        # acyclicity of the parent graph
-        state: dict[str, int] = {}
-
-        def visit(name: str) -> None:
-            if state.get(name) == 1:
-                raise ValueError(f"condition cycle involving {name!r}")
-            if state.get(name) == 2:
-                return
-            state[name] = 1
-            cond = by_name[name].condition
-            if cond is not None:
-                visit(cond.parent)
-            state[name] = 2
-
-        for name in names:
-            visit(name)
+            children[index[cond.parent]].append(j)
+        # the unconditioned variables, each followed by its children as the
+        # list grows; what is left out lies on or below a condition cycle
+        order = [j for j, v in enumerate(self.variables) if v.condition is None]
+        for j in order:
+            order.extend(children[j])
+        if len(order) < len(self.variables):
+            placed = set(order)
+            name = next(v.name for j, v in enumerate(self.variables) if j not in placed)
+            raise ValueError(f"{name}: condition parents form a cycle")
+        object.__setattr__(self, "resolution_order", tuple(order))
 
     @property
     def dimension(self) -> int:

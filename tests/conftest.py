@@ -62,6 +62,37 @@ def check_fuzzed_read(reader, tmp_path_factory, text):
         return None
 
 
+def chain_doc(depth: int) -> list[dict]:
+    """A space document of ``depth`` 0/1 integers listed children first:
+    v_k (k > 0) is active where v_(k-1) is active and equals 1."""
+    return [
+        {"name": f"v{k}", "kind": "integer", "lower": 0, "upper": 1}
+        | ({"condition": {"parent": f"v{k - 1}", "values": [1]}} if k else {})
+        for k in reversed(range(depth))
+    ]
+
+
+@st.composite
+def hierarchy_docs(draw) -> list[dict]:
+    """A valid hierarchical space document in a drawn listing order, so that
+    conditioned variables often come before their parents.  Variable ``vk``
+    is an integer on [0, 2] or a categorical over r, g; it may condition on
+    one of v0 .. v(k-1) with one or two of that parent's values."""
+    variables = []
+    for k in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            v = {"name": f"v{k}", "kind": "integer", "lower": 0, "upper": 2}
+        else:
+            v = {"name": f"v{k}", "kind": "categorical", "categories": ["r", "g"]}
+        if k and draw(st.booleans()):
+            parent = variables[draw(st.integers(0, k - 1))]
+            choices = parent.get("categories", [0, 1, 2])
+            values = draw(st.lists(st.sampled_from(choices), min_size=1, max_size=2, unique=True))
+            v["condition"] = {"parent": parent["name"], "values": values}
+        variables.append(v)
+    return draw(st.permutations(variables))
+
+
 def ert_table(records: list[PerformanceRecord]) -> ErtTable:
     """The table of ``records`` as the library reads it: written with
     ``write_performance_csv`` and parsed back by ``read_performance_csv``."""

@@ -8,10 +8,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from landsel import cli, preprocess
-from landsel.sampling import Design, create_initial_design, design_to_csv, evaluate_design
+from landsel.sampling import (
+    Design,
+    create_initial_design,
+    design_from_csv,
+    design_to_csv,
+    evaluate_design,
+    with_objective,
+)
 from landsel.space import (
     Problem,
     SearchSpace,
@@ -19,6 +27,8 @@ from landsel.space import (
     builtin_problem,
     space_to_json,
 )
+
+from conftest import chain_doc
 
 TOY_FEATURES = str(Path(__file__).parent / "data" / "toy_features.csv")
 TOY_PERFORMANCE = str(Path(__file__).parent / "data" / "toy_performance.csv")
@@ -90,6 +100,34 @@ class TestSample:
     def test_malformed_source(self, tmp_path, capsys):
         assert run_cli("sample", "builtin:sphere", "--out", tmp_path / "d.csv") == 2
         assert "builtin:<fid>:d<D>" in capsys.readouterr().err
+
+    def test_deep_hierarchy_listed_children_first(self, tmp_path):
+        # v_k is active where v_0 .. v_(k-1) all equal 1; 1,200 levels are
+        # deeper than Python's default recursion limit
+        space_file, out = tmp_path / "chain.json", tmp_path / "design.csv"
+        space_file.write_text(json.dumps(chain_doc(1200)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "landsel", "sample", str(space_file), "--n", "20", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        design = with_objective(design_from_csv(out), np.arange(20.0))
+        assert preprocess.preprocess_pipeline(design).matrix.shape == (20, 1200)
+        cells = np.column_stack([design.columns[f"v{k}"] for k in range(1200)])
+        active = np.cumprod(np.hstack([np.ones((20, 1)), cells[:, :-1]]), axis=1) == 1
+        assert np.array_equal(preprocess._activity_mask(design)[:, ::-1], active)
+
+    def test_condition_cycle_exits_two(self, tmp_path, capsys):
+        doc = [
+            {"name": "a", "kind": "integer", "lower": 0, "upper": 1, "condition": {"parent": "b", "values": [1]}},
+            {"name": "b", "kind": "integer", "lower": 0, "upper": 1, "condition": {"parent": "a", "values": [1]}},
+        ]
+        space_file = tmp_path / "cycle.json"
+        space_file.write_text(json.dumps(doc))
+        assert run_cli("sample", space_file, "--n", 4, "--out", tmp_path / "d.csv") == 2
+        err = capsys.readouterr().err
+        assert str(space_file) in err and "a: condition parents form a cycle" in err
 
 
 class TestEvaluate:

@@ -10,11 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
 from landsel.ela import (
     ElaConfig,
     _canonical_order,
+    _deletion_states,
     _entropy_from_counts,
     _greedy_tour,
     _nearest_better,
@@ -440,7 +443,40 @@ def ic_summarize(grid, h, m, threshold=0.05):
     return out
 
 
+def brute_deletion_states(phi, events, n):
+    """H and M after each prefix of ``events``, every state recomputed from
+    the zeroed symbol string."""
+    h, m = [], []
+    for k in range(len(events) + 1):
+        symbols = np.sign(phi).astype(int)
+        symbols[events[:k]] = 0
+        h.append(_entropy_from_counts(_pair_counts(symbols.tolist()), symbols.size - 1))
+        nz = symbols[symbols != 0]
+        runs = 0 if nz.size == 0 else 1 + int(np.count_nonzero(nz[1:] != nz[:-1]))
+        m.append(runs / (n - 1))
+    return h, m
+
+
+# Slope arrays built from runs of one sign (zero included), each slope's
+# magnitude drawn from a few values, so magnitudes repeat and runs are long.
+RUN_MAGNITUDES = st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=9)
+SLOPE_RUNS = st.lists(
+    st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), RUN_MAGNITUDES), min_size=1, max_size=8
+).map(lambda runs: np.array([sign * mag for sign, mags in runs for mag in mags]))
+
+
 class TestInformationContent:
+    @given(SLOPE_RUNS, st.randoms(use_true_random=False))
+    def test_deletion_states_equal_per_state_brute_force(self, phi, rnd):
+        # the feature's order (|phi| ascending, ties by index) and an
+        # arbitrary order of the nonzero slopes
+        mags = np.abs(phi)
+        by_magnitude = [i for i in np.argsort(mags, kind="stable").tolist() if mags[i] > 0]
+        shuffled = rnd.sample(by_magnitude, len(by_magnitude))
+        n = phi.size + 1
+        for events in (by_magnitude, shuffled):
+            assert _deletion_states(phi, events, n) == brute_deletion_states(phi, events, n)
+
     def test_alternating_signs(self):
         # a strictly alternating slope sequence realizes the maximal
         # two-symbol entropy log6(2); seed 23 starts the tour at the left end

@@ -15,7 +15,7 @@ from landsel import cli
 from landsel.sampling import design_from_csv
 from landsel.space import VARIABLE_KINDS, space_from_json, space_to_obj
 
-from conftest import FUZZ_CELLS, fuzz_files, rgb_space
+from conftest import FUZZ_CELLS, fuzz_files, hierarchy_docs, rgb_space
 
 # JSON values of every type, with the edge cases a hand-written file may hold:
 # huge integers, non-finite floats, empty strings and nested containers.
@@ -55,7 +55,8 @@ VARIABLES = st.fixed_dictionaries(
         "extra": JSON_VALUES,
     },
 )
-SPACE_DOCS = st.one_of(st.lists(VARIABLES, max_size=4), JSON_VALUES)
+# valid hierarchies come in any listing order, children before parents too
+SPACE_DOCS = st.one_of(st.lists(VARIABLES, max_size=4), hierarchy_docs(), JSON_VALUES)
 FREE_JSON_TEXT = st.text(alphabet='[]{}",:0123abe.-\n', max_size=40)
 SPACE_TEXTS = st.one_of(SPACE_DOCS.map(json.dumps), FREE_JSON_TEXT)
 VALID_SPACE = json.dumps(space_to_obj(rgb_space()))
@@ -96,14 +97,20 @@ class TestSpaceDocuments:
 
     @given(SPACE_TEXTS)
     @example(VALID_SPACE)
+    @example(
+        '[{"name": "a", "kind": "integer", "lower": 0, "upper": 1, "condition": {"parent": "b", "values": [1]}},'
+        ' {"name": "b", "kind": "integer", "lower": 0, "upper": 1, "condition": {"parent": "a", "values": [1]}}]'
+    )
     def test_cli_source_file(self, tmp_path_factory, text):
         path = write(tmp_path_factory, "space.json", text)
         try:
             cli._parse_source(str(path))
+            valid = True
         except ValueError as e:
             assert str(e).startswith(str(path)), str(e)
+            valid = False
         code, err = run_quietly("sample", path, "--n", 4, "--out", path.with_name("design.csv"))
-        assert code in (0, 2), err
+        assert code == (0 if valid else 2), err
         if code == 2:
             assert str(path) in err
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -15,6 +16,7 @@ from landsel import preprocess
 from landsel.ela import compute_all
 from landsel.fitmap import knn_cloud
 from landsel.preprocess import (
+    _activity_mask,
     minmax_unit,
     pairwise_distances,
     preprocess_pipeline,
@@ -29,9 +31,10 @@ from landsel.space import (
     VariableSpec,
     apply_transform,
     builtin_problem,
+    space_from_obj,
 )
 
-from conftest import evaluate_design_on_mixed, make_processed, rgb_space, unit_space
+from conftest import evaluate_design_on_mixed, hierarchy_docs, make_processed, rgb_space, unit_space
 
 
 class TestMinmaxUnit:
@@ -89,11 +92,10 @@ class TestRelaxHierarchy:
             },
         )
         out = relax_hierarchy(d)
-        assert out.columns["w"].tolist() == [3.0, 5.0]
+        assert out["w"].tolist() == [3.0, 5.0]
         # integer midpoint of [0, 5] is 2.5; exact halves round down
-        assert out.columns["m"].tolist() == [1.0, 2.0]
-        mask = out.meta["active_mask"]
-        assert mask.tolist() == [[True, True, True], [True, False, False]]
+        assert out["m"].tolist() == [1.0, 2.0]
+        assert _activity_mask(d).tolist() == [[True, True, True], [True, False, False]]
 
     def test_missing_active_cell_is_an_error(self):
         s = self.hier_space()
@@ -110,7 +112,20 @@ class TestRelaxHierarchy:
 
     def test_unconditioned_complete_design_passes_through(self):
         d = create_initial_design(unit_space(2), n=6, seed=0)
-        assert relax_hierarchy(d) is d
+        assert relax_hierarchy(d) is d.columns
+
+    @given(hierarchy_docs(), st.integers(0, 3))
+    def test_activity_mask_equals_parent_chain_walk(self, doc, seed):
+        d = create_initial_design(space_from_obj(doc), n=8, seed=seed)
+        space = d.space
+        expected = np.ones((d.n, space.dimension), dtype=bool)
+        for i in range(d.n):
+            for j, v in enumerate(space.variables):
+                # active while every condition up the parent chain holds
+                while v.condition is not None and expected[i, j]:
+                    expected[i, j] = d.columns[v.condition.parent][i] in v.condition.values
+                    v = space[v.condition.parent]
+        assert _activity_mask(d).tolist() == expected.tolist()
 
 
 class TestEncodings:
@@ -339,6 +354,28 @@ class TestPipeline:
         doc = json.loads((tmp_path / "processed.provenance.json").read_text())
         assert doc["encoding"] == "one_hot"
         assert doc["column_map"]["c"] == [1, 2, 3]
+
+
+    def test_csv_header_quotes_one_hot_names(self, tmp_path):
+        s = SearchSpace(
+            variables=(
+                VariableSpec(name="c", kind="categorical", categories=("x,y", 'q"r')),
+                VariableSpec(name="k", kind="integer", lower=0, upper=2),
+            )
+        )
+        d = Design(
+            space=s,
+            columns={"c": np.array(["x,y", 'q"r', "x,y"], dtype=object), "k": np.array([0.0, 1.0, 2.0])},
+            y=np.array([3.0, 1.0, 2.0]),
+        )
+        pd = preprocess_pipeline(d, encoding="one_hot")
+        path = tmp_path / "processed.csv"
+        processed_to_csv(pd, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["c=x,y", 'c=q"r', "k", "y"]
+        table = np.column_stack([pd.matrix, pd.objective])
+        assert [[float(x) for x in row] for row in rows[1:]] == table.tolist()
 
 
 class TestPairwiseDistances:

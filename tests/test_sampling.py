@@ -249,6 +249,22 @@ class TestCsvRoundTrip:
         back = design_from_csv(path)
         assert list(back.columns["c"]) == ["p,q", 'r"s', "p,q"]
 
+    def test_names_with_commas_quotes_and_newlines_survive(self, tmp_path):
+        names = ("a,b", 'q"r', "l\nm", "plain")
+        s = SearchSpace(
+            variables=tuple(VariableSpec(name=n, kind="integer", lower=0, upper=3) for n in names)
+        )
+        d = evaluate_design(
+            Problem(space=s, objective=lambda row: float(sum(row))), create_initial_design(s, n=6, seed=2)
+        )
+        path = tmp_path / "design.csv"
+        design_to_csv(d, path)
+        assert path.read_text().startswith('"x.a,b","x.q""r","x.l\nm",x.plain,y\n')
+        back = design_from_csv(path)
+        assert back.space == s
+        assert all(np.array_equal(back.columns[n], d.columns[n]) for n in names)
+        assert np.array_equal(back.y, d.y)
+
     def test_missing_file_names_the_path(self, tmp_path):
         with pytest.raises(ValueError, match="nope.csv"):
             design_from_csv(tmp_path / "nope.csv")

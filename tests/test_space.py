@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from landsel.space import (
@@ -19,8 +19,11 @@ from landsel.space import (
     apply_transform,
     builtin_problem,
     space_from_json,
+    space_from_obj,
     space_to_json,
 )
+
+from conftest import chain_doc, hierarchy_docs
 
 
 def cont(name, lower=-5.0, upper=5.0, condition=None):
@@ -84,8 +87,23 @@ class TestSearchSpace:
             name="b", kind="integer", lower=0, upper=1,
             condition=Condition(parent="a", values=(1,)),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a: condition parents form a cycle"):
             SearchSpace(variables=(a, b))
+        # a variable below the cycle, listed first, is the one named
+        c = cont("c", condition=Condition(parent="a", values=(1,)))
+        with pytest.raises(ValueError, match="c: condition parents form a cycle"):
+            SearchSpace(variables=(c, a, b))
+
+    @given(hierarchy_docs())
+    @example(chain_doc(1200))  # deeper than Python's default recursion limit
+    def test_resolution_order_puts_parents_first(self, doc):
+        s = space_from_obj(doc)
+        order = s.resolution_order
+        assert sorted(order) == list(range(s.dimension))
+        position = {s.variables[j].name: p for p, j in enumerate(order)}
+        for v in s.variables:
+            if v.condition is not None:
+                assert position[v.condition.parent] < position[v.name]
 
     def test_dimension_and_lookup(self):
         s = SearchSpace(variables=(cont("x"), cont("z")))
