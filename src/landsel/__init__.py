@@ -31,7 +31,7 @@ from .aas import (
     sbs,
     vbs_performance,
 )
-from .ela import ElaConfig, FeatureVector, compute_all, feature_names
+from .ela import FeatureVector, compute_all, feature_names
 from .fitmap import FitnessMap, MapStack, knn_cloud, multichannel, rasterize_2d, reduce_mean
 from .preprocess import ProcessedDesign, minmax_unit, preprocess_pipeline
 from .sampling import Design, create_initial_design, design_from_csv, design_to_csv, evaluate_design
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Design",
-    "ElaConfig",
     "ErtTable",
     "FeatureVector",
     "FitnessMap",

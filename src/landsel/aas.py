@@ -125,8 +125,8 @@ class ErtTable:
 def impute_table(table: ErtTable, penalty: float = DEFAULT_PENALTY) -> tuple[ErtTable, list[dict]]:
     """Impute every infinite cell; returns the new table and a log of the
     imputed cells in input order."""
-    if not penalty >= 1:
-        raise ValueError("penalty must be at least 1")
+    if not 1 <= penalty < math.inf:
+        raise ValueError("penalty must be at least 1 and finite")
     infinite = np.argwhere(np.isinf(table.ert))
     ert = table.ert.copy()
     log = []

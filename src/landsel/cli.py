@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,25 +39,13 @@ log = logging.getLogger("landsel")
 
 FITMAP_MODES = ("raw2d", "pca", "pca-func", "mc", "rmc", "cloud")
 
-_ELA_DEFAULTS = ela.ElaConfig()
-
 # Documented config defaults per subcommand; a flag given on the command line
 # always wins over the config file, which wins over these.
 _CONFIG_DEFAULTS: dict[str, dict] = {
     "sample": {"source": None, "n": None, "strategy": "latin_hypercube", "seed": 0, "out": None},
     "evaluate": {"design": None, "source": None, "out": None},
     "preprocess": {"design": None, "encoding": "none", "smoothing": 0.0, "out": None},
-    "features": {
-        "design": None,
-        "encoding": "none",
-        "smoothing": 0.0,
-        "seed": 0,
-        "out": None,
-        "dispersion_quantiles": list(_ELA_DEFAULTS.dispersion_quantiles),
-        "epsilon_grid": None,
-        "settling_threshold": _ELA_DEFAULTS.settling_threshold,
-        "kde_grid_points": _ELA_DEFAULTS.kde_grid_points,
-    },
+    "features": {"design": None, "encoding": "none", "smoothing": 0.0, "seed": 0, "out": None},
     "fitmap": {
         "design": None,
         "mode": "raw2d",
@@ -81,18 +70,13 @@ _CONFIG_DEFAULTS: dict[str, dict] = {
 }
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # The JSON type each config key takes, by description; null is accepted only
 # for keys whose documented default is null (meaning "not set").
 _JSON_TYPES = {
     "a string": lambda value: isinstance(value, str),
     "an integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
-    "a number": _is_number,
+    "a number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
     "true or false": lambda value: isinstance(value, bool),
-    "a list of numbers": lambda value: isinstance(value, list) and all(map(_is_number, value)),
     "an object": lambda value: isinstance(value, dict),
 }
 _CONFIG_TYPES = {
@@ -101,13 +85,9 @@ _CONFIG_TYPES = {
          "scheme", "selector"),
         "a string",
     ),
-    **dict.fromkeys(
-        ("n", "seed", "k", "resolution", "kde_grid_points", "feature_cost"), "an integer"
-    ),
-    **dict.fromkeys(("smoothing", "settling_threshold", "penalty"), "a number"),
+    **dict.fromkeys(("n", "seed", "k", "resolution", "feature_cost"), "an integer"),
+    **dict.fromkeys(("smoothing", "penalty"), "a number"),
     "cost_sensitive": "true or false",
-    "dispersion_quantiles": "a list of numbers",
-    "epsilon_grid": "a list of numbers",
     "groups": "an object",
 }
 
@@ -232,15 +212,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 def cmd_features(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "features")
     pd = _processed(cfg, "features")
-    overrides = {
-        "dispersion_quantiles": tuple(float(q) for q in cfg["dispersion_quantiles"]),
-        "settling_threshold": float(cfg["settling_threshold"]),
-        "kde_grid_points": int(cfg["kde_grid_points"]),
-    }
-    if cfg["epsilon_grid"] is not None:
-        overrides["epsilon_grid"] = tuple(float(e) for e in cfg["epsilon_grid"])
-    ela_cfg = ela.ElaConfig(**overrides)
-    fv = ela.compute_all(pd, ela_cfg, seed=int(cfg["seed"]))
+    fv = ela.compute_all(pd, seed=int(cfg["seed"]))
     out = Path(_require(cfg, "out", "features"))
     out.write_text(fv.to_csv() if out.suffix == ".csv" else fv.to_json() + "\n")
     log.info("wrote %d features to %s", len(fv.values), out)
@@ -292,8 +264,8 @@ def cmd_aas(args: argparse.Namespace) -> int:
         raise ValueError("aas needs --k >= 1")
     if feature_cost < 0:
         raise ValueError("aas needs --feature-cost >= 0")
-    if not penalty >= 1:
-        raise ValueError("aas needs --penalty >= 1")
+    if not 1 <= penalty < math.inf:
+        raise ValueError("aas needs --penalty >= 1 and finite")
     groups = None
     if cfg["groups"] is not None:
         groups = {}

@@ -10,17 +10,23 @@ and scaling of the raw objective:
   share one Householder QR, which drops every column whose pivot is at most
   ``_COLLAPSE_TOL`` (1e-10) of its norm as spanned by the columns before it.
 * ``ela_distr``  (3)  — skewness, excess kurtosis, and modality (kernel-density
-  peak count) of the objective distribution.
+  peak count on a 512-point grid) of the objective distribution.
 * ``disp``       (16) — dispersion of the best-q fraction of the sample versus
-  the full sample, as ratios and differences of mean/median pairwise distances.
+  the full sample, q in (0.02, 0.05, 0.10, 0.25), as ratios and differences
+  of mean/median Euclidean pairwise distances.
 * ``ic``         (5)  — information content of a seeded nearest-neighbor tour:
-  entropy of consecutive slope-symbol pairs over an epsilon grid, plus the
+  entropy of consecutive slope-symbol pairs over epsilon zero and 1,000
+  log-spaced levels from 1e-5 to 1e15, with settling threshold 0.05, plus the
   symbol-string complexity at epsilon zero.
 * ``nbc``        (5)  — nearest-better clustering: statistics of
   nearest-neighbor versus nearest-better distances and the in-degree structure
   of the nearest-better digraph.
 * ``fdc``        (7)  — fitness-distance correlation to the sample-best point
   and the moments feeding it.
+
+These parameters are fixed module constants (``_QUANTILES``,
+``_EPSILON_LEVELS``, ``_SETTLING_THRESHOLD``, ``_KDE_GRID_POINTS``), the
+usual flacco settings: every design is described by the same 45 names.
 
 Dispersion, the information-content tour and nearest-better clustering all
 read the design's one shared distance matrix, ``ProcessedDesign.distances``,
@@ -59,58 +65,25 @@ FEATURE_SET_VERSIONS = {
     "fdc": "1",
 }
 
-_DEFAULT_QUANTILES = (0.02, 0.05, 0.10, 0.25)
+# Best-fraction levels of the dispersion features, four features each.
+_QUANTILES = (0.02, 0.05, 0.10, 0.25)
+
+# Information-content scan levels: epsilon zero, then 1,000 log-spaced values
+# from 1e-5 to 1e15.
+_EPSILON_LEVELS = np.concatenate(([0.0], np.logspace(-5.0, 15.0, 1000)))
+_EPSILON_LEVELS.setflags(write=False)
+
+# Entropy level below which the landscape counts as settled (``ic.eps.s``).
+_SETTLING_THRESHOLD = 0.05
+
+# Points of the uniform density grid on which KDE peaks are counted.
+_KDE_GRID_POINTS = 512
 
 
-_DEFAULT_EPSILON_GRID = tuple(float(x) for x in np.logspace(-5.0, 15.0, 1000))
-
-
-@functools.lru_cache(maxsize=16)
-def _scan_levels(epsilon_grid: tuple[float, ...]) -> np.ndarray:
-    """The validated information-content scan levels as a read-only array:
-    epsilon zero, then the positive grid."""
-    if not epsilon_grid:
-        raise ValueError("epsilon grid must be non-empty")
-    grid = np.asarray(epsilon_grid, dtype=float)
-    if not np.all(grid > 0):
-        raise ValueError("epsilon grid values must be positive (zero is added internally)")
-    if not np.all(grid[1:] > grid[:-1]):
-        raise ValueError("epsilon grid must be strictly increasing")
-    levels = np.concatenate(([0.0], grid))
-    levels.setflags(write=False)
-    return levels
-
-
-@dataclass(frozen=True)
 class ElaConfig:
-    """Knobs for the feature computation.
-
-    ``epsilon_grid`` holds the positive epsilon values for the information
-    content scan (epsilon zero is always included in addition);
-    ``settling_threshold`` is the entropy level below which the landscape
-    counts as settled; ``kde_grid_points`` sets the density grid resolution
-    for peak counting; ``dispersion_quantiles`` are the best-fraction levels.
-    Distances are Euclidean.
-    """
-
-    dispersion_quantiles: tuple[float, ...] = _DEFAULT_QUANTILES
-    epsilon_grid: tuple[float, ...] = _DEFAULT_EPSILON_GRID
-    settling_threshold: float = 0.05
-    kde_grid_points: int = 512
-
-    def __post_init__(self):
-        object.__setattr__(self, "dispersion_quantiles", tuple(self.dispersion_quantiles))
-        object.__setattr__(self, "epsilon_grid", tuple(self.epsilon_grid))
-        if not self.dispersion_quantiles:
-            raise ValueError("at least one dispersion quantile is required")
-        for q in self.dispersion_quantiles:
-            if not 0 < q < 1:
-                raise ValueError("dispersion quantiles must lie in (0, 1)")
-        _scan_levels(self.epsilon_grid)
-        if not 0 < self.settling_threshold < 1:
-            raise ValueError("settling threshold must lie in (0, 1)")
-        if self.kde_grid_points < 8:
-            raise ValueError("kde grid needs at least 8 points")
+    """Unused name, not a setting: the parameters are the constants above.
+    ``bench/tracing.py`` wraps ``ElaConfig.__init__``, and its tracer fails
+    on a class that no longer exists; delete this once it tolerates that."""
 
 
 @dataclass
@@ -363,13 +336,13 @@ def ela_meta(pd) -> _Emitter:
 # ── objective-distribution features ──────────────────────────────────────────
 
 
-def _kde_peak_count(y: np.ndarray, sd: float, grid_points: int) -> int:
+def _kde_peak_count(y: np.ndarray, sd: float) -> int:
     n = y.size
     q1, q3 = np.quantile(y, (0.25, 0.75))
     iqr = float(q3 - q1)
     scale = sd if iqr == 0.0 else min(sd, iqr / 1.34)
     bandwidth = 0.9 * scale * n ** (-1 / 5)
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, _KDE_GRID_POINTS)
     z = (grid[:, None] - y[None, :]) / bandwidth
     density = np.exp(-0.5 * z * z).sum(axis=1) / (n * bandwidth * math.sqrt(2 * math.pi))
     interior = density[1:-1]
@@ -380,9 +353,8 @@ def _kde_peak_count(y: np.ndarray, sd: float, grid_points: int) -> int:
 _DISTR_NAMES = ("ela_distr.skewness", "ela_distr.kurtosis", "ela_distr.number_of_peaks")
 
 
-def ela_distr(pd, cfg: ElaConfig | None = None) -> _Emitter:
+def ela_distr(pd) -> _Emitter:
     """Skewness, excess kurtosis (population estimators), and KDE peak count."""
-    cfg = cfg or ElaConfig()
     out = _Emitter()
     y = pd.objective
     if y.size < 4:
@@ -399,7 +371,7 @@ def ela_distr(pd, cfg: ElaConfig | None = None) -> _Emitter:
     m4 = float(np.mean(centered**4))
     out.put("ela_distr.skewness", m3 / m2**1.5)
     out.put("ela_distr.kurtosis", m4 / m2**2 - 3.0)
-    out.put("ela_distr.number_of_peaks", float(_kde_peak_count(y, math.sqrt(m2), cfg.kde_grid_points)))
+    out.put("ela_distr.number_of_peaks", float(_kde_peak_count(y, math.sqrt(m2))))
     return out
 
 
@@ -412,9 +384,7 @@ def _quantile_names(q: float) -> tuple[str, ...]:
     return (f"disp.ratio_mean_{s}", f"disp.ratio_median_{s}", f"disp.diff_mean_{s}", f"disp.diff_median_{s}")
 
 
-def dispersion_feature_names(cfg: ElaConfig | None = None) -> list[str]:
-    cfg = cfg or ElaConfig()
-    return [name for q in cfg.dispersion_quantiles for name in _quantile_names(q)]
+_DISP_NAMES = tuple(name for q in _QUANTILES for name in _quantile_names(q))
 
 
 _TRIANGLE = np.triu(np.ones((256, 256), dtype=bool), 1)
@@ -430,7 +400,7 @@ def _upper_triangle(n: int) -> np.ndarray:
     return np.triu(np.ones((n, n), dtype=bool), 1)
 
 
-def dispersion(pd, cfg: ElaConfig | None = None) -> _Emitter:
+def dispersion(pd) -> _Emitter:
     """Best-subset versus full-sample pairwise-distance statistics.
 
     For each quantile q the subset holds the ceil(q*n) rows with the smallest
@@ -439,19 +409,18 @@ def dispersion(pd, cfg: ElaConfig | None = None) -> _Emitter:
     differences are subset - full.  Distances are read from the shared
     matrix ``pd.distances``.
     """
-    cfg = cfg or ElaConfig()
     out = _Emitter()
     y = pd.objective
     n = pd.n
     if n < 2:
-        out.put_all_missing(dispersion_feature_names(cfg), "insufficient_sample")
+        out.put_all_missing(_DISP_NAMES, "insufficient_sample")
         return out
     dm = pd.distances
     full = dm[_upper_triangle(n)]
     full_mean = float(full.mean())
     full_median = float(np.median(full, overwrite_input=True))  # reorders full, after its mean
     order = np.argsort(y, kind="stable")
-    for q in cfg.dispersion_quantiles:
+    for q in _QUANTILES:
         names = _quantile_names(q)
         size = math.ceil(q * n)
         if size < 2:
@@ -584,7 +553,7 @@ def _deletion_states(phi: np.ndarray, events: list[int], n: int) -> tuple[list[f
 _IC_NAMES = ("ic.h.max", "ic.eps.s", "ic.eps.max", "ic.eps.ratio", "ic.m0")
 
 
-def information_content(pd, cfg: ElaConfig | None = None, seed: int = 0) -> _Emitter:
+def information_content(pd, seed: int = 0) -> _Emitter:
     """Information content of the slope-sign sequence along a seeded tour.
 
     Rows are first sorted canonically (lexicographically by coordinates, then
@@ -613,7 +582,6 @@ def information_content(pd, cfg: ElaConfig | None = None, seed: int = 0) -> _Emi
     deleting every slope with |phi| <= eps.  The tour walks the shared
     matrix ``pd.distances`` in canonical order.
     """
-    cfg = cfg or ElaConfig()
     out = _Emitter()
     n = pd.n
     if n < 3:
@@ -636,7 +604,7 @@ def information_content(pd, cfg: ElaConfig | None = None, seed: int = 0) -> _Emi
     h_states, m_states = _deletion_states(phi, events.tolist(), n)
 
     # level eps has deleted exactly the events with |phi| <= eps
-    grid = _scan_levels(cfg.epsilon_grid)
+    grid = _EPSILON_LEVELS
     reached = np.searchsorted(mags[events], grid, side="right")
     h_values = np.asarray(h_states)[reached]
     m_values = np.asarray(m_states)[reached]
@@ -650,7 +618,7 @@ def information_content(pd, cfg: ElaConfig | None = None, seed: int = 0) -> _Emi
     h_pos = h_values[1:]
     m_pos = m_values[1:]
 
-    settled = np.nonzero(h_pos < cfg.settling_threshold)[0]
+    settled = np.nonzero(h_pos < _SETTLING_THRESHOLD)[0]
     if settled.size == 0:
         out.put("ic.eps.s", None, "never_settles")
     else:
@@ -794,27 +762,25 @@ def fitness_distance_correlation(pd) -> _Emitter:
 # ── the full vector ──────────────────────────────────────────────────────────
 
 
-def feature_names(cfg: ElaConfig | None = None) -> list[str]:
+def feature_names() -> list[str]:
     """Canonical feature order: ela_meta, ela_distr, disp, ic, nbc, fdc."""
-    cfg = cfg or ElaConfig()
-    return [*_META_NAMES, *_DISTR_NAMES, *dispersion_feature_names(cfg), *_IC_NAMES, *_NBC_NAMES, *_FDC_NAMES]
+    return [*_META_NAMES, *_DISTR_NAMES, *_DISP_NAMES, *_IC_NAMES, *_NBC_NAMES, *_FDC_NAMES]
 
 
-def compute_all(pd, cfg: ElaConfig | None = None, seed: int = 0) -> FeatureVector:
+def compute_all(pd, seed: int = 0) -> FeatureVector:
     """All feature sets on one processed design, in canonical order.
 
-    Deterministic given (pd, cfg, seed); the seed steers only the
+    Deterministic given (pd, seed); the seed steers only the
     information-content tour.
     """
-    cfg = cfg or ElaConfig()
     merged = _Emitter()
     merged.merge(ela_meta(pd))
-    merged.merge(ela_distr(pd, cfg))
-    merged.merge(dispersion(pd, cfg))
-    merged.merge(information_content(pd, cfg, seed))
+    merged.merge(ela_distr(pd))
+    merged.merge(dispersion(pd))
+    merged.merge(information_content(pd, seed))
     merged.merge(nearest_better_clustering(pd))
     merged.merge(fitness_distance_correlation(pd))
-    ordered = feature_names(cfg)
+    ordered = feature_names()
     values = {name: merged.values[name] for name in ordered}
     reasons = {name: merged.reasons[name] for name in ordered if name in merged.reasons}
     meta = {

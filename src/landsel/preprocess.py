@@ -246,10 +246,12 @@ def preprocess_pipeline(
       with m > 0 an empty category takes ybar;
     * ``none``: only for spaces without categorical variables.
 
-    Provenance records the stages, the encoding, the smoothing strength, and
+    A non-finite ``smoothing`` is refused under every encoding.  Provenance records the stages, the encoding, the smoothing strength, and
     the source design meta.  Objective vectors that are exact affine images of
     each other (positive scale) yield bit-identical outputs.
     """
+    if not math.isfinite(smoothing):
+        raise ValueError(f"smoothing must be finite, got {smoothing}")
     if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}; choose from {ENCODINGS}")
     if not design.evaluated:

@@ -186,8 +186,9 @@ class TestImputation:
         table = table_from([("f", "0", "a", 10)])
         with pytest.raises(ValueError, match="penalty"):
             impute_table(table, penalty=0.5)
-        with pytest.raises(ValueError, match="penalty"):
-            impute_table(table, penalty=math.nan)
+        for penalty in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="penalty"):
+                impute_table(table, penalty=penalty)
 
 
 class TestErtTable:

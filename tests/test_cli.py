@@ -186,21 +186,27 @@ class TestFeatures:
         # one-hot encoding handles the same design
         assert run_cli("features", path, "--encoding", "one_hot", "--out", tmp_path / "f.json") == 0
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "doc",
+        [{"twist": 3}, {"dispersion_quantiles": [0.5]}, {"epsilon_grid": [1.0, 2.0]},
+         {"settling_threshold": 0.05}, {"kde_grid_points": 512}],
+    )
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, doc):
+        # the feature parameters are fixed, so their former keys are unknown
         design = sample_design(tmp_path, n=10)
         config = tmp_path / "config.json"
-        config.write_text('{"twist": 3}')
-        assert run_cli("features", design, "--config", config, "--out", tmp_path / "f.json") == 2
-        assert "unknown config keys" in capsys.readouterr().err
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "f.json"
+        assert run_cli("features", design, "--config", config, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and str(config) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, key, value",
         [
-            ("features", "settling_threshold", None),
             ("features", "seed", None),
             ("features", "smoothing", None),
-            ("features", "dispersion_quantiles", 5),
-            ("features", "kde_grid_points", "x"),
             ("features", "seed", True),
             ("fitmap", "k", None),
         ],
@@ -227,15 +233,6 @@ class TestFeatures:
         assert json.loads(out.read_text())["_meta"]["seed"] == 3
         assert run_cli("features", design, "--config", config, "--seed", 9, "--out", out) == 0
         assert json.loads(out.read_text())["_meta"]["seed"] == 9
-
-    def test_config_can_resize_the_vector(self, tmp_path):
-        design = sample_design(tmp_path, n=10)
-        config = tmp_path / "config.json"
-        config.write_text('{"dispersion_quantiles": [0.5]}')
-        out = tmp_path / "f.json"
-        assert run_cli("features", design, "--config", config, "--out", out) == 0
-        doc = json.loads(out.read_text())
-        assert len([k for k in doc if k != "_meta"]) == 33
 
     def test_unevaluated_design_rejected(self, tmp_path, capsys):
         space_file = tmp_path / "space.json"
@@ -286,6 +283,14 @@ class TestPreprocess:
         doc = json.loads((tmp_path / "processed.provenance.json").read_text())
         assert doc["encoding"] == "none"
         assert doc["decision_normalized"] is True
+
+    def test_non_finite_smoothing_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        design = sample_design(tmp_path, n=12)
+        out = tmp_path / "processed.csv"
+        assert run_cli("preprocess", design, "--smoothing", "nan", "--out", out) == 2
+        assert "landsel preprocess: smoothing must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "processed.provenance.json").exists()
 
 
 class TestFitmap:
@@ -422,7 +427,8 @@ class TestAas:
         "flag, value, message",
         [("--feature-cost", -1, "aas needs --feature-cost >= 0"),
          ("--penalty", 0.5, "aas needs --penalty >= 1"),
-         ("--penalty", "nan", "aas needs --penalty >= 1")],
+         ("--penalty", "nan", "aas needs --penalty >= 1"),
+         ("--penalty", "inf", "aas needs --penalty >= 1 and finite")],
     )
     def test_out_of_range_flag_exits_two_naming_it(self, tmp_path, capsys, flag, value, message):
         # the toy table has no infinite cell, so the penalty is never applied

@@ -14,8 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
+from landsel import ela
 from landsel.ela import (
-    ElaConfig,
     _canonical_order,
     _deletion_states,
     _entropy_from_counts,
@@ -24,7 +24,6 @@ from landsel.ela import (
     _pair_counts,
     compute_all,
     dispersion,
-    dispersion_feature_names,
     ela_distr,
     ela_meta,
     feature_names,
@@ -42,38 +41,14 @@ from conftest import make_processed, tied_lattice, traced_peak
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-class TestElaConfig:
-    def test_defaults(self):
-        cfg = ElaConfig()
-        assert cfg.dispersion_quantiles == (0.02, 0.05, 0.10, 0.25)
-        assert len(cfg.epsilon_grid) == 1000
-        assert cfg.epsilon_grid[0] == pytest.approx(1e-5, rel=1e-12)
-        assert cfg.settling_threshold == 0.05
-        assert cfg.kde_grid_points == 512
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ElaConfig(dispersion_quantiles=(0.0,))
-        with pytest.raises(ValueError):
-            ElaConfig(epsilon_grid=(1e-3, 1e-3))
-        with pytest.raises(ValueError):
-            ElaConfig(epsilon_grid=(-1.0, 1.0))
-        with pytest.raises(ValueError):
-            ElaConfig(settling_threshold=1.5)
-        with pytest.raises(ValueError):
-            ElaConfig(kde_grid_points=4)
-
-
-def test_default_epsilon_grid_is_logspace():
-    grid = ElaConfig().epsilon_grid
-    assert type(grid) is tuple and all(type(e) is float for e in grid)
-    assert grid == tuple(float(x) for x in np.logspace(-5.0, 15.0, 1000))
-
-
-@pytest.mark.parametrize("grid", [(), (0.0, 1.0), (2.0, 1.0), (1.0, float("nan"))])
-def test_invalid_epsilon_grid_rejected(grid):
-    with pytest.raises(ValueError):
-        ElaConfig(epsilon_grid=grid)
+def test_fixed_parameters_are_pinned():
+    levels = ela._EPSILON_LEVELS
+    assert levels.tobytes() == np.array([0.0, *np.logspace(-5.0, 15.0, 1000)]).tobytes()
+    assert not levels.flags.writeable
+    assert ela._QUANTILES == (0.02, 0.05, 0.10, 0.25)
+    assert ela._SETTLING_THRESHOLD == 0.05
+    assert ela._KDE_GRID_POINTS == 512
+    assert len([name for name in feature_names() if name.startswith("disp.")]) == 16
 
 
 class TestFitLeastSquares:
@@ -350,7 +325,7 @@ class TestDispersion:
             )
 
     def test_names_cover_all_quantiles(self):
-        names = dispersion_feature_names()
+        names = ela._DISP_NAMES
         assert len(names) == 16
         assert names[0] == "disp.ratio_mean_02"
         assert names[-1] == "disp.diff_median_25"
@@ -402,7 +377,7 @@ def oracle_tour(X, seed):
     return np.array(order)
 
 
-def ic_scan(pd, cfg, seed=0):
+def ic_scan(pd, seed=0):
     """Brute-force (epsilon, H, M) arrays behind the information-content
     features, epsilon zero first: every level recomputed from scratch."""
     canon = _canonical_order(pd.matrix, pd.objective)
@@ -415,7 +390,7 @@ def ic_scan(pd, cfg, seed=0):
     dy = np.diff(y[tour])
     keep = lengths > 0.0
     phi = dy[keep] / lengths[keep]
-    grid = np.array((0.0,) + cfg.epsilon_grid)
+    grid = ela._EPSILON_LEVELS
     h = np.empty(grid.size)
     mvals = np.empty(grid.size)
     for gi, eps in enumerate(grid):
@@ -503,13 +478,13 @@ class TestInformationContent:
         assert out.values["ic.m0"] == 0.0
 
     @staticmethod
-    def assert_matches_brute_force(pd, cfg, seeds=range(5)):
+    def assert_matches_brute_force(pd, seeds=range(5)):
         # the feature path scans deletion events; ic_scan recomputes every
         # epsilon level from scratch — both must agree bit for bit
         for seed in seeds:
-            out = information_content(pd, cfg, seed=seed)
-            grid, h, m = ic_scan(pd, cfg, seed=seed)
-            derived = ic_summarize(grid, h, m, cfg.settling_threshold)
+            out = information_content(pd, seed=seed)
+            grid, h, m = ic_scan(pd, seed=seed)
+            derived = ic_summarize(grid, h, m, ela._SETTLING_THRESHOLD)
             for name, expected in derived.items():
                 assert out.values[name] == expected, (seed, name)
 
@@ -524,40 +499,47 @@ class TestInformationContent:
         rng = np.random.default_rng(21)
         X = rng.random((40, 2))
         y = rng.random(40)
-        self.assert_matches_brute_force(make_processed(X, y), ElaConfig(), seeds=(3,))
+        self.assert_matches_brute_force(make_processed(X, y), seeds=(3,))
 
     def test_event_scan_with_tied_slopes(self):
         # steps of exactly 1/32 and objective steps of exactly 1/4: every
         # |phi| along the line is 8, so many deletion events share one level
         X = np.arange(33) / 32
         y = np.tile([0.0, 0.25, 0.5, 0.25], 9)[:33]
-        self.assert_matches_brute_force(make_processed(X, y), ElaConfig())
+        self.assert_matches_brute_force(make_processed(X, y))
 
     def test_event_scan_with_zero_slopes(self):
         rng = np.random.default_rng(24)
         X = rng.random((40, 2))
         y = rng.random(40)
         y[5:25] = 0.5  # a constant stretch gives slopes that are zero at epsilon zero
-        self.assert_matches_brute_force(make_processed(X, y), ElaConfig())
+        self.assert_matches_brute_force(make_processed(X, y))
 
     def test_event_scan_with_duplicate_rows(self):
         rng = np.random.default_rng(25)
         X = rng.random((20, 2))
         y = rng.random(20)
         pd = make_processed(np.vstack([X, X[:12]]), np.concatenate([y, y[:12]]))
-        self.assert_matches_brute_force(pd, ElaConfig())
+        self.assert_matches_brute_force(pd)
 
-    def test_epsilon_equal_to_a_slope_deletes_it(self):
+    @staticmethod
+    def use_levels(monkeypatch, *positive):
+        levels = np.array([0.0, *positive])
+        levels.setflags(write=False)
+        monkeypatch.setattr(ela, "_EPSILON_LEVELS", levels)
+
+    def test_epsilon_equal_to_a_slope_deletes_it(self, monkeypatch):
         # |phi| takes the values 8, 16, 24 and 32 exactly; a level equal to a
         # slope magnitude turns that slope into a zero symbol (|phi| > eps fails)
         rng = np.random.default_rng(26)
         X = np.arange(33) / 32
         y = rng.integers(0, 5, 33) / 4
-        cfg = ElaConfig(epsilon_grid=(1.0, 8.0, 16.0, 24.0, 32.0, 64.0))
-        self.assert_matches_brute_force(make_processed(X, y), cfg)
+        self.use_levels(monkeypatch, 1.0, 8.0, 16.0, 24.0, 32.0, 64.0)
+        self.assert_matches_brute_force(make_processed(X, y))
         # all slopes tie at 8: H is positive below 8 and zero from 8 on
         tied = make_processed(X, np.tile([0.0, 0.25, 0.5, 0.25], 9)[:33])
-        out = information_content(tied, ElaConfig(epsilon_grid=(7.0, 8.0)), seed=23)
+        self.use_levels(monkeypatch, 7.0, 8.0)
+        out = information_content(tied, seed=23)
         assert out.values["ic.eps.s"] == math.log10(8.0)
 
     def test_row_order_does_not_matter(self):
@@ -777,8 +759,3 @@ class TestComputeAll:
                 assert cell == ""
             else:
                 assert float(cell) == fv.values[name]
-
-    def test_custom_quantiles_resize_the_vector(self):
-        cfg = ElaConfig(dispersion_quantiles=(0.5,))
-        fv = compute_all(self.make_pd(), cfg)
-        assert len(fv.names()) == 9 + 3 + 4 + 5 + 5 + 7

@@ -171,7 +171,7 @@ CONFIG_TEXTS = st.one_of(
 class TestConfigFiles:
     @given(st.sampled_from(sorted(cli._CONFIG_DEFAULTS)), CONFIG_TEXTS)
     @example("fitmap", '{"resolution": 16, "mode": "rmc"}')
-    @example("features", '{"dispersion_quantiles": [0.5, 1e400]}')
+    @example("features", '{"smoothing": 1e400}')
     @example("sample", '{"n": ' + "[" * 100_000 + "}")
     def test_parses_or_names_the_file(self, tmp_path_factory, command, text):
         path = write(tmp_path_factory, "config.json", text)

@@ -219,9 +219,16 @@ class TestEncodings:
         pd = preprocess_pipeline(d, encoding="target", smoothing=1.0)
         assert pd.matrix[:, 0].tolist() == [0.0, 0.0, 1.0]
 
-    def test_target_encoding_rejects_negative_smoothing(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            preprocess_pipeline(self.mixed_design(), encoding="target", smoothing=-0.5)
+    @pytest.mark.parametrize(
+        "encoding, smoothing, message",
+        [("target", -0.5, "smoothing must be non-negative")]
+        + [(e, s, "smoothing must be finite") for e in preprocess.ENCODINGS for s in (math.nan, math.inf)],
+    )
+    def test_target_encoding_rejects_negative_smoothing(self, encoding, smoothing, message):
+        # a non-finite strength is refused under every encoding, before the
+        # encoding is checked against the space
+        with pytest.raises(ValueError, match=message):
+            preprocess_pipeline(self.mixed_design(), encoding=encoding, smoothing=smoothing)
 
     def test_target_encoding_keeps_dimension(self):
         pd = preprocess_pipeline(self.mixed_design(), encoding="target")
