@@ -497,6 +497,11 @@ def read_features_csv(path: str | Path) -> dict[InstanceKey, FeatureVector]:
     names = rows[0][2:]
     if not names:
         raise ValueError(f"{path}: no feature columns")
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"{path}: feature column {name!r} is repeated")
+        seen.add(name)
     out: dict[InstanceKey, FeatureVector] = {}
     for lineno, cells in enumerate(rows[1:], start=2):
         if len(cells) != len(rows[0]):

@@ -226,12 +226,6 @@ def cmd_fitmap(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(FITMAP_MODES)}")
     pd = _processed(cfg, "fitmap")
     resolution = int(cfg["resolution"])
-    if mode != "cloud":
-        channels = pd.width * (pd.width - 1) // 2 if mode in ("mc", "rmc") else 1
-        try:
-            fitmap.check_raster_size(channels, resolution)
-        except ValueError as e:
-            raise ValueError(f"--resolution {resolution} is too large: {e}") from None
     out = Path(_require(cfg, "out", "fitmap"))
     written = [out]
     if mode == "raw2d":

@@ -52,7 +52,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 

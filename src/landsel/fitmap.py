@@ -4,13 +4,18 @@ A fitness map rasterizes two processed decision columns onto an R-by-R pixel
 grid: each sample point lands in the pixel floor(x * R) (clamped), carrying
 its normalized objective as a gray level where 0 is best; pixel collisions
 keep the better (smaller) value and untouched pixels stay empty.  Higher
-dimensional samples become multi-channel stacks (one channel per coordinate
-pair, lexicographic, kept as each point's pixel cells and rasterized when
-read) that can be reduced to a single channel by per-pixel averaging over
-those points, or are first projected to two dimensions by PCA (optionally with
-the objective as an extra input column).  A fitness cloud skips rasterization
-entirely: each sample point is recorded next to its k nearest neighbors,
-found in the design's shared distance matrix ``ProcessedDesign.distances``.
+dimensional samples become a ``MapStack``: one channel per coordinate pair,
+lexicographic, held as each point's pixel cells and rasterized only when
+read.  A stack can be reduced to a single channel by per-pixel averaging over
+those points, or the sample is first projected to two dimensions by PCA
+(optionally with the objective as an extra input column).  A fitness cloud
+skips rasterization entirely: each sample point is recorded next to its k
+nearest neighbors, found in the design's shared distance matrix
+``ProcessedDesign.distances``.
+
+The raster cap ``MAX_RASTER_BYTES`` bounds the one grid that a 2-D raster, a
+stack channel's read or a reduction allocates, and the C grids that
+``write_stack`` produces for a C-channel stack.
 
 PGM export uses the binary P5 format with maxval 255; filled pixels map to
 round(255 * value) so that better is darker (the best possible value black),
@@ -20,7 +25,7 @@ and empty pixels are white.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,8 +34,9 @@ import numpy as np
 from .preprocess import ProcessedDesign, minmax_unit
 
 DEFAULT_RESOLUTION = 224
-# Largest float64 pixel buffer one raster call may allocate: 1 GiB.  The
-# 780-channel 224 x 224 stack of a 40-column design needs 313 MB.
+# Largest float64 pixel buffer one raster call may allocate, and the most
+# that the grids of one ``write_stack`` may add up to: 1 GiB.  The 780
+# channels of a 40-column design at 224 x 224 add up to 313 MB.
 MAX_RASTER_BYTES = 1 << 30
 
 
@@ -58,15 +64,21 @@ class FitnessMap:
         return int(np.count_nonzero(~np.isnan(self.pixels)))
 
 
-class _PairChannels(Sequence):
-    """A point-backed stack's channels, one per column pair in lexicographic
-    order, each rasterized when read; ``cells`` holds every point's pixels."""
+class MapStack(Sequence):
+    """A multi-channel fitness map: one channel per column pair (i < j) in
+    lexicographic order, kept as every point's pixel cells (``cells``) and
+    rasterized when read.  ``channels`` is the stack itself, a sequence of
+    ``FitnessMap``s."""
 
     def __init__(self, pd: ProcessedDesign, cells: np.ndarray, resolution: int):
         self.pd = pd
         self.cells = cells
         self.resolution = resolution
         self.pairs = list(itertools.combinations(range(pd.width), 2))
+
+    @property
+    def channels(self) -> MapStack:
+        return self
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -75,35 +87,6 @@ class _PairChannels(Sequence):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
         return rasterize_2d(self.pd, self.pairs[k], self.resolution)
-
-
-@dataclass(frozen=True)
-class MapStack:
-    """Channels of a multi-channel fitness map, one per coordinate pair:
-    dense ``FitnessMap``s, or the point-backed channels of ``multichannel``."""
-
-    channels: Sequence[FitnessMap]
-
-    def __post_init__(self):
-        if not isinstance(self.channels, _PairChannels):
-            if not self.channels:
-                raise ValueError("a map stack needs at least one channel")
-            if len({ch.resolution for ch in self.channels}) != 1:
-                raise ValueError("all channels must share one resolution")
-            object.__setattr__(self, "channels", tuple(self.channels))
-
-    @property
-    def resolution(self) -> int:
-        ch = self.channels
-        return ch.resolution if isinstance(ch, _PairChannels) else ch[0].resolution
-
-    def points(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each channel in order as flat pixel indices (may repeat) and values."""
-        ch = self.channels
-        if isinstance(ch, _PairChannels):
-            cells, R = ch.cells, ch.resolution
-            return ((cells[:, a] * R + cells[:, b], ch.pd.objective) for a, b in ch.pairs)
-        return ((np.flatnonzero(~np.isnan(m.pixels)), m.pixels[~np.isnan(m.pixels)]) for m in ch)
 
 
 def check_raster_size(channels: int, resolution: int) -> None:
@@ -221,9 +204,8 @@ def multichannel(pd: ProcessedDesign, resolution: int = DEFAULT_RESOLUTION) -> M
     (a, b) has the pixels of ``rasterize_2d(pd, (a, b))``, made when read."""
     if pd.width < 2:
         raise ValueError("a multi-channel map needs at least two columns")
-    check_raster_size(pd.width * (pd.width - 1) // 2, resolution)
-    cells = _pixel_cells(pd.matrix, resolution)
-    return MapStack(channels=_PairChannels(pd, cells, resolution))
+    check_raster_size(1, resolution)  # the grid of a read, or of a reduction
+    return MapStack(pd, _pixel_cells(pd.matrix, resolution), resolution)
 
 
 def reduce_mean(stack: MapStack) -> FitnessMap:
@@ -233,10 +215,10 @@ def reduce_mean(stack: MapStack) -> FitnessMap:
     mean is computed relative to the first channel so that identical channels
     reduce to exactly themselves.  Channels are read as points, O(n) each.
     """
-    R = stack.resolution
-    points = stack.points()
+    R, cells, values = stack.resolution, stack.cells, stack.pd.objective
+    flats = (cells[:, a] * R + cells[:, b] for a, b in stack.pairs)  # each channel's pixels
     scratch = np.ones(R * R)  # values lie in [0, 1], so fmin against 1 fills empty pixels
-    first, values = next(points)
+    first = next(flats)
     np.fmin.at(scratch, first, values)
     base, base0 = scratch.copy(), scratch[first]
     scratch[first] = 1.0
@@ -244,7 +226,7 @@ def reduce_mean(stack: MapStack) -> FitnessMap:
     all_empty[first] = False
     # acc0 sums at the first channel's points; acc elsewhere, where the base is 1
     acc, acc0 = np.zeros(R * R), np.zeros(first.size)
-    for flat, values in points:
+    for flat in flats:
         np.fmin.at(scratch, flat, values)
         # skipping a pixel neither channel fills (its addend 1 - 1 is +0.0) keeps every bit:
         # acc starts at +0.0 and a sum is -0.0 only if both terms are, so acc is never -0.0
@@ -350,12 +332,13 @@ def write_pgm(fmap: FitnessMap, path: str | Path) -> None:
 
 
 def write_stack(stack: MapStack, stem: str | Path) -> list[Path]:
-    """Write each channel as <stem>_c<i>_<j>.pgm; returns the paths."""
+    """Write each channel as <stem>_c<i>_<j>.pgm; returns the paths.  The
+    written grids together are refused over the raster cap before the first
+    file is opened."""
+    check_raster_size(len(stack.channels), stack.resolution)
     stem = Path(stem)
     paths = []
     for ch in stack.channels:
-        if ch.channel is None:
-            raise ValueError("stack channels must carry their column pair")
         i, j = ch.channel
         path = stem.with_name(f"{stem.name}_c{i}_{j}.pgm")
         write_pgm(ch, path)

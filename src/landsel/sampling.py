@@ -289,29 +289,26 @@ def _jsonable_meta(meta: dict) -> dict:
     return {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in meta.items()}
 
 
-def design_from_csv(path: str | Path, space: SearchSpace | None = None) -> Design:
+def design_from_csv(path: str | Path) -> Design:
     """Read a design written by :func:`design_to_csv`.
 
-    The space is taken from the sidecar unless given explicitly.  The
-    objective column must be entirely present or entirely absent.  Errors
-    name the design file or its sidecar, and the line of a faulty row.
+    The space is taken from the sidecar.  The objective column must be
+    entirely present or entirely absent.  Errors name the design file or its
+    sidecar, and the line of a faulty row.
     """
     path = Path(path)
     if not path.exists():
         raise ValueError(f"design file not found: {path}")
     sidecar = _sidecar_path(path)
-    if space is None and not sidecar.exists():
-        raise ValueError(f"no space given and sidecar {sidecar} not found")
-    doc: dict = {}
+    if not sidecar.exists():
+        raise ValueError(f"sidecar {sidecar} not found")
     try:
-        if sidecar.exists():
-            doc = json.loads(sidecar.read_text())
-            if not isinstance(doc, dict) or not isinstance(doc.get("meta", {}), dict):
-                raise ValueError("sidecar must be an object whose 'meta' is an object")
-        if space is None:
-            if "space" not in doc:
-                raise ValueError("sidecar has no 'space' key")
-            space = space_from_obj(doc["space"])
+        doc = json.loads(sidecar.read_text())
+        if not isinstance(doc, dict) or not isinstance(doc.get("meta", {}), dict):
+            raise ValueError("sidecar must be an object whose 'meta' is an object")
+        if "space" not in doc:
+            raise ValueError("sidecar has no 'space' key")
+        space = space_from_obj(doc["space"])
     except (ValueError, RecursionError) as e:  # also undecodable or too deeply nested JSON
         raise ValueError(f"{sidecar}: {e}") from None
     meta = dict(doc.get("meta", {}))

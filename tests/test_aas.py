@@ -994,6 +994,13 @@ class TestFeaturesCsv:
         with pytest.raises(ValueError, match="duplicate instance"):
             read_features_csv(p)
 
+    def test_repeated_feature_column_rejected(self, tmp_path):
+        # read as a dict, the second cell would silently replace the first
+        p = tmp_path / "repeated.csv"
+        p.write_text("fid,iid,a,b,a\nf,0,1.0,2.0,3.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: feature column 'a' is repeated$"):
+            read_features_csv(p)
+
     def test_header_must_start_with_instance_key(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("iid,fid,f1\nf,0,1.0\n")

@@ -28,7 +28,7 @@ from landsel.aas import (
     write_performance_csv,
 )
 from landsel.ela import compute_all, ela_meta, information_content, nearest_better_clustering
-from landsel.fitmap import MapStack, multichannel, rasterize_2d, reduce_mean
+from landsel.fitmap import multichannel, rasterize_2d, reduce_mean
 from landsel.preprocess import minmax_unit, preprocess_pipeline
 from landsel.sampling import create_initial_design, evaluate_design, with_objective
 from landsel.space import (
@@ -299,8 +299,11 @@ def test_criterion_07_fitness_map_contracts():
         channel_counts[d] = len(stack.channels)
     channels_ok = all(channel_counts[d] == math.comb(d, 2) for d in channel_counts)
 
-    base = rasterize_2d(pd2, resolution=32)
-    reduced = reduce_mean(MapStack(channels=(base, base, base)))
+    # three equal columns make three identical pair channels
+    t, y = np.random.default_rng(77).random((2, 20))
+    same = make_processed(np.column_stack([t, t, t]), y)
+    reduced = reduce_mean(multichannel(same, resolution=32))
+    base = rasterize_2d(same, (0, 1), resolution=32)
     identity_ok = np.array_equal(reduced.pixels, base.pixels, equal_nan=True)
 
     overfull = 0

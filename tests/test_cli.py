@@ -348,13 +348,31 @@ class TestFitmap:
         assert not out.exists()
 
     def test_oversized_raster_refused(self, tmp_path, capsys):
-        # three channels of 100000 x 100000 float64 pixels would need 224 GiB
+        # one 100000 x 100000 grid of float64 pixels would need 75 GiB
         design = sample_design(tmp_path, source="builtin:sphere:d3", n=30)
         code = run_cli(
             "fitmap", design, "--mode", "mc", "--resolution", 100000, "--out", tmp_path / "maps.pgm"
         )
         assert code == 2
-        assert "--resolution 100000 is too large" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "1 channel(s) at resolution 100000 need 76294 MiB" in err
+        assert "raster cap" in err
+        assert not list(tmp_path.glob("maps*"))
+
+    def test_wide_design_reduces_and_refuses_to_write_its_stack(self, tmp_path, capsys):
+        # C(257, 2) = 32896 channels: the reduction allocates a few 64 x 64
+        # grids, while writing every channel would produce 1028 MiB of grids
+        design = sample_design(tmp_path, source="builtin:sphere:d257", n=20)
+        out = tmp_path / "reduced.pgm"
+        assert run_cli("fitmap", design, "--mode", "rmc", "--resolution", 64, "--out", out) == 0
+        data = out.read_bytes()
+        assert data.startswith(b"P5\n64 64\n255\n")
+        assert len(data) == len(b"P5\n64 64\n255\n") + 64 * 64
+        code = run_cli("fitmap", design, "--mode", "mc", "--resolution", 64, "--out", tmp_path / "maps.pgm")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "32896 channel(s) at resolution 64 need 1028 MiB" in err
+        assert "raster cap" in err
         assert not list(tmp_path.glob("maps*"))
 
 
@@ -400,6 +418,14 @@ class TestAas:
         code = run_cli("aas", feats, TOY_PERFORMANCE, "--out", tmp_path / "r.json")
         assert code == 2
         assert f"landsel aas: {feats}:3: column f2: {reason}" in capsys.readouterr().err
+
+    def test_repeated_feature_column_exits_two(self, tmp_path, capsys):
+        feats = tmp_path / "features.csv"
+        feats.write_text("fid,iid,a,a\nfa,0,0.1,1.0\nfa,1,0.2,2.0\n")
+        out = tmp_path / "r.json"
+        assert run_cli("aas", feats, TOY_PERFORMANCE, "--out", out) == 2
+        assert f"landsel aas: {feats}: feature column 'a' is repeated" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_feature_cost_flag(self, tmp_path):
         out = tmp_path / "report.json"

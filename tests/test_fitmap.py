@@ -16,7 +16,6 @@ from landsel.fitmap import (
     DEFAULT_RESOLUTION,
     MAX_RASTER_BYTES,
     FitnessMap,
-    MapStack,
     check_raster_size,
     cloud_to_csv,
     knn_cloud,
@@ -129,7 +128,7 @@ class TestRasterCap:
             raise AssertionError("a pixel grid was allocated")
 
         monkeypatch.setattr(fitmap.np, "full", no_allocation)
-        with pytest.raises(ValueError, match=r"3 channel\(s\) at resolution 100000"):
+        with pytest.raises(ValueError, match=r"1 channel\(s\) at resolution 100000 .* raster cap"):
             multichannel(pd, resolution=100_000)
         with pytest.raises(ValueError, match="raster cap"):
             rasterize_2d(pd, resolution=100_000)
@@ -137,38 +136,21 @@ class TestRasterCap:
             rasterize_projection(projection, pd.objective, resolution=100_000)
 
 
-class TestReduceMean:
-    def test_identical_channels_reduce_to_themselves(self):
-        rng = np.random.default_rng(7)
-        px = rng.random((6, 6))
-        px[rng.random((6, 6)) < 0.3] = np.nan
-        stack = MapStack(channels=(grid_map(px), grid_map(px.copy()), grid_map(px.copy())))
-        out = reduce_mean(stack)
-        assert np.array_equal(out.pixels, px, equal_nan=True)
-
-    def test_mean_of_zero_and_one(self):
-        a = grid_map(np.zeros((3, 3)))
-        b = grid_map(np.ones((3, 3)))
-        out = reduce_mean(MapStack(channels=(a, b)))
-        assert np.all(out.pixels == 0.5)
-
-    def test_partially_empty_counts_as_worst(self):
-        a = grid_map(np.full((2, 2), 0.3))
-        b = grid_map(np.full((2, 2), np.nan))
-        out = reduce_mean(MapStack(channels=(a, b)))
-        assert out.pixels == pytest.approx(np.full((2, 2), 0.65), abs=1e-12)
-
-    def test_fully_empty_pixels_stay_empty(self):
-        a = grid_map(np.full((2, 2), np.nan))
-        b = grid_map(np.full((2, 2), np.nan))
-        out = reduce_mean(MapStack(channels=(a, b)))
-        assert np.all(np.isnan(out.pixels))
+    def test_write_stack_refused_before_the_first_file(self, tmp_path):
+        # 600 columns give 179,700 channels; one 32 x 32 grid is 8 KiB, and
+        # reads and reductions are admitted, but the written grids are 1404 MiB
+        rng = np.random.default_rng(18)
+        stack = multichannel(make_processed(rng.random((20, 600)), rng.random(20)), 32)
+        assert len(stack.channels) == 179_700
+        with pytest.raises(ValueError, match=r"179700 channel\(s\) at resolution 32 need 1404 MiB"):
+            write_stack(stack, tmp_path / "maps")
+        assert list(tmp_path.iterdir()) == []
 
 
-def reference_reduce_mean(stack) -> np.ndarray:
+def reference_reduce_mean(channels) -> np.ndarray:
     """The dense reduction that the point-wise ``reduce_mean`` replaced: every
     channel's full grid in turn, summed relative to the first channel."""
-    first, *rest = (ch.pixels for ch in stack.channels)
+    first, *rest = (ch.pixels for ch in channels)
     all_empty = np.isnan(first)
     base = np.where(all_empty, 1.0, first)
     acc = np.zeros_like(base)
@@ -176,9 +158,39 @@ def reference_reduce_mean(stack) -> np.ndarray:
         empty = np.isnan(px)
         acc += np.where(empty, 1.0, px) - base
         all_empty &= empty
-    mean = np.clip(base + acc / len(stack.channels), 0.0, 1.0)
+    mean = np.clip(base + acc / len(channels), 0.0, 1.0)
     mean[all_empty] = np.nan
     return mean
+
+
+class TestReferenceReduceMean:
+    """The oracle on hand-made grids; ``TestPointBackedStack`` holds
+    ``reduce_mean`` to the oracle."""
+
+    def test_identical_channels_reduce_to_themselves(self):
+        rng = np.random.default_rng(7)
+        px = rng.random((6, 6))
+        px[rng.random((6, 6)) < 0.3] = np.nan
+        out = reference_reduce_mean((grid_map(px), grid_map(px.copy()), grid_map(px.copy())))
+        assert np.array_equal(out, px, equal_nan=True)
+
+    def test_mean_of_zero_and_one(self):
+        a = grid_map(np.zeros((3, 3)))
+        b = grid_map(np.ones((3, 3)))
+        out = reference_reduce_mean((a, b))
+        assert np.all(out == 0.5)
+
+    def test_partially_empty_counts_as_worst(self):
+        a = grid_map(np.full((2, 2), 0.3))
+        b = grid_map(np.full((2, 2), np.nan))
+        out = reference_reduce_mean((a, b))
+        assert out == pytest.approx(np.full((2, 2), 0.65), abs=1e-12)
+
+    def test_fully_empty_pixels_stay_empty(self):
+        a = grid_map(np.full((2, 2), np.nan))
+        b = grid_map(np.full((2, 2), np.nan))
+        out = reference_reduce_mean((a, b))
+        assert np.all(np.isnan(out))
 
 
 UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
@@ -201,7 +213,7 @@ def edge_designs(draw):
 
 def assert_point_backed_stack_exact(pd, resolution):
     """Every channel equals ``rasterize_2d`` of its pair, and the reduction
-    has the dense reference's exact bytes, from points and from grids."""
+    has the dense reference's exact bytes."""
     stack = multichannel(pd, resolution)
     pairs = list(itertools.combinations(range(pd.width), 2))
     assert len(stack.channels) == len(pairs)
@@ -211,8 +223,6 @@ def assert_point_backed_stack_exact(pd, resolution):
         assert ch.pixels.tobytes() == rasterize_2d(pd, pair, resolution).pixels.tobytes()
     expected = reference_reduce_mean(stack).tobytes()
     assert reduce_mean(stack).pixels.tobytes() == expected
-    dense = MapStack(channels=tuple(stack.channels))
-    assert reduce_mean(dense).pixels.tobytes() == expected
 
 
 class TestPointBackedStack:
@@ -493,7 +503,3 @@ class TestFitnessMapValidation:
     def test_filled_pixels_must_be_normalized(self):
         with pytest.raises(ValueError):
             FitnessMap(pixels=np.full((2, 2), 1.5), resolution=2)
-
-    def test_stack_needs_uniform_resolution(self):
-        with pytest.raises(ValueError):
-            MapStack(channels=(grid_map(np.zeros((2, 2))), grid_map(np.zeros((3, 3)))))

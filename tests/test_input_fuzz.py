@@ -147,14 +147,14 @@ class TestDesignFiles:
         code, err = run_quietly("preprocess", path, "--out", path.with_name("processed.csv"))
         assert code in (0, 2), err
 
-    @given(fuzz_files(["x.x", "x.c", "x.k", "y"], DESIGN_CELLS), SIDECARS)
-    @example("x.x,x.c,x.k,y\n" + GOOD_ROW, "[]")
-    def test_given_space(self, tmp_path_factory, text, sidecar_text):
+    @given(fuzz_files(["x.x", "x.c", "x.k", "y"], DESIGN_CELLS), JSON_VALUES)
+    @example("x.x,x.c,x.k,y\n" + GOOD_ROW, [])
+    def test_valid_space_any_meta(self, tmp_path_factory, text, meta):
         path = write(tmp_path_factory, "design.csv", text)
         sidecar = path.with_name("design.meta.json")
-        sidecar.write_text(sidecar_text)
+        sidecar.write_text(json.dumps({"space": space_to_obj(rgb_space()), "meta": meta}))
         try:
-            design_from_csv(path, space=rgb_space())
+            design_from_csv(path)
         except ValueError as e:
             assert_refusal_names(e, path, sidecar)
 

@@ -269,27 +269,37 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="nope.csv"):
             design_from_csv(tmp_path / "nope.csv")
 
+    @staticmethod
+    def write_beside_sidecar(path, text, space):
+        """``text`` as a design file, next to the sidecar that
+        ``design_to_csv`` writes for a design over ``space``."""
+        design_to_csv(create_initial_design(space, n=2, seed=0), path)
+        path.write_text(text)
+
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("x.a,y\n0.0,1.0\n")
+        self.write_beside_sidecar(path, "x.a,y\n0.0,1.0\n", unit_space(1))
         with pytest.raises(ValueError, match="header"):
-            design_from_csv(path, space=unit_space(1))
+            design_from_csv(path)
 
     @pytest.mark.parametrize(
         "cell,reason", [("1.5", "integer cells must be integral"), ("inf", "cells must be finite or missing")]
     )
     def test_bad_integer_cell_refused_not_truncated(self, tmp_path, cell, reason):
         path = tmp_path / "ints.csv"
-        path.write_text(f"x.k,y\n2,\n{cell},\n")
+        self.write_beside_sidecar(path, f"x.k,y\n2,\n{cell},\n", SearchSpace((mixed_space()["k"],)))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: k: {reason}"):
-            design_from_csv(path, space=SearchSpace((mixed_space()["k"],)))
+            design_from_csv(path)
 
-    def test_explicit_space_overrides_sidecar(self, tmp_path):
+    def test_space_comes_from_the_sidecar(self, tmp_path):
         d = create_initial_design(unit_space(2), n=5, seed=0)
         path = tmp_path / "design.csv"
         design_to_csv(d, path)
-        back = design_from_csv(path, space=unit_space(2))
+        back = design_from_csv(path)
         assert back.space == d.space
+        path.with_name("design.meta.json").unlink()
+        with pytest.raises(ValueError, match=r"design\.meta\.json not found"):
+            design_from_csv(path)
 
     # digests of the same files written when apply_transform built Fractions
     @pytest.mark.parametrize(
