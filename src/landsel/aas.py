@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .ela import FeatureVector
+from .sampling import read_csv_rows
 
 DEFAULT_PENALTY = 10.0
 CV_SCHEMES = ("leave_iid_out", "leave_fid_out", "leave_group_out")
@@ -438,24 +439,12 @@ def cross_validate(
 PERFORMANCE_HEADER = ["fid", "iid", "algorithm", "run", "evaluations", "success", "budget"]
 
 
-def _csv_rows(path: Path, what: str) -> list[list[str]]:
-    """Every row of a CSV file; a missing file, bytes that do not decode and
-    malformed CSV are ValueErrors that name the file."""
-    if not path.exists():
-        raise ValueError(f"{what} file not found: {path}")
-    with open(path, newline="") as fh:
-        try:
-            return list(csv.reader(fh))
-        except (csv.Error, UnicodeDecodeError) as e:
-            raise ValueError(f"{path}: {e}") from None
-
-
 def read_performance_csv(path: str | Path) -> ErtTable:
     """Read runs from CSV with header fid,iid,algorithm,run,evaluations,success,budget
     straight into an :class:`ErtTable`; every algorithm needs runs on every
     instance.  Errors name the file, and the line where one row is at fault."""
     path = Path(path)
-    rows = _csv_rows(path, "performance")
+    rows = read_csv_rows(path)
     if not rows or rows[0] != PERFORMANCE_HEADER:
         raise ValueError(f"{path}: expected header {','.join(PERFORMANCE_HEADER)}")
     cells: dict = {}
@@ -491,7 +480,7 @@ def read_features_csv(path: str | Path) -> dict[InstanceKey, FeatureVector]:
     """Read a batch feature table: header fid,iid,<feature names>; empty cells
     are missing features, every other cell must be a finite number."""
     path = Path(path)
-    rows = _csv_rows(path, "features")
+    rows = read_csv_rows(path)
     if not rows or rows[0][:2] != ["fid", "iid"]:
         raise ValueError(f"{path}: header must start with fid,iid")
     names = rows[0][2:]

@@ -19,7 +19,8 @@ supplies defaults that flags override; unknown config keys are a hard error.
 The only environment variable consulted is ``LANDSEL_LOG`` (stderr log
 verbosity; never affects outputs).
 
-Exit codes: 0 success, 2 validation error, 1 internal error.
+Exit codes: 0 success, 2 validation error or a path that cannot be read or
+written, 1 internal error.
 """
 
 from __future__ import annotations
@@ -96,8 +97,6 @@ def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
     p = Path(path)
-    if not p.exists():
-        raise ValueError(f"config file not found: {p}")
     try:
         obj = json.loads(p.read_text())
     except (ValueError, RecursionError) as e:  # undecodable, malformed or too deeply nested
@@ -144,24 +143,20 @@ def _parse_source(text: str) -> space.Problem | space.SearchSpace:
             iid = int(parts[3][1:])
         return space.builtin_problem(fid, iid, dimension)
     path = Path(text)
-    if not path.exists():
-        raise ValueError(f"space file not found: {path}")
     try:
         return space.space_from_json(path.read_text())
     except ValueError as e:  # bytes that do not decode, or a bad document
         raise ValueError(f"{path}: {e}") from None
 
 
-def _require(cfg: dict, key: str, command: str):
+def _require(cfg: dict, key: str):
     if cfg[key] is None:
-        raise ValueError(f"{command}: {key!r} is required (flag or config)")
+        raise ValueError(f"{key!r} is required (flag or config)")
     return cfg[key]
 
 
-def _processed(cfg: dict, command: str) -> preprocess.ProcessedDesign:
-    design = sampling.design_from_csv(_require(cfg, "design", command))
-    if design.y is None:
-        raise ValueError(f"{command}: design has no objective values; evaluate it first")
+def _processed(cfg: dict) -> preprocess.ProcessedDesign:
+    design = sampling.design_from_csv(_require(cfg, "design"))
     return preprocess.preprocess_pipeline(
         design, encoding=cfg["encoding"], smoothing=float(cfg["smoothing"])
     )
@@ -172,8 +167,8 @@ def _processed(cfg: dict, command: str) -> preprocess.ProcessedDesign:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "sample")
-    source = _parse_source(_require(cfg, "source", "sample"))
-    out = Path(_require(cfg, "out", "sample"))
+    source = _parse_source(_require(cfg, "source"))
+    out = Path(_require(cfg, "out"))
     target_space = source.space if isinstance(source, space.Problem) else source
     design = sampling.create_initial_design(
         target_space,
@@ -190,11 +185,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "evaluate")
-    design = sampling.design_from_csv(_require(cfg, "design", "evaluate"))
-    source = _parse_source(_require(cfg, "source", "evaluate"))
+    design = sampling.design_from_csv(_require(cfg, "design"))
+    source = _parse_source(_require(cfg, "source"))
     if not isinstance(source, space.Problem):
         raise ValueError("evaluate needs a builtin problem source, not a bare search space")
-    out = Path(_require(cfg, "out", "evaluate"))
+    out = Path(_require(cfg, "out"))
     sampling.design_to_csv(sampling.evaluate_design(source, design), out)
     log.info("wrote %d-row evaluated design to %s", design.n, out)
     return 0
@@ -202,8 +197,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "preprocess")
-    pd = _processed(cfg, "preprocess")
-    out = Path(_require(cfg, "out", "preprocess"))
+    pd = _processed(cfg)
+    out = Path(_require(cfg, "out"))
     preprocess.processed_to_csv(pd, out)
     log.info("wrote processed design (%d columns) to %s", pd.width, out)
     return 0
@@ -211,9 +206,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 def cmd_features(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "features")
-    pd = _processed(cfg, "features")
+    pd = _processed(cfg)
     fv = ela.compute_all(pd, seed=int(cfg["seed"]))
-    out = Path(_require(cfg, "out", "features"))
+    out = Path(_require(cfg, "out"))
     out.write_text(fv.to_csv() if out.suffix == ".csv" else fv.to_json() + "\n")
     log.info("wrote %d features to %s", len(fv.values), out)
     return 0
@@ -224,9 +219,9 @@ def cmd_fitmap(args: argparse.Namespace) -> int:
     mode = cfg["mode"]
     if mode not in FITMAP_MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(FITMAP_MODES)}")
-    pd = _processed(cfg, "fitmap")
+    pd = _processed(cfg)
     resolution = int(cfg["resolution"])
-    out = Path(_require(cfg, "out", "fitmap"))
+    out = Path(_require(cfg, "out"))
     written = [out]
     if mode == "raw2d":
         fitmap.write_pgm(fitmap.rasterize_2d(pd, resolution=resolution), out)
@@ -251,8 +246,8 @@ def cmd_fitmap(args: argparse.Namespace) -> int:
 
 def cmd_aas(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "aas")
-    features = aas_mod.read_features_csv(_require(cfg, "features", "aas"))
-    table = aas_mod.read_performance_csv(_require(cfg, "performance", "aas"))
+    features = aas_mod.read_features_csv(_require(cfg, "features"))
+    table = aas_mod.read_performance_csv(_require(cfg, "performance"))
     k, feature_cost, penalty = int(cfg["k"]), int(cfg["feature_cost"]), float(cfg["penalty"])
     if k < 1:
         raise ValueError("aas needs --k >= 1")
@@ -279,7 +274,7 @@ def cmd_aas(args: argparse.Namespace) -> int:
         feature_cost=feature_cost,
         penalty=penalty,
     )
-    out = Path(_require(cfg, "out", "aas"))
+    out = Path(_require(cfg, "out"))
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     pooled = report["pooled"]
     log.info("sbs=%s gap_closure=%s", pooled["sbs_algorithm"], pooled["gap_closure"])
@@ -368,6 +363,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         return 1
+    except OSError as e:  # a path that cannot be read or written, named by the error
+        where = "" if e.filename is None else f"{e.filename}: "
+        print(f"landsel {args.command}: {where}{e.strerror or e}", file=sys.stderr)
+        return 2
     except Exception as e:  # pragma: no cover - internal failures
         log.error("internal error: %s", e, exc_info=True)
         print(f"landsel {args.command}: internal error: {e}", file=sys.stderr)

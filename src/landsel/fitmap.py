@@ -24,7 +24,6 @@ and empty pixels are white.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,19 +73,20 @@ class MapStack(Sequence):
         self.pd = pd
         self.cells = cells
         self.resolution = resolution
-        self.pairs = list(itertools.combinations(range(pd.width), 2))
+        self.pairs = np.triu_indices(pd.width, 1)  # (i, j) index arrays, lexicographic
 
     @property
     def channels(self) -> MapStack:
         return self
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.pairs[0].size
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        return rasterize_2d(self.pd, self.pairs[k], self.resolution)
+        i, j = self.pairs
+        return rasterize_2d(self.pd, (int(i[k]), int(j[k])), self.resolution)
 
 
 def check_raster_size(channels: int, resolution: int) -> None:
@@ -216,7 +216,7 @@ def reduce_mean(stack: MapStack) -> FitnessMap:
     reduce to exactly themselves.  Channels are read as points, O(n) each.
     """
     R, cells, values = stack.resolution, stack.cells, stack.pd.objective
-    flats = (cells[:, a] * R + cells[:, b] for a, b in stack.pairs)  # each channel's pixels
+    flats = (cells[:, a] * R + cells[:, b] for a, b in zip(*stack.pairs))  # each channel's pixels
     scratch = np.ones(R * R)  # values lie in [0, 1], so fmin against 1 fills empty pixels
     first = next(flats)
     np.fmin.at(scratch, first, values)

@@ -289,19 +289,28 @@ def _jsonable_meta(meta: dict) -> dict:
     return {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in meta.items()}
 
 
+def read_csv_rows(path: str | Path) -> list[list[str]]:
+    """Every row of a CSV file.  Bytes that do not decode and malformed CSV
+    are ValueErrors that name the file; a file that cannot be opened raises
+    the ``OSError`` of ``open``, which names it too."""
+    with open(path, newline="") as fh:
+        try:
+            return list(csv.reader(fh))
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise ValueError(f"{path}: {e}") from None
+
+
 def design_from_csv(path: str | Path) -> Design:
     """Read a design written by :func:`design_to_csv`.
 
     The space is taken from the sidecar.  The objective column must be
     entirely present or entirely absent.  Errors name the design file or its
-    sidecar, and the line of a faulty row.
+    sidecar, and the line of a faulty row; the design's rows are read first,
+    so a missing design is reported as itself, not as a missing sidecar.
     """
     path = Path(path)
-    if not path.exists():
-        raise ValueError(f"design file not found: {path}")
+    rows = read_csv_rows(path)
     sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise ValueError(f"sidecar {sidecar} not found")
     try:
         doc = json.loads(sidecar.read_text())
         if not isinstance(doc, dict) or not isinstance(doc.get("meta", {}), dict):
@@ -312,11 +321,6 @@ def design_from_csv(path: str | Path) -> Design:
     except (ValueError, RecursionError) as e:  # also undecodable or too deeply nested JSON
         raise ValueError(f"{sidecar}: {e}") from None
     meta = dict(doc.get("meta", {}))
-    with open(path, newline="") as fh:
-        try:
-            rows = list(csv.reader(fh))
-        except (csv.Error, UnicodeDecodeError) as e:
-            raise ValueError(f"{path}: {e}") from None
     if not rows:
         raise ValueError(f"{path}: empty design file")
     header = rows[0]

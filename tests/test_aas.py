@@ -846,7 +846,7 @@ class TestPerformanceCsv:
                 assert cell(table, fid, iid, algorithm) == 10 * (r + 1) + c
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ValueError, match="not found"):
+        with pytest.raises(FileNotFoundError, match="none.csv"):
             read_performance_csv(tmp_path / "none.csv")
 
     def test_wrong_header(self, tmp_path):

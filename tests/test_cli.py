@@ -91,7 +91,7 @@ class TestSample:
 
     def test_missing_out_is_a_validation_error(self, tmp_path, capsys):
         assert run_cli("sample", "builtin:sphere:d2") == 2
-        assert "'out' is required" in capsys.readouterr().err
+        assert capsys.readouterr().err == "landsel sample: 'out' is required (flag or config)\n"
 
     def test_instance_field_in_source(self, tmp_path):
         out = sample_design(tmp_path, source="builtin:rastrigin:d3:i4", n=10)
@@ -517,6 +517,91 @@ def test_cli_aas_loads_no_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+# Subcommands that write, as argv templates without --out, with the suffix
+# of their output; {design} is an evaluated design, {raw} an unevaluated one
+_WRITERS = {
+    "sample": ("sample builtin:sphere:d3 --n 20", ".csv"),
+    "evaluate": ("evaluate {raw} --source builtin:sphere:d3", ".csv"),
+    "preprocess": ("preprocess {design}", ".csv"),
+    "features-json": ("features {design}", ".json"),
+    "features-csv": ("features {design}", ".csv"),
+    "fitmap-raw2d": ("fitmap {design} --resolution 8", ".pgm"),
+    "fitmap-mc": ("fitmap {design} --mode mc --resolution 8", ".pgm"),
+    "fitmap-cloud": ("fitmap {design} --mode cloud --k 2", ".csv"),
+    "aas": ("aas {features} {performance}", ".json"),
+}
+
+# (argv template, the path the message must name); {dir} is a directory,
+# {dir_design} a directory beside a real sidecar, {dir_sidecar} a directory
+# in place of the sidecar of the design {sidecarless}
+_UNOPENABLE = {
+    "config-dir": ("features {design} --config {dir} --out {tmp}/f.json", "{dir}"),
+    "space-dir": ("sample {dir} --n 20 --out {tmp}/d.csv", "{dir}"),
+    "features-csv-dir": ("aas {dir} {performance} --out {tmp}/r.json", "{dir}"),
+    "performance-csv-dir": ("aas {features} {dir} --out {tmp}/r.json", "{dir}"),
+    "design-dir": ("features {dir_design} --out {tmp}/f.json", "{dir_design}"),
+    "sidecar-dir": ("features {sidecarless} --out {tmp}/f.json", "{dir_sidecar}"),
+    **{
+        f"{name}-out-under-missing-parent": (f"{template} --out {{tmp}}/missing/out{suffix}", "{tmp}/missing/out")
+        for name, (template, suffix) in _WRITERS.items()
+    },
+    **{
+        f"{name}-out-is-a-directory": (f"{template} --out {{tmp}}/taken{suffix}", f"{{tmp}}/taken{suffix}")
+        for name, (template, suffix) in _WRITERS.items()
+        if name != "fitmap-mc"  # writes <stem>_c<i>_<j>.pgm beside the directory
+    },
+}
+
+
+@pytest.fixture
+def named_paths(tmp_path):
+    """The placeholders of ``_UNOPENABLE``, as files and directories under ``tmp_path``."""
+    problem = builtin_problem("sphere", 0, 3)
+    raw = create_initial_design(problem.space, n=20, seed=0)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("design", "raw", "sidecarless", "dir_design")}
+    design_to_csv(raw, paths["raw"])
+    evaluated = evaluate_design(problem, raw)
+    for name in ("design", "sidecarless", "dir_design"):
+        design_to_csv(evaluated, paths[name])
+    paths["dir_design"].unlink()
+    paths["dir_design"].mkdir()
+    paths["dir_sidecar"] = tmp_path / "sidecarless.meta.json"
+    paths["dir_sidecar"].unlink()
+    paths["dir_sidecar"].mkdir()
+    paths["dir"] = tmp_path / "dir"
+    paths["dir"].mkdir()
+    for suffix in (".csv", ".json", ".pgm"):
+        (tmp_path / f"taken{suffix}").mkdir()
+    return {"tmp": tmp_path, "features": TOY_FEATURES, "performance": TOY_PERFORMANCE, **paths}
+
+
+@pytest.mark.parametrize("case", sorted(_UNOPENABLE))
+def test_unopenable_path_exits_two_naming_it(named_paths, capsys, case):
+    template, named = _UNOPENABLE[case]
+    assert run_cli(*(token.format(**named_paths) for token in template.split())) == 2
+    err = capsys.readouterr().err
+    assert named.format(**named_paths) in err
+    assert "internal error" not in err
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+def test_write_error_without_a_filename_exits_two(named_paths, capsys):
+    # the failed write of a full device carries no filename
+    assert run_cli("features", named_paths["design"], "--out", "/dev/full") == 2
+    assert capsys.readouterr().err == "landsel features: No space left on device\n"
+
+
+def test_module_run_with_out_under_missing_parent_prints_no_traceback(named_paths):
+    out = named_paths["tmp"] / "missing" / "f.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "landsel", "features", str(named_paths["design"]), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"landsel features: {out}: No such file or directory\n"
 
 
 @pytest.mark.usefixtures("landsel_on_path")

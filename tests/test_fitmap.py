@@ -271,6 +271,14 @@ class TestStackMemory:
         assert len(stack.channels) == 3
         assert peak < 2**20  # one 4096 x 4096 grid is 128 MiB
 
+    def test_wide_stack_holds_its_pairs_as_two_index_arrays(self):
+        # 179,700 pairs: two int64 arrays take 2.74 MiB, a list of tuples 11 MiB
+        rng = np.random.default_rng(18)
+        pd = make_processed(rng.random((20, 600)), rng.random(20))
+        stack, peak = traced_peak(lambda: multichannel(pd, 32))
+        assert len(stack.channels) == 179_700
+        assert peak < 4 * 2**20
+
     def test_write_stack_holds_one_grid_at_a_time(self, tmp_path):
         rng = np.random.default_rng(17)
         pd = make_processed(rng.random((200, 12)), rng.random(200))

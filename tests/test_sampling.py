@@ -266,7 +266,7 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.y, d.y)
 
     def test_missing_file_names_the_path(self, tmp_path):
-        with pytest.raises(ValueError, match="nope.csv"):
+        with pytest.raises(FileNotFoundError, match="nope.csv"):
             design_from_csv(tmp_path / "nope.csv")
 
     @staticmethod
@@ -298,7 +298,7 @@ class TestCsvRoundTrip:
         back = design_from_csv(path)
         assert back.space == d.space
         path.with_name("design.meta.json").unlink()
-        with pytest.raises(ValueError, match=r"design\.meta\.json not found"):
+        with pytest.raises(FileNotFoundError, match=r"design\.meta\.json"):
             design_from_csv(path)
 
     # digests of the same files written when apply_transform built Fractions

@@ -50,3 +50,21 @@ def test_stage_memory_smoke(capsys):
         "fitness_distance_correlation", "knn_cloud", "cloud_to_csv", "rmc", "pca_func",
     ]
     assert all(float(row[1]) > 0.0 and float(row[2]) >= 0.0 for row in rows)
+
+
+def test_make_map_gallery_smoke(tmp_path, capsys):
+    main = runpy.run_path(str(ROOT / "scripts" / "make_map_gallery.py"))["main"]
+    argv = ["--functions", "sphere", "--dimension", "3", "--n", "30", "--resolution", "16",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote 6 maps to {tmp_path}/ (manifest.tsv lists fill counts)\n"
+    rows = [line.split("\t") for line in (tmp_path / "manifest.tsv").read_text().splitlines()]
+    stem = "sphere_d3_i0"
+    assert [name for name, _ in rows] == [
+        f"{stem}_{part}.pgm" for part in ("raw", "c0_1", "c0_2", "c1_2", "mean", "pca")
+    ]
+    # the stack's channels carry no fill count; the others have filled pixels
+    assert [fill == "" for _, fill in rows] == [False, True, True, True, False, False]
+    assert all(int(fill) > 0 for _, fill in rows if fill)
+    assert sorted(p.name for p in tmp_path.glob("*.pgm")) == sorted(name for name, _ in rows)
+    assert all(p.read_bytes().startswith(b"P5\n16 16\n255\n") for p in tmp_path.glob("*.pgm"))
