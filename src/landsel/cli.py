@@ -20,7 +20,9 @@ The only environment variable consulted is ``LANDSEL_LOG`` (stderr log
 verbosity; never affects outputs).
 
 Exit codes: 0 success, 2 validation error or a path that cannot be read or
-written, 1 internal error.
+written, 1 internal error.  Each output is whole or absent: ``sampling.staged``
+claims it before any feature, fold or map is computed, and moves it into place
+on success; a device such as ``/dev/stdout`` is written in place.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -123,25 +126,19 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     for key, default in _CONFIG_DEFAULTS[command].items():
         flag = getattr(args, key, None)
         out[key] = flag if flag is not None else config.get(key, default)
+    if out.get("seed", 0) < 0:
+        raise ValueError(f"'seed' must be >= 0, got {out['seed']}")
     return out
 
 
 def _parse_source(text: str) -> space.Problem | space.SearchSpace:
     """`builtin:<fid>:d<D>[:i<iid>]` or a search-space JSON path."""
     if text.startswith("builtin:"):
-        parts = text.split(":")
-        if len(parts) not in (3, 4):
+        match = re.fullmatch(r"builtin:([^:]*):d(\d+)(?::i(\d+))?", text)
+        if match is None:
             raise ValueError(f"bad builtin source {text!r}; expected builtin:<fid>:d<D>[:i<iid>]")
-        fid = parts[1]
-        if not parts[2].startswith("d") or not parts[2][1:].isdigit():
-            raise ValueError(f"bad dimension field {parts[2]!r} in source {text!r}")
-        dimension = int(parts[2][1:])
-        iid = 0
-        if len(parts) == 4:
-            if not parts[3].startswith("i") or not parts[3][1:].isdigit():
-                raise ValueError(f"bad instance field {parts[3]!r} in source {text!r}")
-            iid = int(parts[3][1:])
-        return space.builtin_problem(fid, iid, dimension)
+        fid, dimension, iid = match.groups()
+        return space.builtin_problem(fid, int(iid or 0), int(dimension))
     path = Path(text)
     try:
         return space.space_from_json(path.read_text())
@@ -206,10 +203,11 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 def cmd_features(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "features")
-    pd = _processed(cfg)
-    fv = ela.compute_all(pd, seed=int(cfg["seed"]))
     out = Path(_require(cfg, "out"))
-    out.write_text(fv.to_csv() if out.suffix == ".csv" else fv.to_json() + "\n")
+    with sampling.staged(out) as (stand_in,):
+        fv = ela.compute_all(_processed(cfg), seed=int(cfg["seed"]))
+        with open(stand_in, "w") as fh:
+            fh.write(fv.to_csv() if out.suffix == ".csv" else fv.to_json() + "\n")
     log.info("wrote %d features to %s", len(fv.values), out)
     return 0
 
@@ -219,35 +217,32 @@ def cmd_fitmap(args: argparse.Namespace) -> int:
     mode = cfg["mode"]
     if mode not in FITMAP_MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(FITMAP_MODES)}")
-    pd = _processed(cfg)
-    resolution = int(cfg["resolution"])
+    resolution, k = int(cfg["resolution"]), int(cfg["k"])
+    if mode == "cloud" and k < 1:
+        raise ValueError("cloud mode needs --k >= 1")
     out = Path(_require(cfg, "out"))
-    written = [out]
-    if mode == "raw2d":
-        fitmap.write_pgm(fitmap.rasterize_2d(pd, resolution=resolution), out)
-    elif mode in ("pca", "pca-func"):
-        projection = fitmap.pca_project(pd, include_objective=(mode == "pca-func"))
-        fitmap.write_pgm(
-            fitmap.rasterize_projection(projection, pd.objective, resolution=resolution), out
-        )
-    elif mode == "mc":
+    if mode == "mc":  # write_stack stages the files of the stack itself
         stem = out.with_suffix("") if out.suffix == ".pgm" else out
-        written = fitmap.write_stack(fitmap.multichannel(pd, resolution=resolution), stem)
-    elif mode == "rmc":
-        fitmap.write_pgm(fitmap.reduce_mean(fitmap.multichannel(pd, resolution=resolution)), out)
-    else:  # cloud
-        k = int(cfg["k"])
-        if k < 1:
-            raise ValueError("cloud mode needs --k >= 1")
-        fitmap.cloud_to_csv(fitmap.knn_cloud(pd, k), out)
+        written = fitmap.write_stack(fitmap.multichannel(_processed(cfg), resolution=resolution), stem)
+    else:
+        written = [out]
+        with sampling.staged(out) as (stand_in,):
+            pd = _processed(cfg)
+            if mode == "cloud":
+                fitmap.cloud_to_csv(fitmap.knn_cloud(pd, k), stand_in)
+            elif mode == "raw2d":
+                fitmap.write_pgm(fitmap.rasterize_2d(pd, resolution=resolution), stand_in)
+            elif mode == "rmc":
+                fitmap.write_pgm(fitmap.reduce_mean(fitmap.multichannel(pd, resolution=resolution)), stand_in)
+            else:  # pca, pca-func
+                projection = fitmap.pca_project(pd, include_objective=(mode == "pca-func"))
+                fitmap.write_pgm(fitmap.rasterize_projection(projection, pd.objective, resolution), stand_in)
     log.info("wrote %d file(s): %s", len(written), ", ".join(str(p) for p in written))
     return 0
 
 
 def cmd_aas(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "aas")
-    features = aas_mod.read_features_csv(_require(cfg, "features"))
-    table = aas_mod.read_performance_csv(_require(cfg, "performance"))
     k, feature_cost, penalty = int(cfg["k"]), int(cfg["feature_cost"]), float(cfg["penalty"])
     if k < 1:
         raise ValueError("aas needs --k >= 1")
@@ -263,19 +258,20 @@ def cmd_aas(args: argparse.Namespace) -> int:
             if not sep:
                 raise ValueError(f"bad groups key {key!r}; expected 'fid:iid'")
             groups[(fid, iid)] = str(label)
-    report = aas_mod.cross_validate(
-        features,
-        table,
-        scheme=cfg["scheme"],
-        kind=cfg["selector"],
-        k=k,
-        cost_sensitive=bool(cfg["cost_sensitive"]),
-        groups=groups,
-        feature_cost=feature_cost,
-        penalty=penalty,
-    )
-    out = Path(_require(cfg, "out"))
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with sampling.staged(_require(cfg, "out")) as (stand_in,):
+        report = aas_mod.cross_validate(
+            aas_mod.read_features_csv(_require(cfg, "features")),
+            aas_mod.read_performance_csv(_require(cfg, "performance")),
+            scheme=cfg["scheme"],
+            kind=cfg["selector"],
+            k=k,
+            cost_sensitive=bool(cfg["cost_sensitive"]),
+            groups=groups,
+            feature_cost=feature_cost,
+            penalty=penalty,
+        )
+        with open(stand_in, "w") as fh:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     pooled = report["pooled"]
     log.info("sbs=%s gap_closure=%s", pooled["sbs_algorithm"], pooled["gap_closure"])
     return 0

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .preprocess import ProcessedDesign, minmax_unit
+from .sampling import staged
 
 DEFAULT_RESOLUTION = 224
 # Largest float64 pixel buffer one raster call may allocate, and the most
@@ -334,13 +335,13 @@ def write_pgm(fmap: FitnessMap, path: str | Path) -> None:
 def write_stack(stack: MapStack, stem: str | Path) -> list[Path]:
     """Write each channel as <stem>_c<i>_<j>.pgm; returns the paths.  The
     written grids together are refused over the raster cap before the first
-    file is opened."""
+    file is opened, and the files are staged together: all are written or
+    none."""
     check_raster_size(len(stack.channels), stack.resolution)
     stem = Path(stem)
-    paths = []
-    for ch in stack.channels:
-        i, j = ch.channel
-        path = stem.with_name(f"{stem.name}_c{i}_{j}.pgm")
-        write_pgm(ch, path)
-        paths.append(path)
+    i, j = stack.pairs
+    paths = [stem.with_name(f"{stem.name}_c{a}_{b}.pgm") for a, b in zip(i.tolist(), j.tolist())]
+    with staged(*paths) as outs:
+        for ch, out in zip(stack.channels, outs):
+            write_pgm(ch, out)
     return paths

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sampling import Design
+from .sampling import Design, staged
 from .space import ExactColumn, SearchSpace
 
 ENCODINGS = ("none", "one_hot", "target")
@@ -328,12 +328,6 @@ def processed_to_csv(pd: ProcessedDesign, path: str | Path) -> None:
     """Write the processed matrix plus objective as CSV with a provenance
     sidecar; a column name that needs quoting is quoted."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*pd.column_names, "y"])
-        for row, y in zip(pd.matrix.tolist(), pd.objective.tolist()):
-            writer.writerow([*map(repr, row), repr(y)])
-    sidecar = path.with_name(path.stem + ".provenance.json")
     doc = {
         "provenance": pd.provenance,
         "encoding": pd.encoding,
@@ -343,4 +337,11 @@ def processed_to_csv(pd: ProcessedDesign, path: str | Path) -> None:
         # sidecars keep their format
         "decision_normalized": True,
     }
-    sidecar.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with staged(path, path.with_name(path.stem + ".provenance.json")) as (rows_out, sidecar_out):
+        with open(rows_out, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([*pd.column_names, "y"])
+            for row, y in zip(pd.matrix.tolist(), pd.objective.tolist()):
+                writer.writerow([*map(repr, row), repr(y)])
+        with open(sidecar_out, "w") as fh:
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

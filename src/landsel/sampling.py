@@ -19,7 +19,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import stat
 import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,6 +32,7 @@ from .space import ExactColumn, Problem, SearchSpace, space_from_obj, space_to_o
 
 STRATEGIES = ("uniform", "latin_hypercube", "sobol")
 DEFAULT_POINTS_PER_DIMENSION = 50
+MAX_DESIGN_BYTES = 1 << 30  # n x max(1, D) cells of 8 bytes, capped as distances and rasters are
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +185,8 @@ def create_initial_design(
         n = DEFAULT_POINTS_PER_DIMENSION * space.dimension
     if n < 2:
         raise ValueError("a design needs at least two rows")
+    if n * max(1, space.dimension) * 8 > MAX_DESIGN_BYTES:
+        raise ValueError(f"n = {n} rows of {space.dimension} variables exceed the {MAX_DESIGN_BYTES >> 20} MiB cap")
     rng = np.random.default_rng(seed)
     numeric = [v for v in space.variables if v.kind != "categorical"]
     unit = _unit_sample(strategy, n, len(numeric), rng)
@@ -267,22 +273,21 @@ def design_to_csv(design: Design, path: str | Path) -> None:
     field.  The sidecar (``<stem>.meta.json``) carries the sampling meta and
     the space document so the file round-trips without external context.
     """
-    path = Path(path)
     header = [f"x.{name}" for name in design.space.names] + ["y"]
     if design.y is None:
         y = [""] * design.n
     else:  # one conversion of the whole column, exact or not
         y = [repr(v) for v in np.asarray(design.y, dtype=float).tolist()]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for i in range(design.n):
-            cells = [
-                _format_cell(design.columns[v.name][i], v.kind) for v in design.space.variables
-            ]
-            cells.append(y[i])
-            fh.write(",".join(cells) + "\n")
     sidecar = {"meta": _jsonable_meta(design.meta), "space": space_to_obj(design.space)}
-    _sidecar_path(path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    with staged(path, _sidecar_path(path)) as (rows_out, sidecar_out):
+        with open(rows_out, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(header)
+            for i in range(design.n):
+                cells = [_format_cell(design.columns[v.name][i], v.kind) for v in design.space.variables]
+                cells.append(y[i])
+                fh.write(",".join(cells) + "\n")
+        with open(sidecar_out, "w") as fh:
+            fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def _jsonable_meta(meta: dict) -> dict:
@@ -298,6 +303,43 @@ def read_csv_rows(path: str | Path) -> list[list[str]]:
             return list(csv.reader(fh))
         except (csv.Error, UnicodeDecodeError) as e:
             raise ValueError(f"{path}: {e}") from None
+
+
+@contextmanager
+def staged(*paths: str | Path):
+    """Yield one stand-in path per output path: each output is whole or absent.
+
+    A new or regular-file output gets an empty stand-in ``.<name>.<pid>`` beside
+    it on entry, so a missing or unwritable directory fails first, naming the
+    output; the stand-ins replace their outputs, in the order given, on a clean
+    exit, and are removed on an exception (a killed process leaves them).  Any
+    other output (a device, a FIFO, a symlink, a directory) is written in place.
+    """
+    targets = [os.fspath(p) for p in paths]
+    stand_ins: list[str] = []
+    try:
+        for target in targets:
+            with suppress(FileNotFoundError):
+                if not stat.S_ISREG(os.lstat(target).st_mode):
+                    stand_ins.append(target)
+                    continue
+            head, name = os.path.split(target)  # a plain string, not a Path
+            stand_ins.append(os.path.join(head, f".{name}.{os.getpid()}"))
+            try:
+                open(stand_ins[-1], "wb").close()  # mode 0o666 less the umask, as any new file
+            except OSError as e:
+                raise type(e)(e.errno, e.strerror, target) from None
+        yield stand_ins
+        # a failure between two replaces leaves the outputs before it new
+        # and the rest as they were
+        for stand_in, target in zip(stand_ins, targets):
+            if stand_in != target:
+                os.replace(stand_in, target)
+    except BaseException:
+        for stand_in in set(stand_ins) - set(targets):  # not the outputs written in place
+            with suppress(OSError):
+                os.unlink(stand_in)
+        raise
 
 
 def design_from_csv(path: str | Path) -> Design:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landsel import cli, preprocess
+from landsel import aas, cli, ela, fitmap, preprocess
 from landsel.sampling import (
     Design,
     create_initial_design,
@@ -584,6 +584,7 @@ def test_unopenable_path_exits_two_naming_it(named_paths, capsys, case):
     err = capsys.readouterr().err
     assert named.format(**named_paths) in err
     assert "internal error" not in err
+    assert not list(named_paths["tmp"].rglob(".*"))  # no stand-in is left
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
@@ -602,6 +603,91 @@ def test_module_run_with_out_under_missing_parent_prints_no_traceback(named_path
     )
     assert proc.returncode == 2
     assert proc.stderr == f"landsel features: {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, sidecar",
+    [
+        ("sample builtin:sphere:d2 --n 10 --out {tmp}/x.csv", "x.meta.json"),
+        ("evaluate {raw} --source builtin:sphere:d3 --out {tmp}/x.csv", "x.meta.json"),
+        ("preprocess {design} --out {tmp}/x.csv", "x.provenance.json"),
+    ],
+)
+@pytest.mark.parametrize("existing", [False, True])
+def test_pair_with_an_unwritable_sidecar_leaves_its_csv_as_it_was(named_paths, capsys, argv, sidecar, existing):
+    tmp = named_paths["tmp"]
+    (tmp / sidecar).mkdir()
+    if existing:
+        (tmp / "x.csv").write_text("old bytes\n")
+    before = sorted(tmp.iterdir())
+    assert run_cli(*argv.format(**named_paths).split()) == 2
+    assert str(tmp / sidecar) in capsys.readouterr().err
+    assert sorted(tmp.iterdir()) == before  # no file is added, no stand-in is left
+    if existing:
+        assert (tmp / "x.csv").read_text() == "old bytes\n"
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work ran before the output was opened")
+
+
+@pytest.mark.parametrize(
+    "template, suffix",
+    [(template, suffix) for name, (template, suffix) in _WRITERS.items() if name.split("-")[0] in ("features", "fitmap", "aas")]
+    + [(f"fitmap {{design}} --mode {mode} --resolution 8", ".pgm") for mode in ("pca", "pca-func", "rmc")],
+)
+def test_out_under_missing_parent_fails_before_any_work(named_paths, capsys, monkeypatch, template, suffix):
+    monkeypatch.setattr(ela, "compute_all", _no_work)
+    monkeypatch.setattr(aas, "cross_validate", _no_work)
+    for name in ("rasterize_2d", "rasterize_projection", "reduce_mean", "knn_cloud"):
+        monkeypatch.setattr(fitmap, name, _no_work)
+    out = named_paths["tmp"] / "missing" / f"out{suffix}"
+    assert run_cli(*template.format(**named_paths).split(), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert str(out.with_suffix("")) in err
+    assert "internal error" not in err
+
+
+def test_new_outputs_take_the_mode_of_a_plain_open(named_paths):
+    umask = os.umask(0)
+    os.umask(umask)
+    tmp = named_paths["tmp"]
+    assert run_cli("sample", "builtin:sphere:d2", "--n", 10, "--out", tmp / "d.csv") == 0
+    assert run_cli("features", named_paths["design"], "--out", tmp / "f.json") == 0
+    for name in ("d.csv", "d.meta.json", "f.json"):
+        assert (tmp / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_out_to_dev_stdout_is_written_in_place(named_paths):
+    proc = subprocess.run(
+        [sys.executable, "-m", "landsel", "features", str(named_paths["design"]), "--out", "/dev/stdout"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len([k for k in json.loads(proc.stdout) if k != "_meta"]) == 45
+
+
+@pytest.mark.parametrize("command", ["sample builtin:sphere:d2", "features {design}"])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_negative_seed_exits_two_naming_seed(named_paths, capsys, command, via_config):
+    argv = command.format(**named_paths).split() + ["--out", named_paths["tmp"] / "out.csv"]
+    if via_config:
+        config = named_paths["tmp"] / "config.json"
+        config.write_text('{"seed": -1}')
+        argv += ["--config", config]
+    else:
+        argv += ["--seed", -1]
+    assert run_cli(*argv) == 2
+    assert "'seed' must be >= 0, got -1" in capsys.readouterr().err
+    assert not (named_paths["tmp"] / "out.csv").exists()
+
+
+def test_absurd_sample_size_exits_two_naming_n(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert run_cli("sample", "builtin:sphere:d2", "--n", 10_000_000_000, "--out", out) == 2
+    assert capsys.readouterr().err == "landsel sample: n = 10000000000 rows of 2 variables exceed the 1024 MiB cap\n"
+    assert not out.exists()
 
 
 @pytest.mark.usefixtures("landsel_on_path")

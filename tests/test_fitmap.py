@@ -146,6 +146,21 @@ class TestRasterCap:
             write_stack(stack, tmp_path / "maps")
         assert list(tmp_path.iterdir()) == []
 
+    def test_write_stack_writes_every_file_or_none(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(19)
+        stack = multichannel(make_processed(rng.random((20, 4)), rng.random(20)), 8)
+        (tmp_path / "maps_c1_3.pgm").mkdir()  # the fifth of six files cannot be written
+        with pytest.raises(IsADirectoryError):
+            write_stack(stack, tmp_path / "maps")
+        assert [p.name for p in tmp_path.iterdir()] == ["maps_c1_3.pgm"]
+
+        def no_raster(*args, **kwargs):
+            raise AssertionError("a channel was rasterized")
+
+        monkeypatch.setattr(fitmap, "rasterize_2d", no_raster)
+        with pytest.raises(FileNotFoundError, match="missing/maps_c0_1.pgm"):
+            write_stack(stack, tmp_path / "missing" / "maps")
+
 
 def reference_reduce_mean(channels) -> np.ndarray:
     """The dense reduction that the point-wise ``reduce_mean`` replaced: every

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from landsel.sampling import (
     design_from_csv,
     design_to_csv,
     evaluate_design,
+    staged,
     with_objective,
 )
 from landsel.preprocess import preprocess_pipeline
@@ -30,7 +32,7 @@ from landsel.space import (
     builtin_problem,
 )
 
-from conftest import unit_space
+from conftest import traced_peak, unit_space
 
 
 def mixed_space():
@@ -57,6 +59,15 @@ class TestCreateInitialDesign:
     def test_needs_at_least_two_rows(self):
         with pytest.raises(ValueError):
             create_initial_design(unit_space(1), n=1)
+
+    def test_oversized_design_is_refused_before_allocation(self):
+        # 10^10 rows of two variables would take 149 GiB of cells
+        def refuse():
+            with pytest.raises(ValueError, match=r"^n = 10000000000 rows of 2 variables exceed the 1024 MiB cap$"):
+                create_initial_design(unit_space(2), n=10_000_000_000)
+
+        _, peak = traced_peak(refuse)
+        assert peak < 2**20
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -331,3 +342,43 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="beyond the float64 range"):
             design_to_csv(huge, path)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestStaged:
+    def test_outputs_appear_together_on_a_clean_exit(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.json"
+        a.write_text("old\n")
+        with staged(a, b) as (sa, sb):
+            pid = os.getpid()
+            assert sorted(os.listdir(tmp_path)) == [f".a.csv.{pid}", f".b.json.{pid}", "a.csv"]
+            assert a.read_text() == "old\n" and not b.exists()
+            for stand_in in (sa, sb):
+                with open(stand_in, "w") as fh:
+                    fh.write("new\n")
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.json"]
+        assert a.read_text() == b.read_text() == "new\n"
+
+    def test_an_exception_removes_every_stand_in(self, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_text("old\n")
+        with pytest.raises(RuntimeError), staged(a, tmp_path / "b.csv") as (sa, _):
+            with open(sa, "w") as fh:
+                fh.write("new\n")
+            raise RuntimeError
+        assert os.listdir(tmp_path) == ["a.csv"]
+        assert a.read_text() == "old\n"
+
+    def test_a_missing_directory_fails_on_entry_naming_the_output(self, tmp_path):
+        out = tmp_path / "missing" / "b.csv"
+        with pytest.raises(FileNotFoundError) as caught, staged(tmp_path / "a.csv", out):
+            raise AssertionError("the block ran")
+        assert caught.value.filename == str(out)
+        assert os.listdir(tmp_path) == []
+
+    def test_a_fifo_or_a_symlink_is_written_in_place(self, tmp_path):
+        fifo, link = tmp_path / "fifo", tmp_path / "link"
+        os.mkfifo(fifo)
+        link.symlink_to(tmp_path / "target")
+        with staged(fifo, link) as stand_ins:
+            assert stand_ins == [str(fifo), str(link)]
+        assert sorted(os.listdir(tmp_path)) == ["fifo", "link"]
