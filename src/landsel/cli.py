@@ -12,12 +12,18 @@ search-space JSON file.  Sampling a builtin source also evaluates the design;
 sampling a bare search space writes an unevaluated design for external
 evaluation.
 
+Each option is declared once, as a row of ``OPTIONS``: its key, type,
+default, choices and help.  The rows build the parser (``landsel <command>
+--help`` lists each option with its default), check a JSON config file
+(``--config``), whose keys are the options' names, and supply the defaults: a
+flag overrides the config file, which overrides the default.  Unknown config
+keys, and values of the wrong type or outside their choices, are refused
+naming the file and the key.  ``groups`` can be set only in a config file.
+
 Every command is deterministic given its flags and inputs: all randomness
 flows through explicit ``--seed`` values and outputs carry no timestamps, so
-repeated invocations are byte-identical.  A JSON config file (``--config``)
-supplies defaults that flags override; unknown config keys are a hard error.
-The only environment variable consulted is ``LANDSEL_LOG`` (stderr log
-verbosity; never affects outputs).
+repeated invocations are byte-identical.  The only environment variable
+consulted is ``LANDSEL_LOG`` (stderr log verbosity; never affects outputs).
 
 Exit codes: 0 success, 2 validation error or a path that cannot be read or
 written, 1 internal error.  Each output is whole or absent: ``sampling.staged``
@@ -43,60 +49,59 @@ log = logging.getLogger("landsel")
 
 FITMAP_MODES = ("raw2d", "pca", "pca-func", "mc", "rmc", "cloud")
 
-# Documented config defaults per subcommand; a flag given on the command line
-# always wins over the config file, which wins over these.
-_CONFIG_DEFAULTS: dict[str, dict] = {
-    "sample": {"source": None, "n": None, "strategy": "latin_hypercube", "seed": 0, "out": None},
-    "evaluate": {"design": None, "source": None, "out": None},
-    "preprocess": {"design": None, "encoding": "none", "smoothing": 0.0, "out": None},
-    "features": {"design": None, "encoding": "none", "smoothing": 0.0, "seed": 0, "out": None},
-    "fitmap": {
-        "design": None,
-        "mode": "raw2d",
-        "resolution": fitmap.DEFAULT_RESOLUTION,
-        "k": 8,
-        "encoding": "none",
-        "smoothing": 0.0,
-        "out": None,
-    },
-    "aas": {
-        "features": None,
-        "performance": None,
-        "scheme": "leave_iid_out",
-        "selector": "knn",
-        "k": 1,
-        "cost_sensitive": False,
-        "feature_cost": 0,
-        "penalty": aas_mod.DEFAULT_PENALTY,
-        "groups": None,
-        "out": None,
-    },
-}
-
-
-# The JSON type each config key takes, by description; null is accepted only
-# for keys whose documented default is null (meaning "not set").
-_JSON_TYPES = {
-    "a string": lambda value: isinstance(value, str),
-    "an integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
-    "a number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
-    "true or false": lambda value: isinstance(value, bool),
-    "an object": lambda value: isinstance(value, dict),
-}
-_CONFIG_TYPES = {
-    **dict.fromkeys(
-        ("source", "design", "out", "features", "performance", "strategy", "encoding", "mode",
-         "scheme", "selector"),
-        "a string",
+# One row per option of a subcommand: (key, type, default, choices, help).  A
+# key is written as on the command line: "--feature-cost" is a flag, whose
+# config key is "feature_cost", and "design" a positional; a dict is an object
+# that only a config file can give.  A default of ... marks a required key, and
+# None an optional one that stays unset.
+_OUT = ("--out", str, ..., None, "output path")
+_DESIGN = ("design", str, ..., None, "design CSV (with .meta.json sidecar)")
+_ENCODING = ("--encoding", str, "none", preprocess.ENCODINGS, "decision-column encoding")
+_SMOOTHING = ("--smoothing", float, 0.0, None, "target-encoding smoothing")
+OPTIONS: dict[str, tuple[tuple, ...]] = {
+    "sample": (
+        ("source", str, ..., None, "builtin:<fid>:d<D>[:i<iid>] or space JSON path"),
+        ("--n", int, None, None, "sample size (default 50*D)"),
+        ("--strategy", str, "latin_hypercube", sampling.STRATEGIES, "sampling strategy"),
+        ("--seed", int, 0, None, "RNG seed"),
+        _OUT,
     ),
-    **dict.fromkeys(("n", "seed", "k", "resolution", "feature_cost"), "an integer"),
-    **dict.fromkeys(("smoothing", "penalty"), "a number"),
-    "cost_sensitive": "true or false",
-    "groups": "an object",
+    "evaluate": (_DESIGN, ("--source", str, ..., None, "builtin:<fid>:d<D>[:i<iid>]"), _OUT),
+    "preprocess": (_DESIGN, _ENCODING, _SMOOTHING, _OUT),
+    "features": (_DESIGN, _ENCODING, _SMOOTHING, ("--seed", int, 0, None, "tour seed"), _OUT),
+    "fitmap": (
+        _DESIGN,
+        _ENCODING,
+        _SMOOTHING,
+        ("--mode", str, "raw2d", FITMAP_MODES, "map kind"),
+        ("--resolution", int, fitmap.DEFAULT_RESOLUTION, None, "pixels per side"),
+        ("--k", int, 8, None, "cloud neighbors"),
+        _OUT,
+    ),
+    "aas": (
+        ("features", str, ..., None, "batch feature CSV (fid,iid,<features>)"),
+        ("performance", str, ..., None, "performance CSV (fid,iid,algorithm,run,...)"),
+        ("--scheme", str, "leave_iid_out", aas_mod.CV_SCHEMES, "cross-validation scheme"),
+        ("--selector", str, "knn", aas_mod.SELECTOR_KINDS, "selector kind"),
+        ("--k", int, 1, None, "neighbors"),
+        ("--cost-sensitive", bool, False, None, "vote with normalized ERT costs instead of labels"),
+        ("--feature-cost", int, 0, None, "design size charged to the model"),
+        ("--penalty", float, aas_mod.DEFAULT_PENALTY, None, "imputation penalty factor"),
+        ("groups", dict, None, None, "an object mapping 'fid:iid' to a group label"),
+        _OUT,
+    ),
 }
+_KINDS = {str: "a string", int: "an integer", float: "a number", bool: "true or false", dict: "an object"}
+
+
+def _options(command: str) -> dict[str, tuple]:
+    """The rows of ``command`` by config key."""
+    return {row[0].lstrip("-").replace("-", "_"): row for row in OPTIONS[command]}
 
 
 def _load_config(path: str | None, command: str) -> dict:
+    """The set keys of a JSON config file, each checked against its row; a
+    JSON integer given for a number becomes a float, and null means unset."""
     if path is None:
         return {}
     p = Path(path)
@@ -106,26 +111,38 @@ def _load_config(path: str | None, command: str) -> dict:
         raise ValueError(f"{p}: invalid JSON ({e})") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{p}: config must be a JSON object")
-    allowed = _CONFIG_DEFAULTS[command]
-    unknown = sorted(set(obj) - set(allowed))
+    options = _options(command)
+    unknown = sorted(set(obj) - set(options))
     if unknown:
         raise ValueError(f"{p}: unknown config keys for {command!r}: {', '.join(unknown)}")
+    config = {}
     for key, value in obj.items():
-        if value is None and allowed[key] is None:
+        _, kind, default, choices, _ = options[key]
+        if value is None and default in (None, ...):
             continue
-        kind = _CONFIG_TYPES[key]
-        if value is None or not _JSON_TYPES[kind](value):
-            raise ValueError(f"{p}: config key {key!r} must be {kind}, got {json.dumps(value)}")
-    return obj
+        is_bool = isinstance(value, bool)  # JSON true and false are ints to Python
+        if is_bool != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ValueError(f"{p}: config key {key!r} must be {_KINDS[kind]}, got {json.dumps(value)}")
+        if choices and value not in choices:
+            raise ValueError(
+                f"{p}: config key {key!r} must be one of {', '.join(choices)}, got {json.dumps(value)}"
+            )
+        try:
+            config[key] = kind(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{p}: config key {key!r} must be a number within the float range") from None
+    return config
 
 
 def _resolve(args: argparse.Namespace, command: str) -> dict:
-    """Merge flag values over config values over documented defaults."""
-    config = _load_config(getattr(args, "config", None), command)
+    """Merge flag values over config values over the table's defaults."""
+    config = _load_config(args.config, command)
     out = {}
-    for key, default in _CONFIG_DEFAULTS[command].items():
+    for key, (_, _, default, _, _) in _options(command).items():
         flag = getattr(args, key, None)
         out[key] = flag if flag is not None else config.get(key, default)
+        if out[key] is ...:
+            raise ValueError(f"{key!r} is required (flag or config)")
     if out.get("seed", 0) < 0:
         raise ValueError(f"'seed' must be >= 0, got {out['seed']}")
     return out
@@ -146,81 +163,58 @@ def _parse_source(text: str) -> space.Problem | space.SearchSpace:
         raise ValueError(f"{path}: {e}") from None
 
 
-def _require(cfg: dict, key: str):
-    if cfg[key] is None:
-        raise ValueError(f"{key!r} is required (flag or config)")
-    return cfg[key]
-
-
 def _processed(cfg: dict) -> preprocess.ProcessedDesign:
-    design = sampling.design_from_csv(_require(cfg, "design"))
-    return preprocess.preprocess_pipeline(
-        design, encoding=cfg["encoding"], smoothing=float(cfg["smoothing"])
-    )
+    design = sampling.design_from_csv(cfg["design"])
+    return preprocess.preprocess_pipeline(design, encoding=cfg["encoding"], smoothing=cfg["smoothing"])
 
 
 # ── subcommands ──────────────────────────────────────────────────────────────
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "sample")
-    source = _parse_source(_require(cfg, "source"))
-    out = Path(_require(cfg, "out"))
+def cmd_sample(cfg: dict) -> int:
+    source = _parse_source(cfg["source"])
     target_space = source.space if isinstance(source, space.Problem) else source
     design = sampling.create_initial_design(
-        target_space,
-        n=None if cfg["n"] is None else int(cfg["n"]),
-        strategy=cfg["strategy"],
-        seed=int(cfg["seed"]),
+        target_space, n=cfg["n"], strategy=cfg["strategy"], seed=cfg["seed"]
     )
     if isinstance(source, space.Problem):
         design = sampling.evaluate_design(source, design)
-    sampling.design_to_csv(design, out)
-    log.info("wrote %d-row design to %s", design.n, out)
+    sampling.design_to_csv(design, cfg["out"])
+    log.info("wrote %d-row design to %s", design.n, cfg["out"])
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "evaluate")
-    design = sampling.design_from_csv(_require(cfg, "design"))
-    source = _parse_source(_require(cfg, "source"))
+def cmd_evaluate(cfg: dict) -> int:
+    design = sampling.design_from_csv(cfg["design"])
+    source = _parse_source(cfg["source"])
     if not isinstance(source, space.Problem):
         raise ValueError("evaluate needs a builtin problem source, not a bare search space")
-    out = Path(_require(cfg, "out"))
-    sampling.design_to_csv(sampling.evaluate_design(source, design), out)
-    log.info("wrote %d-row evaluated design to %s", design.n, out)
+    sampling.design_to_csv(sampling.evaluate_design(source, design), cfg["out"])
+    log.info("wrote %d-row evaluated design to %s", design.n, cfg["out"])
     return 0
 
 
-def cmd_preprocess(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "preprocess")
+def cmd_preprocess(cfg: dict) -> int:
     pd = _processed(cfg)
-    out = Path(_require(cfg, "out"))
-    preprocess.processed_to_csv(pd, out)
-    log.info("wrote processed design (%d columns) to %s", pd.width, out)
+    preprocess.processed_to_csv(pd, cfg["out"])
+    log.info("wrote processed design (%d columns) to %s", pd.width, cfg["out"])
     return 0
 
 
-def cmd_features(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "features")
-    out = Path(_require(cfg, "out"))
+def cmd_features(cfg: dict) -> int:
+    out = Path(cfg["out"])
     with sampling.staged(out) as (stand_in,):
-        fv = ela.compute_all(_processed(cfg), seed=int(cfg["seed"]))
+        fv = ela.compute_all(_processed(cfg), seed=cfg["seed"])
         with open(stand_in, "w") as fh:
             fh.write(fv.to_csv() if out.suffix == ".csv" else fv.to_json() + "\n")
     log.info("wrote %d features to %s", len(fv.values), out)
     return 0
 
 
-def cmd_fitmap(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "fitmap")
-    mode = cfg["mode"]
-    if mode not in FITMAP_MODES:
-        raise ValueError(f"unknown mode {mode!r}; choose from {', '.join(FITMAP_MODES)}")
-    resolution, k = int(cfg["resolution"]), int(cfg["k"])
-    if mode == "cloud" and k < 1:
+def cmd_fitmap(cfg: dict) -> int:
+    mode, resolution, out = cfg["mode"], cfg["resolution"], Path(cfg["out"])
+    if mode == "cloud" and cfg["k"] < 1:
         raise ValueError("cloud mode needs --k >= 1")
-    out = Path(_require(cfg, "out"))
     if mode == "mc":  # write_stack stages the files of the stack itself
         stem = out.with_suffix("") if out.suffix == ".pgm" else out
         written = fitmap.write_stack(fitmap.multichannel(_processed(cfg), resolution=resolution), stem)
@@ -229,7 +223,7 @@ def cmd_fitmap(args: argparse.Namespace) -> int:
         with sampling.staged(out) as (stand_in,):
             pd = _processed(cfg)
             if mode == "cloud":
-                fitmap.cloud_to_csv(fitmap.knn_cloud(pd, k), stand_in)
+                fitmap.cloud_to_csv(fitmap.knn_cloud(pd, cfg["k"]), stand_in)
             elif mode == "raw2d":
                 fitmap.write_pgm(fitmap.rasterize_2d(pd, resolution=resolution), stand_in)
             elif mode == "rmc":
@@ -241,14 +235,12 @@ def cmd_fitmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_aas(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "aas")
-    k, feature_cost, penalty = int(cfg["k"]), int(cfg["feature_cost"]), float(cfg["penalty"])
-    if k < 1:
+def cmd_aas(cfg: dict) -> int:
+    if cfg["k"] < 1:
         raise ValueError("aas needs --k >= 1")
-    if feature_cost < 0:
+    if cfg["feature_cost"] < 0:
         raise ValueError("aas needs --feature-cost >= 0")
-    if not 1 <= penalty < math.inf:
+    if not 1 <= cfg["penalty"] < math.inf:
         raise ValueError("aas needs --penalty >= 1 and finite")
     groups = None
     if cfg["groups"] is not None:
@@ -258,17 +250,17 @@ def cmd_aas(args: argparse.Namespace) -> int:
             if not sep:
                 raise ValueError(f"bad groups key {key!r}; expected 'fid:iid'")
             groups[(fid, iid)] = str(label)
-    with sampling.staged(_require(cfg, "out")) as (stand_in,):
+    with sampling.staged(cfg["out"]) as (stand_in,):
         report = aas_mod.cross_validate(
-            aas_mod.read_features_csv(_require(cfg, "features")),
-            aas_mod.read_performance_csv(_require(cfg, "performance")),
+            aas_mod.read_features_csv(cfg["features"]),
+            aas_mod.read_performance_csv(cfg["performance"]),
             scheme=cfg["scheme"],
             kind=cfg["selector"],
-            k=k,
-            cost_sensitive=bool(cfg["cost_sensitive"]),
+            k=cfg["k"],
+            cost_sensitive=cfg["cost_sensitive"],
             groups=groups,
-            feature_cost=feature_cost,
-            penalty=penalty,
+            feature_cost=cfg["feature_cost"],
+            penalty=cfg["penalty"],
         )
         with open(stand_in, "w") as fh:
             fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -279,6 +271,15 @@ def cmd_aas(args: argparse.Namespace) -> int:
 
 # ── parser ───────────────────────────────────────────────────────────────────
 
+_COMMANDS = {
+    "sample": (cmd_sample, "draw an initial design (builtin sources are also evaluated)"),
+    "evaluate": (cmd_evaluate, "evaluate an existing design on a builtin problem"),
+    "preprocess": (cmd_preprocess, "run the preprocessing pipeline, write the processed matrix"),
+    "features": (cmd_features, "preprocess and compute the landscape feature vector"),
+    "fitmap": (cmd_fitmap, "preprocess and export fitness maps or a kNN cloud"),
+    "aas": (cmd_aas, "cross-validate a selector over features and performance files"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -286,65 +287,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Landscape features, fitness maps, and algorithm selection over sampled designs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", help="output path")
-        return p
-
-    p = add("sample", "draw an initial design (builtin sources are also evaluated)")
-    p.add_argument("source", nargs="?", help="builtin:<fid>:d<D>[:i<iid>] or space JSON path")
-    p.add_argument("--n", type=int, help="sample size (default 50*D)")
-    p.add_argument("--strategy", choices=sampling.STRATEGIES, help="default latin_hypercube")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-
-    p = add("evaluate", "evaluate an existing design on a builtin problem")
-    p.add_argument("design", nargs="?", help="design CSV (with .meta.json sidecar)")
-    p.add_argument("--source", help="builtin:<fid>:d<D>[:i<iid>]")
-
-    for name, help_text in (
-        ("preprocess", "run the preprocessing pipeline, write the processed matrix"),
-        ("features", "preprocess and compute the landscape feature vector"),
-        ("fitmap", "preprocess and export fitness maps or a kNN cloud"),
-    ):
-        p = add(name, help_text)
-        p.add_argument("design", nargs="?", help="design CSV (with .meta.json sidecar)")
-        p.add_argument("--encoding", choices=preprocess.ENCODINGS, help="default none")
-        p.add_argument("--smoothing", type=float, help="target-encoding smoothing (default 0)")
-        if name == "features":
-            p.add_argument("--seed", type=int, help="tour seed (default 0)")
-        if name == "fitmap":
-            p.add_argument("--mode", choices=FITMAP_MODES, help="default raw2d")
-            p.add_argument("--resolution", type=int, help="default 224")
-            p.add_argument("--k", type=int, help="cloud neighbors (default 8)")
-
-    p = add("aas", "cross-validate a selector over features and performance files")
-    p.add_argument("features", nargs="?", help="batch feature CSV (fid,iid,<features>)")
-    p.add_argument("performance", nargs="?", help="performance CSV (fid,iid,algorithm,run,...)")
-    p.add_argument("--scheme", choices=aas_mod.CV_SCHEMES, help="default leave_iid_out")
-    p.add_argument("--selector", choices=aas_mod.SELECTOR_KINDS, help="default knn")
-    p.add_argument("--k", type=int, help="neighbors (default 1)")
-    p.add_argument(
-        "--cost-sensitive",
-        dest="cost_sensitive",
-        action="store_const",
-        const=True,
-        help="vote with normalized ERT costs instead of labels",
-    )
-    p.add_argument("--feature-cost", dest="feature_cost", type=int, help="design size charged to the model (default 0)")
-    p.add_argument("--penalty", type=float, help="imputation penalty factor (default 10)")
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        config_help = "JSON config file with the options' names as keys; flags override its values"
+        for key, kind, default, choices, text in OPTIONS[command]:
+            if default not in (None, ...):
+                text += " (default {})".format(json.dumps(default).strip('"'))
+            if kind is dict:
+                config_help += f"; config only: {key}, {text}"
+            elif kind is bool:
+                p.add_argument(key, action="store_const", const=True, help=text)
+            else:
+                nargs = None if key.startswith("-") else "?"  # a positional may come from the config
+                p.add_argument(key, nargs=nargs, type=kind, choices=choices, help=text)
+        p.add_argument("--config", help=config_help)
     return parser
-
-
-_DISPATCH = {
-    "sample": cmd_sample,
-    "evaluate": cmd_evaluate,
-    "preprocess": cmd_preprocess,
-    "features": cmd_features,
-    "fitmap": cmd_fitmap,
-    "aas": cmd_aas,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -353,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][0](_resolve(args, args.command))
     except ValueError as e:
         print(f"landsel {args.command}: {e}", file=sys.stderr)
         return 2

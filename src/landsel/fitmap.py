@@ -13,9 +13,9 @@ skips rasterization entirely: each sample point is recorded next to its k
 nearest neighbors, found in the design's shared distance matrix
 ``ProcessedDesign.distances``.
 
-The raster cap ``MAX_RASTER_BYTES`` bounds the one grid that a 2-D raster, a
-stack channel's read or a reduction allocates, and the C grids that
-``write_stack`` produces for a C-channel stack.
+The raster cap ``MAX_RASTER_BYTES`` bounds the one float64 grid that a 2-D
+raster, a stack channel's read or a reduction allocates, and the C * R * R
+bytes of pixels that ``write_stack`` writes for a C-channel stack.
 
 PGM export uses the binary P5 format with maxval 255; filled pixels map to
 round(255 * value) so that better is darker (the best possible value black),
@@ -35,8 +35,8 @@ from .sampling import staged
 
 DEFAULT_RESOLUTION = 224
 # Largest float64 pixel buffer one raster call may allocate, and the most
-# that the grids of one ``write_stack`` may add up to: 1 GiB.  The 780
-# channels of a 40-column design at 224 x 224 add up to 313 MB.
+# pixel bytes one ``write_stack`` may write: 1 GiB.  The 780 channels of a
+# 40-column design at 224 x 224 write 39 MB.
 MAX_RASTER_BYTES = 1 << 30
 
 
@@ -90,10 +90,11 @@ class MapStack(Sequence):
         return rasterize_2d(self.pd, (int(i[k]), int(j[k])), self.resolution)
 
 
-def check_raster_size(channels: int, resolution: int) -> None:
-    """Refuse, before anything is allocated, ``channels`` R-by-R float64
-    grids whose pixels would exceed ``MAX_RASTER_BYTES``."""
-    need = channels * resolution * resolution * 8
+def check_raster_size(channels: int, resolution: int, pixel_bytes: int = 8) -> None:
+    """Refuse, before anything is allocated or written, ``channels`` R-by-R
+    grids of ``pixel_bytes`` per pixel (8 for float64, 1 for a PGM gray
+    level) whose pixels would exceed ``MAX_RASTER_BYTES``."""
+    need = channels * resolution * resolution * pixel_bytes
     if need > MAX_RASTER_BYTES:
         raise ValueError(
             f"{channels} channel(s) at resolution {resolution} need {need / 2**20:.0f} MiB"
@@ -334,10 +335,10 @@ def write_pgm(fmap: FitnessMap, path: str | Path) -> None:
 
 def write_stack(stack: MapStack, stem: str | Path) -> list[Path]:
     """Write each channel as <stem>_c<i>_<j>.pgm; returns the paths.  The
-    written grids together are refused over the raster cap before the first
-    file is opened, and the files are staged together: all are written or
-    none."""
-    check_raster_size(len(stack.channels), stack.resolution)
+    written pixels, one byte each, are refused over the raster cap before the
+    first file is opened, and the files are staged together: all are written
+    or none."""
+    check_raster_size(len(stack.channels), stack.resolution, pixel_bytes=1)
     stem = Path(stem)
     i, j = stack.pairs
     paths = [stem.with_name(f"{stem.name}_c{a}_{b}.pgm") for a, b in zip(i.tolist(), j.tolist())]

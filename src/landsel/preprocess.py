@@ -246,7 +246,9 @@ def preprocess_pipeline(
       with m > 0 an empty category takes ybar;
     * ``none``: only for spaces without categorical variables.
 
-    A non-finite ``smoothing`` is refused under every encoding.  Provenance records the stages, the encoding, the smoothing strength, and
+    A non-finite ``smoothing`` is refused under every encoding.
+
+    Provenance records the stages, the encoding, the smoothing strength, and
     the source design meta.  Objective vectors that are exact affine images of
     each other (positive scale) yield bit-identical outputs.
     """

@@ -32,6 +32,11 @@ BUILTIN_UPPER = 5.0
 _SHIFT_RANGE = (-4.0, 4.0)
 _SCALE_RANGE = (0.1, 10.0)       # log-uniform
 _OFFSET_RANGE = (-1000.0, 1000.0)
+# A built-in space holds about 460 bytes per variable (measured at D = 200,000),
+# so a dimension is refused before its space is built when D variables of
+# _VARIABLE_BYTES would pass MAX_SPACE_BYTES (1 GiB, as the other caps).
+_VARIABLE_BYTES = 512
+MAX_SPACE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -354,6 +359,11 @@ def builtin_problem(fid: str, iid: int, dimension: int) -> Problem:
         raise ValueError("dimension must be positive")
     if iid < 0:
         raise ValueError("instance id must be non-negative")
+    if dimension * _VARIABLE_BYTES > MAX_SPACE_BYTES:
+        raise ValueError(
+            f"dimension D = {dimension} needs {dimension * _VARIABLE_BYTES >> 20} MiB of variables,"
+            f" over the {MAX_SPACE_BYTES >> 20} MiB cap"
+        )
     space = builtin_space(dimension)
     if iid == 0:
         shift = np.zeros(dimension)

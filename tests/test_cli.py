@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landsel import aas, cli, ela, fitmap, preprocess
+from landsel import aas, cli, ela, fitmap, preprocess, space
 from landsel.sampling import (
     Design,
     create_initial_design,
@@ -209,6 +209,8 @@ class TestFeatures:
             ("features", "smoothing", None),
             ("features", "seed", True),
             ("fitmap", "k", None),
+            ("features", "encoding", "grid"),
+            pytest.param("features", "smoothing", 10**400, id="features-smoothing-beyond-float"),
         ],
     )
     def test_config_value_of_wrong_type_names_file_and_key(
@@ -223,6 +225,24 @@ class TestFeatures:
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert str(config) in err and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["sample", "builtin:sphere:d2"], "strategy"),
+         (["fitmap", "{design}"], "mode"),
+         (["aas", TOY_FEATURES, TOY_PERFORMANCE], "scheme"),
+         (["aas", TOY_FEATURES, TOY_PERFORMANCE], "selector")],
+        ids=["strategy", "mode", "scheme", "selector"],
+    )
+    def test_config_choice_outside_its_tuple_names_file_and_key(self, tmp_path, capsys, argv, key):
+        design = sample_design(tmp_path, n=10)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: "grid"}))
+        argv = [a.format(design=design) for a in argv]
+        assert run_cli(*argv, "--config", config, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"{config}: config key {key!r} must be one of " in err and err.endswith(', got "grid"\n')
+        assert not (tmp_path / "out").exists()
 
     def test_flag_overrides_config(self, tmp_path):
         design = sample_design(tmp_path, n=10)
@@ -360,18 +380,18 @@ class TestFitmap:
         assert not list(tmp_path.glob("maps*"))
 
     def test_wide_design_reduces_and_refuses_to_write_its_stack(self, tmp_path, capsys):
-        # C(257, 2) = 32896 channels: the reduction allocates a few 64 x 64
-        # grids, while writing every channel would produce 1028 MiB of grids
+        # C(257, 2) = 32896 channels: the reduction allocates a few 224 x 224
+        # grids, while writing every channel would write 1574 MiB of pixels
         design = sample_design(tmp_path, source="builtin:sphere:d257", n=20)
         out = tmp_path / "reduced.pgm"
-        assert run_cli("fitmap", design, "--mode", "rmc", "--resolution", 64, "--out", out) == 0
+        assert run_cli("fitmap", design, "--mode", "rmc", "--out", out) == 0
         data = out.read_bytes()
-        assert data.startswith(b"P5\n64 64\n255\n")
-        assert len(data) == len(b"P5\n64 64\n255\n") + 64 * 64
-        code = run_cli("fitmap", design, "--mode", "mc", "--resolution", 64, "--out", tmp_path / "maps.pgm")
+        assert data.startswith(b"P5\n224 224\n255\n")
+        assert len(data) == len(b"P5\n224 224\n255\n") + 224 * 224
+        code = run_cli("fitmap", design, "--mode", "mc", "--out", tmp_path / "maps.pgm")
         assert code == 2
         err = capsys.readouterr().err
-        assert "32896 channel(s) at resolution 64 need 1028 MiB" in err
+        assert "32896 channel(s) at resolution 224 need 1574 MiB" in err
         assert "raster cap" in err
         assert not list(tmp_path.glob("maps*"))
 
@@ -483,6 +503,34 @@ class TestAas:
         report = json.loads(out.read_text())
         assert report["selector"]["cost_sensitive"] is True
         assert report["selector"]["k"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flags, config",
+    [(["preprocess", "{mixed}", "--encoding", "target"], ["--smoothing", 1], {"smoothing": 1}),
+     (["aas", TOY_FEATURES, TOY_PERFORMANCE], ["--penalty", 10], {"penalty": 10}),
+     (["sample", "builtin:rastrigin:d3", "--n", 20], ["--seed", 5], {"seed": 5}),
+     (["features", "{design}"], ["--seed", 5], {"seed": 5}),
+     (["fitmap", "{design}"], ["--resolution", 16], {"resolution": 16}),
+     (["fitmap", "{design}", "--mode", "cloud"], ["--k", 3], {"k": 3}),
+     (["aas", TOY_FEATURES, TOY_PERFORMANCE], ["--cost-sensitive"], {"cost_sensitive": True})],
+    ids=["smoothing", "penalty", "sample-seed", "features-seed", "resolution", "k", "cost_sensitive"],
+)
+def test_flag_and_config_give_the_same_bytes(tmp_path, argv, flags, config):
+    mixed = tmp_path / "mixed.csv"
+    s = SearchSpace((VariableSpec("x", "continuous", lower=0.0, upper=1.0),
+                     VariableSpec("c", "categorical", categories=("a", "b", "z"))))
+    p = Problem(space=s, objective=lambda row: row[0] + "abz".index(row[1]))
+    design_to_csv(evaluate_design(p, create_initial_design(s, n=12, seed=0)), mixed)
+    argv = [str(a).format(design=sample_design(tmp_path, n=20), mixed=mixed) for a in argv]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    outputs = []
+    for name, extra in (("flag", flags), ("config", ["--config", tmp_path / "config.json"])):
+        (tmp_path / name).mkdir()
+        assert run_cli(*argv, *extra, "--out", tmp_path / name / "out.csv") == 0
+        outputs.append({f.name: f.read_bytes() for f in (tmp_path / name).iterdir()})
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) in (1, 2)
 
 
 @pytest.mark.parametrize("argv", [["features"], ["fitmap", "--mode", "cloud"]])
@@ -687,6 +735,19 @@ def test_absurd_sample_size_exits_two_naming_n(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert run_cli("sample", "builtin:sphere:d2", "--n", 10_000_000_000, "--out", out) == 2
     assert capsys.readouterr().err == "landsel sample: n = 10000000000 rows of 2 variables exceed the 1024 MiB cap\n"
+    assert not out.exists()
+
+
+def test_absurd_builtin_dimension_exits_two_naming_d(tmp_path, capsys, monkeypatch):
+    def no_variable(*args, **kwargs):
+        raise AssertionError("a variable was built")
+
+    monkeypatch.setattr(space, "VariableSpec", no_variable)
+    out = tmp_path / "d.csv"
+    assert run_cli("sample", "builtin:sphere:d100000000", "--n", 3, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "landsel sample: dimension D = 100000000 needs 48828 MiB of variables, over the 1024 MiB cap\n"
+    )
     assert not out.exists()
 
 

@@ -137,14 +137,26 @@ class TestRasterCap:
 
 
     def test_write_stack_refused_before_the_first_file(self, tmp_path):
-        # 600 columns give 179,700 channels; one 32 x 32 grid is 8 KiB, and
-        # reads and reductions are admitted, but the written grids are 1404 MiB
+        # 600 columns give 179,700 channels; one 96 x 96 grid is 72 KiB, and
+        # reads and reductions are admitted, but the written pixels are 1579 MiB
         rng = np.random.default_rng(18)
-        stack = multichannel(make_processed(rng.random((20, 600)), rng.random(20)), 32)
+        stack = multichannel(make_processed(rng.random((20, 600)), rng.random(20)), 96)
         assert len(stack.channels) == 179_700
-        with pytest.raises(ValueError, match=r"179700 channel\(s\) at resolution 32 need 1404 MiB"):
+        with pytest.raises(ValueError, match=r"179700 channel\(s\) at resolution 96 need 1579 MiB"):
             write_stack(stack, tmp_path / "maps")
         assert list(tmp_path.iterdir()) == []
+
+    def test_write_stack_counts_one_byte_per_written_pixel(self, tmp_path, monkeypatch):
+        # 15 channels of 8 x 8 write 960 bytes of pixels, where their float64
+        # grids would be 7680 bytes and the one grid a read allocates is 512
+        rng = np.random.default_rng(19)
+        stack = multichannel(make_processed(rng.random((20, 6)), rng.random(20)), 8)
+        monkeypatch.setattr(fitmap, "MAX_RASTER_BYTES", 15 * 8 * 8 - 1)
+        with pytest.raises(ValueError, match=r"15 channel\(s\) at resolution 8 need 0 MiB"):
+            write_stack(stack, tmp_path / "maps")
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(fitmap, "MAX_RASTER_BYTES", 15 * 8 * 8)
+        assert len(write_stack(stack, tmp_path / "maps")) == 15
 
     def test_write_stack_writes_every_file_or_none(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(19)

@@ -159,7 +159,7 @@ class TestDesignFiles:
             assert_refusal_names(e, path, sidecar)
 
 
-CONFIG_KEYS = st.sampled_from(sorted({key for keys in cli._CONFIG_DEFAULTS.values() for key in keys} | {"x"}))
+CONFIG_KEYS = st.sampled_from(sorted({key for command in cli.OPTIONS for key in cli._options(command)} | {"x"}))
 CONFIG_TEXTS = st.one_of(
     st.dictionaries(CONFIG_KEYS, JSON_VALUES, max_size=4).map(json.dumps),
     JSON_VALUES.map(json.dumps),
@@ -169,9 +169,11 @@ CONFIG_TEXTS = st.one_of(
 
 
 class TestConfigFiles:
-    @given(st.sampled_from(sorted(cli._CONFIG_DEFAULTS)), CONFIG_TEXTS)
+    @given(st.sampled_from(sorted(cli.OPTIONS)), CONFIG_TEXTS)
     @example("fitmap", '{"resolution": 16, "mode": "rmc"}')
     @example("features", '{"smoothing": 1e400}')
+    @example("aas", '{"penalty": 1' + "0" * 400 + "}")
+    @example("fitmap", '{"mode": "grid"}')
     @example("sample", '{"n": ' + "[" * 100_000 + "}")
     def test_parses_or_names_the_file(self, tmp_path_factory, command, text):
         path = write(tmp_path_factory, "config.json", text)
@@ -180,4 +182,4 @@ class TestConfigFiles:
         except ValueError as e:
             assert str(e).startswith(str(path)), str(e)
         else:
-            assert set(config) <= set(cli._CONFIG_DEFAULTS[command])
+            assert set(config) <= set(cli._options(command))

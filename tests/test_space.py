@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from landsel import space
 from landsel.space import (
     BUILTIN_FUNCTIONS,
     Condition,
@@ -180,6 +181,17 @@ class TestBuiltinProblems:
             builtin_problem("sphere", 0, 0)
         with pytest.raises(ValueError):
             builtin_problem("sphere", -1, 2)
+
+    def test_dimension_cap_is_inclusive_and_refuses_before_any_variable(self, monkeypatch):
+        monkeypatch.setattr(space, "MAX_SPACE_BYTES", 3 * space._VARIABLE_BYTES)
+        assert builtin_problem("sphere", 1, 3).space.dimension == 3
+
+        def no_variable(*args, **kwargs):
+            raise AssertionError("a variable was built")
+
+        monkeypatch.setattr(space, "VariableSpec", no_variable)
+        with pytest.raises(ValueError, match=r"^dimension D = 4 needs 0 MiB of variables, over the 0 MiB cap$"):
+            builtin_problem("sphere", 1, 4)
 
 
 class TestObjectiveTransform:
