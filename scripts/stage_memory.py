@@ -2,9 +2,12 @@
 
 Each stage runs in a fresh Python process.  That process samples, evaluates
 and preprocesses the design and builds its distance matrix, then runs the
-stage twice: once plain, after which it reads the peak resident set size of
-the whole process (``ru_maxrss``), and once under ``tracemalloc``, which
-gives the peak bytes that this one call allocated on top of what it found.
+stage three times: twice plain, after which it reads the peak resident set
+size of the whole process (``ru_maxrss``), and once under ``tracemalloc``,
+which gives the peak bytes that this one call allocated on top of what it
+found.  The minor page faults (``ru_minflt``) of the second plain call show
+per-call churn: a temporary that the allocator maps, or trims off the heap,
+and returns to the system on every call faults its pages in each time.
 The ``design`` row runs nothing: its ``ru_maxrss`` is the baseline once the
 distance matrix exists.  The feature sets come in ``compute_all`` order,
 then the map stages of ``landsel fitmap``: ``knn_cloud`` (k = 8),
@@ -74,14 +77,19 @@ def measure(args) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         call = stage_call(args.stage, pd, Path(tmp))
         call()
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        faults = usage.ru_minflt - faults
+        rss = usage.ru_maxrss / 1024
         tracemalloc.start()
         try:
             call()
             traced = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    return {"rss_mib": rss, "traced_mib": traced / 2**20, "matrix_mib": pd.distances.nbytes / 2**20}
+    return {"rss_mib": rss, "traced_mib": traced / 2**20, "matrix_mib": pd.distances.nbytes / 2**20,
+            "repeat_faults": faults}
 
 
 def main(argv=None) -> int:
@@ -107,9 +115,10 @@ def main(argv=None) -> int:
         rows.append((stage, json.loads(proc.stdout.splitlines()[-1])))
     matrix = rows[0][1]["matrix_mib"]
     print(f"{args.fid} d={args.d} n={args.n} seed={args.seed}: distance matrix {matrix:.1f} MiB")
-    print(f"{'stage':<30} {'ru_maxrss MiB':>13} {'traced MiB':>10} {'traced/matrix':>13}")
+    print(f"{'stage':<30} {'ru_maxrss MiB':>13} {'traced MiB':>10} {'traced/matrix':>13} {'repeat faults':>13}")
     for stage, r in rows:
-        print(f"{stage:<30} {r['rss_mib']:>13.1f} {r['traced_mib']:>10.1f} {r['traced_mib'] / matrix:>13.2f}")
+        print(f"{stage:<30} {r['rss_mib']:>13.1f} {r['traced_mib']:>10.1f} {r['traced_mib'] / matrix:>13.2f}"
+              f" {r['repeat_faults']:>13d}")
     return 0
 
 

@@ -10,7 +10,9 @@ and scaling of the raw objective:
   share one Householder QR, which drops every column whose pivot is at most
   ``_COLLAPSE_TOL`` (1e-10) of its norm as spanned by the columns before it.
 * ``ela_distr``  (3)  — skewness, excess kurtosis, and modality (kernel-density
-  peak count on a 512-point grid) of the objective distribution.
+  peak count on a 512-point grid) of the objective distribution.  The grid
+  is summed in row blocks of at most 8Ki elements; each row is still one
+  sum over the same n terms, so the densities are those of the whole grid.
 * ``disp``       (16) — dispersion of the best-q fraction of the sample versus
   the full sample, q in (0.02, 0.05, 0.10, 0.25), as ratios and differences
   of mean/median Euclidean pairwise distances.
@@ -335,18 +337,31 @@ def ela_meta(pd) -> _Emitter:
 # ── objective-distribution features ──────────────────────────────────────────
 
 
-def _kde_peak_count(y: np.ndarray, sd: float) -> int:
+# Elements per block of the density grid: 64 KiB temporaries stay below
+# glibc's 128 KiB mmap threshold, so they are not mapped and returned on
+# every call.
+_KDE_BLOCK = 8192
+
+
+def _kde_density(y: np.ndarray, sd: float) -> np.ndarray:
+    """Gaussian kernel density of ``y`` on the ``_KDE_GRID_POINTS`` grid.
+
+    The grid is evaluated in blocks of at most ``_KDE_BLOCK`` elements, whole
+    rows each; every row is still one sum over the same n terms, so the
+    densities equal those of the whole 512-by-n grid.
+    """
     n = y.size
     q1, q3 = np.quantile(y, (0.25, 0.75))
     iqr = float(q3 - q1)
     scale = sd if iqr == 0.0 else min(sd, iqr / 1.34)
     bandwidth = 0.9 * scale * n ** (-1 / 5)
     grid = np.linspace(0.0, 1.0, _KDE_GRID_POINTS)
-    z = (grid[:, None] - y[None, :]) / bandwidth
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (n * bandwidth * math.sqrt(2 * math.pi))
-    interior = density[1:-1]
-    peaks = (interior > density[:-2]) & (interior > density[2:])
-    return int(np.count_nonzero(peaks))
+    sums = np.empty(_KDE_GRID_POINTS)
+    rows = max(1, _KDE_BLOCK // n)
+    for g0 in range(0, _KDE_GRID_POINTS, rows):
+        z = (grid[g0 : g0 + rows, None] - y[None, :]) / bandwidth
+        np.exp(-0.5 * z * z).sum(axis=1, out=sums[g0 : g0 + rows])
+    return sums / (n * bandwidth * math.sqrt(2 * math.pi))
 
 
 _DISTR_NAMES = ("ela_distr.skewness", "ela_distr.kurtosis", "ela_distr.number_of_peaks")
@@ -370,7 +385,10 @@ def ela_distr(pd) -> _Emitter:
     m4 = float(np.mean(centered**4))
     out.put("ela_distr.skewness", m3 / m2**1.5)
     out.put("ela_distr.kurtosis", m4 / m2**2 - 3.0)
-    out.put("ela_distr.number_of_peaks", float(_kde_peak_count(y, math.sqrt(m2))))
+    density = _kde_density(y, math.sqrt(m2))
+    interior = density[1:-1]
+    peaks = (interior > density[:-2]) & (interior > density[2:])
+    out.put("ela_distr.number_of_peaks", float(np.count_nonzero(peaks)))
     return out
 
 
@@ -390,13 +408,36 @@ _TRIANGLE = np.triu(np.ones((256, 256), dtype=bool), 1)
 _TRIANGLE.setflags(write=False)
 
 
-def _upper_triangle(n: int) -> np.ndarray:
-    """Boolean n-by-n mask of the pairs i < j; indexing a distance matrix
-    with it yields the condensed vector in row-major (pdist) order.  Up to
-    256 rows it is a read-only block of one mask built at import."""
-    if n <= len(_TRIANGLE):
-        return _TRIANGLE[:n, :n]
-    return np.triu(np.ones((n, n), dtype=bool), 1)
+def _condensed(dm: np.ndarray, idx: np.ndarray | None = None) -> np.ndarray:
+    """Distances between the rows ``idx`` of ``dm`` (all rows when None),
+    the pairs i < j in row-major (pdist) order.  Up to 256 rows they are
+    read through a block of one read-only mask built at import; above that,
+    row tail by row tail into one new array, with no n-by-n mask."""
+    m = len(dm) if idx is None else idx.size
+    if m <= len(_TRIANGLE):
+        square = dm if idx is None else dm[np.ix_(idx, idx)]
+        return square[_TRIANGLE[:m, :m]]
+    out = np.empty(m * (m - 1) // 2)
+    end = 0
+    for i in range(m - 1):
+        start, end = end, end + m - 1 - i
+        if idx is None:
+            out[start:end] = dm[i, i + 1 :]
+        else:
+            dm[idx[i]].take(idx[i + 1 :], out=out[start:end])
+    return out
+
+
+def _median(v: np.ndarray) -> float:
+    """Median of a NaN-free vector, reordering it in place: the middle
+    element, or ``(a + b) / 2`` of the two middle ones, as ``np.median``
+    computes it."""
+    k = v.size // 2
+    if v.size % 2:
+        v.partition(k)
+        return float(v[k])
+    v.partition((k - 1, k))
+    return float((v[k - 1] + v[k]) / 2)
 
 
 def dispersion(pd) -> _Emitter:
@@ -415,9 +456,9 @@ def dispersion(pd) -> _Emitter:
         out.put_all_missing(_DISP_NAMES, "insufficient_sample")
         return out
     dm = pd.distances
-    full = dm[_upper_triangle(n)]
+    full = _condensed(dm)
     full_mean = float(full.mean())
-    full_median = float(np.median(full, overwrite_input=True))  # reorders full, after its mean
+    full_median = _median(full)  # reorders full, after its mean
     order = np.argsort(y, kind="stable")
     for q in _QUANTILES:
         names = _quantile_names(q)
@@ -425,10 +466,9 @@ def dispersion(pd) -> _Emitter:
         if size < 2:
             out.put_all_missing(names, "subset_too_small")
             continue
-        best = order[:size]
-        sub = dm[np.ix_(best, best)][_upper_triangle(size)]
+        sub = _condensed(dm, order[:size])
         sub_mean = float(sub.mean())
-        sub_median = float(np.median(sub))
+        sub_median = _median(sub)
         if full_mean == 0.0:
             out.put(names[0], None, "zero_distances")
         else:
@@ -485,56 +525,62 @@ def _greedy_tour(dm: np.ndarray, canon: np.ndarray, seed: int) -> np.ndarray:
 _PAIR_LOG_BASE = math.log(6.0)
 
 
-def _pair_counts(symbols: list[int]) -> list[list[int]]:
-    """3x3 counts of consecutive symbol pairs, indexed by symbol + 1."""
-    counts = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    for a, b in zip(symbols[:-1], symbols[1:]):
-        counts[a + 1][b + 1] += 1
-    return counts
-
-
 @functools.lru_cache(maxsize=16)
-def _entropy_terms(total: int) -> tuple[float, ...]:
-    """p * log6 p for p = c / total, indexed by c = 0..total (zero at c = 0)."""
-    return (0.0, *((c / total) * math.log(c / total) / _PAIR_LOG_BASE for c in range(1, total + 1)))
+def _entropy_terms(total: int) -> np.ndarray:
+    """p * log6 p for p = c / total, indexed by c = 0..total (zero at c = 0);
+    read-only, since every caller shares it."""
+    terms = np.array([0.0, *((c / total) * math.log(c / total) / _PAIR_LOG_BASE
+                             for c in range(1, total + 1))])
+    terms.setflags(write=False)
+    return terms
 
 
-def _entropy_from_counts(counts: list[list[int]], total: int) -> float:
-    """-sum over unequal symbol pairs of p * log6 p."""
-    terms = _entropy_terms(total)
-    h = 0.0
-    for a in range(3):
-        for b in range(3):
-            if a != b:
-                h -= terms[counts[a][b]]
-    return h
+# Pair codes 3 * (a + 1) + (b + 1) of the six unequal symbol pairs (a, b),
+# in the order their entropy terms are subtracted.
+_UNEQUAL_PAIRS = (1, 2, 3, 5, 6, 7)
 
 
 def _deletion_states(phi: np.ndarray, events: list[int], n: int) -> tuple[list[float], list[float]]:
     """H and M of the symbol string sign(phi) before any deletion, then after
     each deletion in ``events`` (distinct indices of nonzero slopes).
 
-    A deletion turns one symbol into 0, which moves the pair counts of its two
-    neighbouring pairs.  The surviving nonzero slopes stay in one sorted list;
-    deleting one drops a run when its sign differs from both surviving
-    neighbours, and one more when those neighbours exist and agree.
+    H: slope i turns into 0 at its deletion step (0 for a zero slope, past
+    the last state when never deleted), so the pair (i, i + 1) changes code
+    only at the smaller and the larger step of its two ends.  A difference
+    array over the steps, summed cumulatively, gives the 3x3 pair counts of
+    every state at once; H subtracts the six unequal pairs' terms in a fixed
+    order.
+
+    M: the surviving nonzero slopes stay in one sorted list; deleting one
+    drops a run when its sign differs from both surviving neighbours, and
+    one more when those neighbours exist and agree.
     """
-    symbols = np.sign(phi).astype(int).tolist()
-    last = len(symbols) - 1  # also the number of consecutive pairs
-    counts = _pair_counts(symbols)
+    signs = np.sign(phi).astype(np.intp)
+    states = len(events) + 1
+    step = np.where(signs != 0, states, 0)
+    step[events] = np.arange(1, states)
+    first, second = step[:-1], step[1:]
+    lo, hi = np.minimum(first, second), np.maximum(first, second)
+    a, b = signs[:-1] + 1, signs[1:] + 1
+    before = 3 * a + b
+    between = np.where(first < second, 3 + b, 3 * a + 1)  # the end deleted first reads 0
+    # code (0, 0) from step hi on is left out: it holds no entropy term
+    cells = (states + 1) * 9
+    diff = np.bincount(np.concatenate((before, 9 * lo + between)), minlength=cells)
+    diff -= np.bincount(np.concatenate((9 * lo + before, 9 * hi + between)), minlength=cells)
+    counts = diff.reshape(states + 1, 9).cumsum(axis=0)[:states]
+    terms = _entropy_terms(signs.size - 1)
+    h = np.zeros(states)
+    for code in _UNEQUAL_PAIRS:
+        h -= terms[counts[:, code]]
+
+    symbols = signs.tolist()
     alive = [i for i, sign in enumerate(symbols) if sign]
-    signs = [symbols[i] for i in alive]
-    runs = sum(a != b for a, b in zip([0] + signs, signs))
-    h_states = [_entropy_from_counts(counts, last)]
+    nonzero = [symbols[i] for i in alive]
+    runs = sum(p != q for p, q in zip([0] + nonzero, nonzero))
     m_states = [runs / (n - 1)]
     for i in events:
         old = symbols[i]
-        if i > 0:
-            counts[symbols[i - 1] + 1][old + 1] -= 1
-            counts[symbols[i - 1] + 1][1] += 1
-        if i < last:
-            counts[old + 1][symbols[i + 1] + 1] -= 1
-            counts[1][symbols[i + 1] + 1] += 1
         symbols[i] = 0
         k = bisect.bisect_left(alive, i)
         del alive[k]
@@ -544,9 +590,8 @@ def _deletion_states(phi: np.ndarray, events: list[int], n: int) -> tuple[list[f
             runs -= 1
             if left and left == right:
                 runs -= 1
-        h_states.append(_entropy_from_counts(counts, last))
         m_states.append(runs / (n - 1))
-    return h_states, m_states
+    return h.tolist(), m_states
 
 
 _IC_NAMES = ("ic.h.max", "ic.eps.s", "ic.eps.max", "ic.eps.ratio", "ic.m0")

@@ -12,16 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from landsel import ela
 from landsel.ela import (
     _canonical_order,
     _deletion_states,
-    _entropy_from_counts,
+    _entropy_terms,
     _greedy_tour,
+    _kde_density,
     _nearest_better,
-    _pair_counts,
     compute_all,
     dispersion,
     ela_distr,
@@ -260,6 +260,19 @@ class TestInteractionFitsMatchLstsq:
         }
 
 
+def whole_grid_density(y, sd):
+    """Kernel density of y on the whole 512-by-n grid at once, by the
+    bandwidth rule of ``ela_distr``."""
+    n = y.size
+    q1, q3 = np.quantile(y, (0.25, 0.75))
+    iqr = float(q3 - q1)
+    scale = sd if iqr == 0.0 else min(sd, iqr / 1.34)
+    bandwidth = 0.9 * scale * n ** (-1 / 5)
+    grid = np.linspace(0.0, 1.0, ela._KDE_GRID_POINTS)
+    z = (grid[:, None] - y[None, :]) / bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1) / (n * bandwidth * math.sqrt(2 * math.pi))
+
+
 class TestElaDistr:
     def test_frozen_moments(self):
         X = np.linspace(0.0, 1.0, 4)
@@ -299,6 +312,29 @@ class TestElaDistr:
         assert expected == 2
         assert out.values["ela_distr.number_of_peaks"] == float(expected)
 
+    @pytest.mark.parametrize("n", [4, 5, 100, 8191, 8192, 8193])
+    def test_row_blocks_equal_whole_grid_reference(self, n):
+        # one row per block from 8192 points on, and a short last block below
+        y = np.random.default_rng(n).random(n) ** 3
+        sd = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
+        assert _kde_density(y, sd).tobytes() == whole_grid_density(y, sd).tobytes()
+
+    def test_zero_iqr_equals_whole_grid_reference(self):
+        y = np.zeros(100)
+        y[-10:] = np.linspace(0.5, 1.0, 10)
+        q1, q3 = np.quantile(y, (0.25, 0.75))
+        assert q1 == q3  # the bandwidth falls back to the standard deviation
+        sd = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
+        assert _kde_density(y, sd).tobytes() == whole_grid_density(y, sd).tobytes()
+
+    def test_tiny_bandwidth_equals_whole_grid_reference(self):
+        y = 0.5 + 0.01 * np.random.default_rng(3).random(200)
+        sd = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
+        density = _kde_density(y, sd)
+        # a bandwidth near 1e-3: every term underflows more than 0.04 from y
+        assert 0 < np.count_nonzero(density) < 100
+        assert density.tobytes() == whole_grid_density(y, sd).tobytes()
+
 
 class TestDispersion:
     def test_matches_brute_force(self):
@@ -323,6 +359,27 @@ class TestDispersion:
             assert out.values[f"disp.diff_median_{suffix}"] == pytest.approx(
                 np.median(sub) - np.median(full), abs=1e-12
             )
+
+    @pytest.mark.parametrize("n", [41, 258, 1102])
+    def test_equals_pdist_and_numpy_median(self, n):
+        # subsets of up to 256 rows are read through the mask, larger ones
+        # and the full sample above 256 rows by row tails; the pair counts
+        # are odd and even
+        rng = np.random.default_rng(n)
+        pd = make_processed(rng.random((n, 3)), rng.random(n))
+        out = dispersion(pd)
+        full = squareform(pd.distances, checks=False)
+        order = np.argsort(pd.objective, kind="stable")
+        for q in ela._QUANTILES:
+            best = order[: math.ceil(q * n)]
+            if best.size < 2:
+                continue
+            sub = squareform(pd.distances[np.ix_(best, best)], checks=False)
+            ratio_mean, ratio_median, diff_mean, diff_median = ela._quantile_names(q)
+            assert out.values[ratio_mean] == sub.mean() / full.mean()
+            assert out.values[ratio_median] == np.median(sub) / np.median(full)
+            assert out.values[diff_mean] == sub.mean() - full.mean()
+            assert out.values[diff_median] == np.median(sub) - np.median(full)
 
     def test_names_cover_all_quantiles(self):
         names = ela._DISP_NAMES
@@ -377,6 +434,25 @@ def oracle_tour(X, seed):
     return np.array(order)
 
 
+def pair_counts(symbols):
+    """3x3 counts of consecutive symbol pairs, indexed by symbol + 1."""
+    counts = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    for a, b in zip(symbols[:-1], symbols[1:]):
+        counts[a + 1][b + 1] += 1
+    return counts
+
+
+def entropy_from_counts(counts, total):
+    """-sum over unequal symbol pairs of p * log6 p."""
+    terms = _entropy_terms(total)
+    h = 0.0
+    for a in range(3):
+        for b in range(3):
+            if a != b:
+                h -= terms[counts[a][b]]
+    return h
+
+
 def ic_scan(pd, seed=0):
     """Brute-force (epsilon, H, M) arrays behind the information-content
     features, epsilon zero first: every level recomputed from scratch."""
@@ -395,7 +471,7 @@ def ic_scan(pd, seed=0):
     mvals = np.empty(grid.size)
     for gi, eps in enumerate(grid):
         symbols = np.where(np.abs(phi) > eps, np.sign(phi), 0.0).astype(int)
-        h[gi] = _entropy_from_counts(_pair_counts(symbols.tolist()), symbols.size - 1)
+        h[gi] = entropy_from_counts(pair_counts(symbols.tolist()), symbols.size - 1)
         nz = symbols[symbols != 0]
         runs = 0 if nz.size == 0 else 1 + int(np.count_nonzero(nz[1:] != nz[:-1]))
         mvals[gi] = runs / (n - 1)
@@ -425,7 +501,7 @@ def brute_deletion_states(phi, events, n):
     for k in range(len(events) + 1):
         symbols = np.sign(phi).astype(int)
         symbols[events[:k]] = 0
-        h.append(_entropy_from_counts(_pair_counts(symbols.tolist()), symbols.size - 1))
+        h.append(entropy_from_counts(pair_counts(symbols.tolist()), symbols.size - 1))
         nz = symbols[symbols != 0]
         runs = 0 if nz.size == 0 else 1 + int(np.count_nonzero(nz[1:] != nz[:-1]))
         m.append(runs / (n - 1))
@@ -640,13 +716,15 @@ class TestNearestBetterClustering:
 
 class TestDistanceReadersMemory:
     """Peak traced bytes of each feature set that reads the shared distance
-    matrix, as a share of the matrix: none may build a second one."""
+    matrix, as a share of the matrix: none may build a second one.  The
+    kernel-density grid of ``ela_distr`` is held to the same scale."""
 
     @pytest.mark.parametrize(("stage", "share"), [
         (information_content, 0.25),
         (nearest_better_clustering, 0.25),
-        (dispersion, 0.8),  # the condensed upper triangle is half the matrix
-    ], ids=["ic", "nbc", "disp"])
+        (dispersion, 0.55),  # the condensed upper triangle is half the matrix
+        (ela_distr, 0.15),  # the 512-by-n grid in blocks of 8Ki elements
+    ], ids=["ic", "nbc", "disp", "distr"])
     def test_peak_below_share_of_matrix(self, built_distances, stage, share):
         _, peak = traced_peak(lambda: stage(built_distances))
         assert peak < share * built_distances.distances.nbytes

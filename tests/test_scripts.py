@@ -49,7 +49,7 @@ def test_stage_memory_smoke(capsys):
         "design", "ela_meta", "ela_distr", "dispersion", "information_content", "nearest_better_clustering",
         "fitness_distance_correlation", "knn_cloud", "cloud_to_csv", "rmc", "pca_func",
     ]
-    assert all(float(row[1]) > 0.0 and float(row[2]) >= 0.0 for row in rows)
+    assert all(float(row[1]) > 0.0 and float(row[2]) >= 0.0 and int(row[4]) >= 0 for row in rows)
 
 
 def test_make_map_gallery_smoke(tmp_path, capsys):
