@@ -57,6 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .space import check_bytes
+
 FEATURE_SET_VERSIONS = {
     "ela_meta": "1",
     "ela_distr": "1",
@@ -268,8 +270,10 @@ def ela_meta(pd) -> _Emitter:
     with n <= p + 1 is missing.
 
     Memory: that design and y are written into one (p + 2)-by-n buffer,
-    cut to the widest fit, and the QR reads it in place; the fits allocate
-    no n-by-n array.
+    cut to the widest fit and refused over ``space.MAX_BYTES``, and the QR
+    reads it in place; the fits allocate no n-by-n array.  As n > p + 1,
+    the buffer is never larger than the distance matrix, but ``compute_all``
+    runs this set first, before that matrix is capped or held.
     """
     out = _Emitter()
     X = pd.matrix
@@ -283,6 +287,7 @@ def ela_meta(pd) -> _Emitter:
     widths = [p for p in (d + pairs, 2 * d + pairs) if n > p + 1]
     interact_r2 = [None, None]
     if widths:
+        check_bytes(8 * (widths[-1] + 2) * n, f"n = {n} rows of {widths[-1] + 2} interaction columns")
         # rows 1, X, the products x_i * x_j (i < j, lexicographic), X**2, y;
         # contiguous rows make M.T the column-major [W, y]
         M = np.empty((widths[-1] + 2, n))

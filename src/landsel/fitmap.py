@@ -13,9 +13,11 @@ skips rasterization entirely: each sample point is recorded next to its k
 nearest neighbors, found in the design's shared distance matrix
 ``ProcessedDesign.distances``.
 
-The raster cap ``MAX_RASTER_BYTES`` bounds the one float64 grid that a 2-D
-raster, a stack channel's read or a reduction allocates, and the C * R * R
-bytes of pixels that ``write_stack`` writes for a C-channel stack.
+Each size the design or resolution sets is refused over ``space.MAX_BYTES``
+before it is allocated or written: the one float64 R * R grid of a 2-D
+raster, a stack channel's read or a reduction; a stack's pair indices; the
+covariance of a projection; and the C * R * R bytes of pixels that
+``write_stack`` writes for a C-channel stack.
 
 PGM export uses the binary P5 format with maxval 255; filled pixels map to
 round(255 * value) so that better is darker (the best possible value black),
@@ -32,12 +34,9 @@ import numpy as np
 
 from .preprocess import ProcessedDesign, minmax_unit
 from .sampling import staged
+from .space import check_bytes
 
 DEFAULT_RESOLUTION = 224
-# Largest float64 pixel buffer one raster call may allocate, and the most
-# pixel bytes one ``write_stack`` may write: 1 GiB.  The 780 channels of a
-# 40-column design at 224 x 224 write 39 MB.
-MAX_RASTER_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -90,18 +89,6 @@ class MapStack(Sequence):
         return rasterize_2d(self.pd, (int(i[k]), int(j[k])), self.resolution)
 
 
-def check_raster_size(channels: int, resolution: int, pixel_bytes: int = 8) -> None:
-    """Refuse, before anything is allocated or written, ``channels`` R-by-R
-    grids of ``pixel_bytes`` per pixel (8 for float64, 1 for a PGM gray
-    level) whose pixels would exceed ``MAX_RASTER_BYTES``."""
-    need = channels * resolution * resolution * pixel_bytes
-    if need > MAX_RASTER_BYTES:
-        raise ValueError(
-            f"{channels} channel(s) at resolution {resolution} need {need / 2**20:.0f} MiB"
-            f" of pixels, over the {MAX_RASTER_BYTES >> 20} MiB raster cap"
-        )
-
-
 def _pixel_cells(coords: np.ndarray, resolution: int) -> np.ndarray:
     """The pixel cell floor(x * R) of every coordinate, 1.0 in the last."""
     if resolution < 2:
@@ -111,7 +98,7 @@ def _pixel_cells(coords: np.ndarray, resolution: int) -> np.ndarray:
 
 def _raster(points: np.ndarray, columns: tuple[int, int], objective, resolution: int, channel) -> FitnessMap:
     """Map two columns of ``points`` (in [0, 1]); shared pixels keep the smaller objective."""
-    check_raster_size(1, resolution)
+    check_bytes(8 * resolution * resolution, f"the pixels of one grid at resolution {resolution}")
     if len(columns) != 2:
         raise ValueError("exactly two columns are required")
     (c0, c1), width = columns, points.shape[1]
@@ -170,6 +157,7 @@ def pca_project(pd: ProcessedDesign, include_objective: bool = False) -> PcaProj
         raise ValueError("projection needs at least two input columns")
     if n <= 2:
         raise ValueError("projection needs more than two points")
+    check_bytes(8 * width * width, f"the covariances of {width} columns")
     centered = data - data.mean(axis=0)
     sds = centered.std(axis=0, ddof=1)
     if np.all(sds == 0.0):
@@ -206,7 +194,8 @@ def multichannel(pd: ProcessedDesign, resolution: int = DEFAULT_RESOLUTION) -> M
     (a, b) has the pixels of ``rasterize_2d(pd, (a, b))``, made when read."""
     if pd.width < 2:
         raise ValueError("a multi-channel map needs at least two columns")
-    check_raster_size(1, resolution)  # the grid of a read, or of a reduction
+    check_bytes(8 * resolution * resolution, f"the pixels of one grid at resolution {resolution}")
+    check_bytes(8 * pd.width * (pd.width - 1), f"the pair indices of {pd.width} columns")
     return MapStack(pd, _pixel_cells(pd.matrix, resolution), resolution)
 
 
@@ -335,10 +324,11 @@ def write_pgm(fmap: FitnessMap, path: str | Path) -> None:
 
 def write_stack(stack: MapStack, stem: str | Path) -> list[Path]:
     """Write each channel as <stem>_c<i>_<j>.pgm; returns the paths.  The
-    written pixels, one byte each, are refused over the raster cap before the
-    first file is opened, and the files are staged together: all are written
-    or none."""
-    check_raster_size(len(stack.channels), stack.resolution, pixel_bytes=1)
+    written pixels, one byte each, are refused over ``space.MAX_BYTES``
+    before the first file is opened, and the files are staged together: all
+    are written or none."""
+    C, R = len(stack.channels), stack.resolution
+    check_bytes(C * R * R, f"the written pixels of {C} channels at resolution {R}")
     stem = Path(stem)
     i, j = stack.pairs
     paths = [stem.with_name(f"{stem.name}_c{a}_{b}.pgm") for a, b in zip(i.tolist(), j.tolist())]

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .sampling import Design, staged
-from .space import ExactColumn, SearchSpace
+from .space import ExactColumn, SearchSpace, check_bytes
 
 ENCODINGS = ("none", "one_hot", "target")
 
@@ -41,9 +41,6 @@ ENCODINGS = ("none", "one_hot", "target")
 # that readers of the matrix walk (ProcessedDesign.distance_blocks): small
 # enough to stay in cache, large enough that per-call overhead is negligible.
 _DISTANCE_BLOCK = 1 << 15
-# Largest float64 distance matrix a design may allocate: 1 GiB, that is at
-# most 11,585 rows.  A (40, 2000) design needs 32 MB.
-MAX_DISTANCE_BYTES = 1 << 30
 
 
 def minmax_unit(values) -> np.ndarray:
@@ -105,13 +102,9 @@ class ProcessedDesign:
         """Read-only n-by-n Euclidean distances between the rows of ``matrix``,
         computed on first use and shared by every feature set and map that
         needs them (see :func:`pairwise_distances`).  A matrix over
-        ``MAX_DISTANCE_BYTES`` is refused before it is allocated."""
-        need = 8 * self.n * self.n
-        if need > MAX_DISTANCE_BYTES:
-            raise ValueError(
-                f"{self.n} rows need a {need / 2**20:.0f} MiB distance matrix,"
-                f" over the {MAX_DISTANCE_BYTES >> 20} MiB cap"
-            )
+        ``space.MAX_BYTES`` (1 GiB, 11,585 rows) is refused before it is
+        allocated."""
+        check_bytes(8 * self.n * self.n, f"the distances between {self.n} rows")
         dm = pairwise_distances(self.matrix)
         dm.setflags(write=False)
         return dm
@@ -262,6 +255,9 @@ def preprocess_pipeline(
         raise ValueError("encoding 'none' requires a purely numeric space")
     if encoding == "target" and smoothing < 0:
         raise ValueError("smoothing must be non-negative")
+    one_hot = encoding == "one_hot"  # only a one-hot categorical variable takes more than one column
+    width = sum(len(v.categories) if one_hot and v.kind == "categorical" else 1 for v in design.space.variables)
+    check_bytes(8 * design.n * width, f"n = {design.n} rows of {width} encoded columns")
     relaxed = relax_hierarchy(design)
     y = minmax_unit(design.y)
     ybar = float(y.mean())

@@ -28,11 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .space import ExactColumn, Problem, SearchSpace, space_from_obj, space_to_obj
+from .space import ExactColumn, Problem, SearchSpace, check_bytes, space_from_obj, space_to_obj
 
 STRATEGIES = ("uniform", "latin_hypercube", "sobol")
 DEFAULT_POINTS_PER_DIMENSION = 50
-MAX_DESIGN_BYTES = 1 << 30  # n x max(1, D) cells of 8 bytes, capped as distances and rasters are
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +184,7 @@ def create_initial_design(
         n = DEFAULT_POINTS_PER_DIMENSION * space.dimension
     if n < 2:
         raise ValueError("a design needs at least two rows")
-    if n * max(1, space.dimension) * 8 > MAX_DESIGN_BYTES:
-        raise ValueError(f"n = {n} rows of {space.dimension} variables exceed the {MAX_DESIGN_BYTES >> 20} MiB cap")
+    check_bytes(8 * n * space.dimension, f"n = {n} rows of {space.dimension} variables")
     rng = np.random.default_rng(seed)
     numeric = [v for v in space.variables if v.kind != "categorical"]
     unit = _unit_sample(strategy, n, len(numeric), rng)

@@ -32,11 +32,18 @@ BUILTIN_UPPER = 5.0
 _SHIFT_RANGE = (-4.0, 4.0)
 _SCALE_RANGE = (0.1, 10.0)       # log-uniform
 _OFFSET_RANGE = (-1000.0, 1000.0)
-# A built-in space holds about 460 bytes per variable (measured at D = 200,000),
-# so a dimension is refused before its space is built when D variables of
-# _VARIABLE_BYTES would pass MAX_SPACE_BYTES (1 GiB, as the other caps).
+# A built-in space holds about 460 bytes per variable (measured at D = 200,000).
 _VARIABLE_BYTES = 512
-MAX_SPACE_BYTES = 1 << 30
+# The most bytes one allocation or written output whose size the input sets
+# may take; every such size is refused over it by check_bytes before it is made.
+MAX_BYTES = 1 << 30
+
+
+def check_bytes(need: int, what: str) -> None:
+    """Refuse ``need`` bytes over ``MAX_BYTES``, read at each call; ``what``
+    names what needs them, in MiB rounded up, so never as 0 MiB."""
+    if need > MAX_BYTES:
+        raise ValueError(f"{what} need {-(-need >> 20)} MiB, over the {MAX_BYTES >> 20} MiB cap")
 
 
 @dataclass(frozen=True)
@@ -359,11 +366,7 @@ def builtin_problem(fid: str, iid: int, dimension: int) -> Problem:
         raise ValueError("dimension must be positive")
     if iid < 0:
         raise ValueError("instance id must be non-negative")
-    if dimension * _VARIABLE_BYTES > MAX_SPACE_BYTES:
-        raise ValueError(
-            f"dimension D = {dimension} needs {dimension * _VARIABLE_BYTES >> 20} MiB of variables,"
-            f" over the {MAX_SPACE_BYTES >> 20} MiB cap"
-        )
+    check_bytes(dimension * _VARIABLE_BYTES, f"the variables of dimension D = {dimension}")
     space = builtin_space(dimension)
     if iid == 0:
         shift = np.zeros(dimension)

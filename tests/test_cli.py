@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -375,8 +376,7 @@ class TestFitmap:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert "1 channel(s) at resolution 100000 need 76294 MiB" in err
-        assert "raster cap" in err
+        assert "the pixels of one grid at resolution 100000 need 76294 MiB, over the 1024 MiB cap" in err
         assert not list(tmp_path.glob("maps*"))
 
     def test_wide_design_reduces_and_refuses_to_write_its_stack(self, tmp_path, capsys):
@@ -391,8 +391,7 @@ class TestFitmap:
         code = run_cli("fitmap", design, "--mode", "mc", "--out", tmp_path / "maps.pgm")
         assert code == 2
         err = capsys.readouterr().err
-        assert "32896 channel(s) at resolution 224 need 1574 MiB" in err
-        assert "raster cap" in err
+        assert "the written pixels of 32896 channels at resolution 224 need 1575 MiB, over the 1024 MiB cap" in err
         assert not list(tmp_path.glob("maps*"))
 
 
@@ -537,7 +536,7 @@ def test_flag_and_config_give_the_same_bytes(tmp_path, argv, flags, config):
 def test_oversized_distance_matrix_exits_two_naming_n(tmp_path, capsys, monkeypatch, argv):
     design = sample_design(tmp_path, n=30)
     # the cap admits 29 rows, and the 30-row matrix must never be computed
-    monkeypatch.setattr(preprocess, "MAX_DISTANCE_BYTES", 8 * 29 * 29)
+    monkeypatch.setattr(space, "MAX_BYTES", 8 * 29 * 29)
 
     def no_allocation(X):
         raise AssertionError("a distance matrix was allocated")
@@ -545,8 +544,32 @@ def test_oversized_distance_matrix_exits_two_naming_n(tmp_path, capsys, monkeypa
     monkeypatch.setattr(preprocess, "pairwise_distances", no_allocation)
     out = tmp_path / "out.csv"
     assert run_cli(argv[0], design, *argv[1:], "--out", out) == 2
-    assert f"landsel {argv[0]}: 30 rows need a 0 MiB distance matrix" in capsys.readouterr().err
+    assert f"landsel {argv[0]}: the distances between 30 rows need 1 MiB" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["pca", "rmc"])
+def test_wide_design_refused_at_the_cap_within_a_2_gib_address_space(tmp_path, mode):
+    # 12,000 columns: a 1099 MiB covariance (pca), or 1099 MiB of pair
+    # indices for 72 M channels (rmc); neither may be attempted
+    design = sample_design(tmp_path, source="builtin:sphere:d12000", n=3)
+    before = sorted(tmp_path.iterdir())
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "landsel", "fitmap", str(design), "--mode", mode, "--out", str(tmp_path / "m.pgm")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit_address_space,
+        # one BLAS thread: thread stacks and buffers must not use up the address space
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "cap" in proc.stderr
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_cli_import_loads_no_scipy():
@@ -734,7 +757,7 @@ def test_negative_seed_exits_two_naming_seed(named_paths, capsys, command, via_c
 def test_absurd_sample_size_exits_two_naming_n(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert run_cli("sample", "builtin:sphere:d2", "--n", 10_000_000_000, "--out", out) == 2
-    assert capsys.readouterr().err == "landsel sample: n = 10000000000 rows of 2 variables exceed the 1024 MiB cap\n"
+    assert capsys.readouterr().err == "landsel sample: n = 10000000000 rows of 2 variables need 152588 MiB, over the 1024 MiB cap\n"
     assert not out.exists()
 
 
@@ -746,7 +769,7 @@ def test_absurd_builtin_dimension_exits_two_naming_d(tmp_path, capsys, monkeypat
     out = tmp_path / "d.csv"
     assert run_cli("sample", "builtin:sphere:d100000000", "--n", 3, "--out", out) == 2
     assert capsys.readouterr().err == (
-        "landsel sample: dimension D = 100000000 needs 48828 MiB of variables, over the 1024 MiB cap\n"
+        "landsel sample: the variables of dimension D = 100000000 need 48829 MiB, over the 1024 MiB cap\n"
     )
     assert not out.exists()
 

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from landsel import ela
+from landsel import ela, space
 from landsel.ela import (
     _canonical_order,
     _deletion_states,
@@ -172,6 +172,23 @@ def builtin_processed(fid: str, d: int, n: int, seed: int, repeats: int = 0):
         pd = make_processed(np.vstack([pd.matrix, pd.matrix[rows]]),
                             np.concatenate([pd.objective, pd.objective[rows]]))
     return pd
+
+
+class TestInteractionBufferCap:
+    def test_refused_before_the_buffer_is_allocated(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        pd = make_processed(rng.random((30, 3)), rng.random(30))
+        # rows 1, three columns, three products, three squares and y: 11 x 30
+        monkeypatch.setattr(space, "MAX_BYTES", 8 * 11 * 30)
+        assert ela.ela_meta(pd).values["ela_meta.quad_w_interact.adj_r2"] is not None
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the interaction buffer was allocated")
+
+        monkeypatch.setattr(ela.np, "empty", no_allocation)
+        monkeypatch.setattr(space, "MAX_BYTES", 8 * 11 * 30 - 1)
+        with pytest.raises(ValueError, match="^n = 30 rows of 11 interaction columns need 1 MiB, over the 0 MiB cap$"):
+            ela.ela_meta(pd)
 
 
 class TestInteractionFitsMatchLstsq:

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
-from landsel import fitmap
+from landsel import fitmap, space
 from landsel.fitmap import (
     DEFAULT_RESOLUTION,
-    MAX_RASTER_BYTES,
     FitnessMap,
-    check_raster_size,
     cloud_to_csv,
     knn_cloud,
     multichannel,
@@ -109,16 +107,21 @@ class TestMultichannel:
 
 
 class TestRasterCap:
-    def test_admits_the_40_column_stack(self):
-        # C(40, 2) = 780 channels of 224 x 224 float64 pixels: 313 MB
-        check_raster_size(780, 224)
-        assert 780 * 224 * 224 * 8 < MAX_RASTER_BYTES
+    def test_admits_the_40_column_stack(self, tmp_path):
+        # C(40, 2) = 780 channels of 224 x 224 pixels, written as 39 MB of bytes
+        rng = np.random.default_rng(40)
+        stack = multichannel(make_processed(rng.random((20, 40)), rng.random(20)), 224)
+        assert len(write_stack(stack, tmp_path / "maps")) == 780
 
-    def test_cap_is_inclusive(self):
-        side = int((MAX_RASTER_BYTES // 8) ** 0.5)
-        check_raster_size(1, side)
-        with pytest.raises(ValueError, match="raster cap"):
-            check_raster_size(1, side + 1)
+    def test_cap_is_inclusive(self, monkeypatch):
+        pd = make_processed(np.random.default_rng(0).random((20, 3)), np.linspace(0, 1, 20))
+        monkeypatch.setattr(space, "MAX_BYTES", 8 * 8 * 8)
+        assert rasterize_2d(pd, resolution=8).pixels.shape == (8, 8)
+        assert len(multichannel(pd, resolution=8).channels) == 3
+        with pytest.raises(ValueError, match="resolution 9 need 1 MiB, over the 0 MiB cap"):
+            rasterize_2d(pd, resolution=9)
+        with pytest.raises(ValueError, match="resolution 9 need 1 MiB, over the 0 MiB cap"):
+            multichannel(pd, resolution=9)
 
     def test_refused_before_any_allocation(self, monkeypatch):
         pd = make_processed(np.random.default_rng(0).random((20, 3)), np.linspace(0, 1, 20))
@@ -128,11 +131,12 @@ class TestRasterCap:
             raise AssertionError("a pixel grid was allocated")
 
         monkeypatch.setattr(fitmap.np, "full", no_allocation)
-        with pytest.raises(ValueError, match=r"1 channel\(s\) at resolution 100000 .* raster cap"):
+        cap = "^the pixels of one grid at resolution 100000 need 76294 MiB, over the 1024 MiB cap$"
+        with pytest.raises(ValueError, match=cap):
             multichannel(pd, resolution=100_000)
-        with pytest.raises(ValueError, match="raster cap"):
+        with pytest.raises(ValueError, match=cap):
             rasterize_2d(pd, resolution=100_000)
-        with pytest.raises(ValueError, match="raster cap"):
+        with pytest.raises(ValueError, match=cap):
             rasterize_projection(projection, pd.objective, resolution=100_000)
 
 
@@ -142,7 +146,7 @@ class TestRasterCap:
         rng = np.random.default_rng(18)
         stack = multichannel(make_processed(rng.random((20, 600)), rng.random(20)), 96)
         assert len(stack.channels) == 179_700
-        with pytest.raises(ValueError, match=r"179700 channel\(s\) at resolution 96 need 1579 MiB"):
+        with pytest.raises(ValueError, match="the written pixels of 179700 channels at resolution 96 need 1580 MiB"):
             write_stack(stack, tmp_path / "maps")
         assert list(tmp_path.iterdir()) == []
 
@@ -151,11 +155,11 @@ class TestRasterCap:
         # grids would be 7680 bytes and the one grid a read allocates is 512
         rng = np.random.default_rng(19)
         stack = multichannel(make_processed(rng.random((20, 6)), rng.random(20)), 8)
-        monkeypatch.setattr(fitmap, "MAX_RASTER_BYTES", 15 * 8 * 8 - 1)
-        with pytest.raises(ValueError, match=r"15 channel\(s\) at resolution 8 need 0 MiB"):
+        monkeypatch.setattr(space, "MAX_BYTES", 15 * 8 * 8 - 1)
+        with pytest.raises(ValueError, match="the written pixels of 15 channels at resolution 8 need 1 MiB"):
             write_stack(stack, tmp_path / "maps")
         assert list(tmp_path.iterdir()) == []
-        monkeypatch.setattr(fitmap, "MAX_RASTER_BYTES", 15 * 8 * 8)
+        monkeypatch.setattr(space, "MAX_BYTES", 15 * 8 * 8)
         assert len(write_stack(stack, tmp_path / "maps")) == 15
 
     def test_write_stack_writes_every_file_or_none(self, tmp_path, monkeypatch):
@@ -172,6 +176,36 @@ class TestRasterCap:
         monkeypatch.setattr(fitmap, "rasterize_2d", no_raster)
         with pytest.raises(FileNotFoundError, match="missing/maps_c0_1.pgm"):
             write_stack(stack, tmp_path / "missing" / "maps")
+
+
+class TestProjectionAndPairCaps:
+    def test_projection_covariance_refused_before_it_is_allocated(self, monkeypatch):
+        pd = make_processed(np.random.default_rng(1).random((20, 4)), np.linspace(0, 1, 20))
+        # four columns and the objective: a 5 x 5 covariance of 200 bytes
+        monkeypatch.setattr(space, "MAX_BYTES", 8 * 5 * 5)
+        assert pca_project(pd, include_objective=True).coordinates.shape == (20, 2)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a covariance was allocated")
+
+        monkeypatch.setattr(fitmap.np, "cov", no_allocation)
+        monkeypatch.setattr(space, "MAX_BYTES", 8 * 5 * 5 - 1)
+        with pytest.raises(ValueError, match="^the covariances of 5 columns need 1 MiB, over the 0 MiB cap$"):
+            pca_project(pd, include_objective=True)
+
+    def test_pair_indices_refused_before_they_are_allocated(self, monkeypatch):
+        pd = make_processed(np.random.default_rng(2).random((20, 6)), np.linspace(0, 1, 20))
+        # C(6, 2) = 15 pairs: two int64 index arrays of 120 bytes each
+        monkeypatch.setattr(space, "MAX_BYTES", 8 * 6 * 5)
+        assert len(multichannel(pd, resolution=2).channels) == 15
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("pair indices were allocated")
+
+        monkeypatch.setattr(fitmap.np, "triu_indices", no_allocation)
+        monkeypatch.setattr(space, "MAX_BYTES", 8 * 6 * 5 - 1)
+        with pytest.raises(ValueError, match="^the pair indices of 6 columns need 1 MiB, over the 0 MiB cap$"):
+            multichannel(pd, resolution=2)
 
 
 def reference_reduce_mean(channels) -> np.ndarray:
@@ -309,8 +343,12 @@ class TestStackMemory:
     def test_write_stack_holds_one_grid_at_a_time(self, tmp_path):
         rng = np.random.default_rng(17)
         pd = make_processed(rng.random((200, 12)), rng.random(200))
+        # the 66 file names, interned before tracing, so that a growth of
+        # Python's table of interned strings is not counted as a grid
+        names = [(tmp_path / "m").with_name(f"m_c{a}_{b}.pgm") for a, b in zip(*np.triu_indices(12, 1))]
         paths, peak = traced_peak(lambda: write_stack(multichannel(pd, 224), tmp_path / "m"))
         assert len(paths) == 66
+        assert paths == names
         assert peak < 4 * 224 * 224 * 8  # the dense stack would hold 66 grids
 
 

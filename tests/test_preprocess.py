@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
-from landsel import preprocess
+from landsel import preprocess, space
 from landsel.ela import compute_all
 from landsel.fitmap import knn_cloud
 from landsel.preprocess import (
@@ -385,6 +385,23 @@ class TestPipeline:
         assert [[float(x) for x in row] for row in rows[1:]] == table.tolist()
 
 
+class TestEncodedWidthCap:
+    def test_one_hot_width_refused_before_any_column(self, monkeypatch):
+        design = evaluate_design_on_mixed(0)
+        # one_hot: x, three indicators of c, k; 24 rows of 5 columns are 960 bytes
+        monkeypatch.setattr(space, "MAX_BYTES", 8 * 24 * 5)
+        assert preprocess_pipeline(design, encoding="one_hot").width == 5
+        monkeypatch.setattr(space, "MAX_BYTES", 8 * 24 * 5 - 1)
+        assert preprocess_pipeline(design, encoding="target").width == 3
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("a processed matrix was allocated")
+
+        monkeypatch.setattr(preprocess.np, "column_stack", no_allocation)
+        with pytest.raises(ValueError, match="^n = 24 rows of 5 encoded columns need 1 MiB, over the 0 MiB cap$"):
+            preprocess_pipeline(design, encoding="one_hot")
+
+
 class TestPairwiseDistances:
     @staticmethod
     def assert_matches_scipy(X):
@@ -437,13 +454,13 @@ class TestPairwiseDistances:
             raise AssertionError("a distance matrix was allocated")
 
         monkeypatch.setattr(preprocess, "pairwise_distances", no_allocation)
-        with pytest.raises(ValueError, match="20000 rows need a 3052 MiB distance matrix"):
+        with pytest.raises(ValueError, match="the distances between 20000 rows need 3052 MiB, over the 1024 MiB cap"):
             pd.distances
         with pytest.raises(ValueError, match="20000 rows"):
             knn_cloud(pd, k=8)
 
     def test_cap_is_inclusive(self, monkeypatch):
-        rows = math.isqrt(preprocess.MAX_DISTANCE_BYTES // 8)
+        rows = math.isqrt(space.MAX_BYTES // 8)
         assert rows == 11_585
         sentinel = np.zeros((1, 1))
         monkeypatch.setattr(preprocess, "pairwise_distances", lambda X: sentinel)

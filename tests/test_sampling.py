@@ -63,7 +63,7 @@ class TestCreateInitialDesign:
     def test_oversized_design_is_refused_before_allocation(self):
         # 10^10 rows of two variables would take 149 GiB of cells
         def refuse():
-            with pytest.raises(ValueError, match=r"^n = 10000000000 rows of 2 variables exceed the 1024 MiB cap$"):
+            with pytest.raises(ValueError, match=r"^n = 10000000000 rows of 2 variables need 152588 MiB, over the 1024 MiB cap$"):
                 create_initial_design(unit_space(2), n=10_000_000_000)
 
         _, peak = traced_peak(refuse)

@@ -19,6 +19,7 @@ from landsel.space import (
     VariableSpec,
     apply_transform,
     builtin_problem,
+    check_bytes,
     space_from_json,
     space_from_obj,
     space_to_json,
@@ -183,15 +184,30 @@ class TestBuiltinProblems:
             builtin_problem("sphere", -1, 2)
 
     def test_dimension_cap_is_inclusive_and_refuses_before_any_variable(self, monkeypatch):
-        monkeypatch.setattr(space, "MAX_SPACE_BYTES", 3 * space._VARIABLE_BYTES)
+        monkeypatch.setattr(space, "MAX_BYTES", 3 * space._VARIABLE_BYTES)
         assert builtin_problem("sphere", 1, 3).space.dimension == 3
 
         def no_variable(*args, **kwargs):
             raise AssertionError("a variable was built")
 
         monkeypatch.setattr(space, "VariableSpec", no_variable)
-        with pytest.raises(ValueError, match=r"^dimension D = 4 needs 0 MiB of variables, over the 0 MiB cap$"):
+        with pytest.raises(ValueError, match=r"^the variables of dimension D = 4 need 1 MiB, over the 0 MiB cap$"):
             builtin_problem("sphere", 1, 4)
+
+
+class TestCheckBytes:
+    def test_admits_exactly_the_cap_and_refuses_one_byte_more(self):
+        assert space.MAX_BYTES == 1 << 30
+        check_bytes(space.MAX_BYTES, "the whole cap")
+        with pytest.raises(ValueError, match=r"^one byte too many need 1025 MiB, over the 1024 MiB cap$"):
+            check_bytes(space.MAX_BYTES + 1, "one byte too many")
+
+    def test_reads_the_cap_when_called_and_rounds_up(self, monkeypatch):
+        monkeypatch.setattr(space, "MAX_BYTES", 10)
+        check_bytes(10, "ten bytes")
+        # a refusal never reads "need 0 MiB"
+        with pytest.raises(ValueError, match=r"^eleven bytes need 1 MiB, over the 0 MiB cap$"):
+            check_bytes(11, "eleven bytes")
 
 
 class TestObjectiveTransform:
