@@ -12,16 +12,17 @@ picks the per-instance minimum.  A selection model is scored by the fraction
 of the SBS-to-VBS gap it closes: (sbs_mean - model_mean) / (sbs_mean -
 vbs_mean).
 
-Selectors are nearest-neighbor or nearest-centroid classifiers over
-standardized landscape features; training labels are the per-instance
-ERT-minimizing algorithms (ties lexicographic).  The cost-sensitive variant
-votes with per-instance normalized ERT costs instead of labels, so instances
-where the choice barely matters barely influence the vote.  Selectors are
+Every selector is one rule over standardized landscape features: a row
+goes to the first algorithm with the least summed cost over its k nearest
+points.  k-NN keeps the training rows as points, nearest centroid one
+centroid per labelled algorithm (k = 1).  A point costs -1 at its label, the
+instance's ERT-minimizing algorithm (ties lexicographic), and 0 elsewhere;
+cost-sensitive k-NN costs are the instance's ERTs over their mean, so
+instances where the choice barely matters barely sway it.  Selectors are
 fitted and scored only inside :func:`cross_validate`: leave-one-group-out
 cross-validation with folds keyed by instance id, by function id, or by
-explicit group labels; the features become one matrix, and each fold fits
-on its training rows and predicts its held-out rows of it, in algorithm
-column indices.
+explicit group labels; each fold fits on its training rows of one feature
+matrix and predicts its held-out rows, in algorithm column indices.
 """
 
 from __future__ import annotations
@@ -228,45 +229,32 @@ class SelectorModel:
     features, means, and standard deviations) come from the training split
     only; constant and all-missing training columns are dropped, and
     ``columns`` keeps the indices of the others among the matrix columns.
-    ``labels`` holds each training row's algorithm column, and ``centroids``
-    one row per labelled algorithm in sorted-algorithm order.
+    ``costs`` holds one row per standardized point, one column per algorithm.
     """
 
-    kind: str
-    k: int
-    cost_sensitive: bool
     algorithms: list[str]
     columns: np.ndarray
     medians: np.ndarray
     center: np.ndarray
     scale: np.ndarray
-    train_matrix: np.ndarray
-    labels: np.ndarray
-    cost_matrix: np.ndarray
-    centroids: np.ndarray
+    points: np.ndarray
+    costs: np.ndarray
+    k: int
 
     def select(self, rows: np.ndarray) -> np.ndarray:
         """The algorithm column chosen for each raw row (the training
-        matrix's column layout, NaN where missing).  Ties go to the first
-        algorithm: the first maximum vote, the first minimum cost sum, the
-        first nearest centroid."""
+        matrix's column layout, NaN where missing): the first minimum of the
+        summed cost rows of its k nearest points, equally near points taken
+        in their stored order."""
         raw = rows[:, self.columns]
         z = (np.where(np.isnan(raw), self.medians, raw) - self.center) / self.scale
         if not np.all(np.isfinite(z)):
             raise ValueError("feature rows are not finite after standardization")
-        classes = np.flatnonzero(np.bincount(self.labels, minlength=len(self.algorithms)))
         selected = np.empty(len(z), dtype=np.intp)
-        # one held-out row at a time: no held-out x train x width array
+        # one held-out row at a time: no held-out x points x width array
         for r, row in enumerate(z):
-            if self.kind == "nearest_centroid":
-                selected[r] = classes[np.argmin(np.sqrt(((self.centroids - row) ** 2).sum(axis=1)))]
-                continue
-            distances = np.sqrt(((self.train_matrix - row) ** 2).sum(axis=1))
-            near = np.argsort(distances, kind="stable")[: self.k]
-            if self.cost_sensitive:
-                selected[r] = np.argmin(self.cost_matrix[near].sum(axis=0))
-            else:
-                selected[r] = np.argmax(np.bincount(self.labels[near], minlength=len(self.algorithms)))
+            distances = np.sqrt(((self.points - row) ** 2).sum(axis=1))
+            selected[r] = np.argmin(self.costs[np.argsort(distances, kind="stable")[: self.k]].sum(axis=0))
         return selected
 
 
@@ -286,13 +274,8 @@ def _column_medians(matrix: np.ndarray) -> np.ndarray:
 def _fit(matrix: np.ndarray, erts: np.ndarray, algorithms: list[str], kind: str, k: int,
          cost_sensitive: bool) -> SelectorModel:
     """Fit a selector on training rows: one instance per row of ``matrix``
-    and of the imputed ``erts``.
-
-    Per-instance regret weights are (mean ERT - min ERT) / mean ERT; the
-    cost matrix normalizes each instance's ERT row by its mean, so a
-    neighbor where all algorithms tie contributes no preference to
-    cost-sensitive votes.
-    """
+    and of the imputed ``erts``.  Cost-sensitive centroids weight their rows
+    by regret, (mean ERT - min ERT) / mean ERT."""
     if kind not in SELECTOR_KINDS:
         raise ValueError(f"unknown selector kind {kind!r}")
     if not 1 <= k <= len(erts):
@@ -300,43 +283,28 @@ def _fit(matrix: np.ndarray, erts: np.ndarray, algorithms: list[str], kind: str,
 
     medians = _column_medians(matrix)
     filled = np.where(np.isnan(matrix), medians[None, :], matrix)
-
     center = filled.mean(axis=0)
     scale = filled.std(axis=0)
     columns = np.flatnonzero(np.isfinite(medians) & (scale > 0.0))
     if not columns.size:
         raise ValueError("every feature column is constant or missing; nothing to train on")
-    Z = (filled[:, columns] - center[columns]) / scale[columns]
+    points = (filled[:, columns] - center[columns]) / scale[columns]
 
     # argmin keeps the first minimum: ties go to the lexicographically first algorithm
     labels = erts.argmin(axis=1)
     means = erts.mean(axis=1)
-    weights = (means - erts.min(axis=1)) / means
-    cost_matrix = erts / means[:, None]
-
-    centroids = []
     if kind == "nearest_centroid":
-        for c in np.flatnonzero(np.bincount(labels, minlength=len(algorithms))):
-            rows, w = Z[labels == c], weights[labels == c]
-            if cost_sensitive and w.sum() > 0:
-                centroids.append((rows * w[:, None]).sum(axis=0) / w.sum())
-            else:
-                centroids.append(rows.mean(axis=0))
-
-    return SelectorModel(
-        kind=kind,
-        k=k,
-        cost_sensitive=cost_sensitive,
-        algorithms=algorithms,
-        columns=columns,
-        medians=medians[columns],
-        center=center[columns],
-        scale=scale[columns],
-        train_matrix=Z,
-        labels=labels,
-        cost_matrix=cost_matrix,
-        centroids=np.array(centroids),
-    )
+        regrets = (means - erts.min(axis=1)) / means
+        classes = np.flatnonzero(np.bincount(labels, minlength=len(algorithms)))
+        centroids = []
+        for c in classes:
+            w = regrets[labels == c]
+            w = w if cost_sensitive and w.sum() > 0 else np.ones(w.size)  # unit weights: the plain mean
+            centroids.append((points[labels == c] * w[:, None]).sum(axis=0) / w.sum())
+        points, labels, k = np.array(centroids), classes, 1
+    # -1 at the point's algorithm, so the least summed cost is the most votes
+    costs = erts / means[:, None] if kind == "knn" and cost_sensitive else -np.eye(len(algorithms))[labels]
+    return SelectorModel(algorithms, columns, medians[columns], center[columns], scale[columns], points, costs, k)
 
 
 # ── cross-validation ─────────────────────────────────────────────────────────

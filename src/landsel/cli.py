@@ -27,8 +27,10 @@ consulted is ``LANDSEL_LOG`` (stderr log verbosity; never affects outputs).
 
 Exit codes: 0 success, 2 validation error or a path that cannot be read or
 written, 1 internal error.  Each output is whole or absent: ``sampling.staged``
-claims it before any feature, fold or map is computed, and moves it into place
-on success; a device such as ``/dev/stdout`` is written in place.
+claims it, with its sidecar, before any design, feature, fold or map is
+computed (``fitmap --mode mc`` once the processed width names its files), and
+moves it into place on success; a device such as ``/dev/stdout`` is written in
+place.
 """
 
 from __future__ import annotations
@@ -172,31 +174,33 @@ def _processed(cfg: dict) -> preprocess.ProcessedDesign:
 
 
 def cmd_sample(cfg: dict) -> int:
-    source = _parse_source(cfg["source"])
-    target_space = source.space if isinstance(source, space.Problem) else source
-    design = sampling.create_initial_design(
-        target_space, n=cfg["n"], strategy=cfg["strategy"], seed=cfg["seed"]
-    )
-    if isinstance(source, space.Problem):
-        design = sampling.evaluate_design(source, design)
-    sampling.design_to_csv(design, cfg["out"])
+    with sampling.staged(*sampling.design_paths(cfg["out"])) as pair:
+        source = _parse_source(cfg["source"])
+        target_space = source.space if isinstance(source, space.Problem) else source
+        design = sampling.create_initial_design(target_space, n=cfg["n"], strategy=cfg["strategy"],
+                                                seed=cfg["seed"])
+        if isinstance(source, space.Problem):
+            design = sampling.evaluate_design(source, design)
+        sampling.write_design(design, *pair)
     log.info("wrote %d-row design to %s", design.n, cfg["out"])
     return 0
 
 
 def cmd_evaluate(cfg: dict) -> int:
-    design = sampling.design_from_csv(cfg["design"])
-    source = _parse_source(cfg["source"])
-    if not isinstance(source, space.Problem):
-        raise ValueError("evaluate needs a builtin problem source, not a bare search space")
-    sampling.design_to_csv(sampling.evaluate_design(source, design), cfg["out"])
+    with sampling.staged(*sampling.design_paths(cfg["out"])) as pair:
+        design = sampling.design_from_csv(cfg["design"])
+        source = _parse_source(cfg["source"])
+        if not isinstance(source, space.Problem):
+            raise ValueError("evaluate needs a builtin problem source, not a bare search space")
+        sampling.write_design(sampling.evaluate_design(source, design), *pair)
     log.info("wrote %d-row evaluated design to %s", design.n, cfg["out"])
     return 0
 
 
 def cmd_preprocess(cfg: dict) -> int:
-    pd = _processed(cfg)
-    preprocess.processed_to_csv(pd, cfg["out"])
+    with sampling.staged(*preprocess.processed_paths(cfg["out"])) as pair:
+        pd = _processed(cfg)
+        preprocess.write_processed(pd, *pair)
     log.info("wrote processed design (%d columns) to %s", pd.width, cfg["out"])
     return 0
 

@@ -348,6 +348,20 @@ def ela_meta(pd) -> _Emitter:
 _KDE_BLOCK = 8192
 
 
+def _quartiles(y: np.ndarray) -> list[float]:
+    """``np.quantile(y, (0.25, 0.75))`` bit for bit for a NaN-free ``y``, n >= 2,
+    with no ``numpy.ma`` import: a copy partitioned at numpy's kth (both ends
+    too, so signed zeros land alike), interpolated as numpy's ``_lerp``."""
+    positions = [(y.size - 1) * q for q in (0.25, 0.75)]
+    below = [math.floor(p) for p in positions]
+    v = np.partition(y, sorted({0, y.size - 1, *below, *(i + 1 for i in below)}))
+    out = []
+    for p, i in zip(positions, below):
+        a, b, t = v[i], v[i + 1], p - i
+        out.append(float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t))
+    return out
+
+
 def _kde_density(y: np.ndarray, sd: float) -> np.ndarray:
     """Gaussian kernel density of ``y`` on the ``_KDE_GRID_POINTS`` grid.
 
@@ -356,8 +370,8 @@ def _kde_density(y: np.ndarray, sd: float) -> np.ndarray:
     densities equal those of the whole 512-by-n grid.
     """
     n = y.size
-    q1, q3 = np.quantile(y, (0.25, 0.75))
-    iqr = float(q3 - q1)
+    q1, q3 = _quartiles(y)
+    iqr = q3 - q1
     scale = sd if iqr == 0.0 else min(sd, iqr / 1.34)
     bandwidth = 0.9 * scale * n ** (-1 / 5)
     grid = np.linspace(0.0, 1.0, _KDE_GRID_POINTS)

@@ -322,10 +322,22 @@ def preprocess_pipeline(
 # ── CSV export ───────────────────────────────────────────────────────────────
 
 
+def processed_paths(path: str | Path) -> tuple[Path, Path]:
+    """The processed CSV and its ``<stem>.provenance.json`` sidecar."""
+    p = Path(path)
+    return p, p.with_name(p.stem + ".provenance.json")
+
+
 def processed_to_csv(pd: ProcessedDesign, path: str | Path) -> None:
-    """Write the processed matrix plus objective as CSV with a provenance
-    sidecar; a column name that needs quoting is quoted."""
-    path = Path(path)
+    """Write the processed CSV plus its provenance sidecar, staged together."""
+    with staged(*processed_paths(path)) as pair:
+        write_processed(pd, *pair)
+
+
+def write_processed(pd: ProcessedDesign, rows_path: str | Path, sidecar_path: str | Path) -> None:
+    """Write the processed matrix plus objective as CSV, and its provenance
+    sidecar, where they are told; a column name that needs quoting is
+    quoted."""
     doc = {
         "provenance": pd.provenance,
         "encoding": pd.encoding,
@@ -335,11 +347,10 @@ def processed_to_csv(pd: ProcessedDesign, path: str | Path) -> None:
         # sidecars keep their format
         "decision_normalized": True,
     }
-    with staged(path, path.with_name(path.stem + ".provenance.json")) as (rows_out, sidecar_out):
-        with open(rows_out, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([*pd.column_names, "y"])
-            for row, y in zip(pd.matrix.tolist(), pd.objective.tolist()):
-                writer.writerow([*map(repr, row), repr(y)])
-        with open(sidecar_out, "w") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with open(rows_path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([*pd.column_names, "y"])
+        for row, y in zip(pd.matrix.tolist(), pd.objective.tolist()):
+            writer.writerow([*map(repr, row), repr(y)])
+    with open(sidecar_path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -258,38 +258,41 @@ def _format_cell(value, kind: str) -> str:
     return repr(float(value))
 
 
-def _sidecar_path(path: str | Path) -> Path:
+def design_paths(path: str | Path) -> tuple[Path, Path]:
+    """The design CSV and its ``<stem>.meta.json`` sidecar."""
     p = Path(path)
-    return p.with_name(p.stem + ".meta.json")
+    return p, p.with_name(p.stem + ".meta.json")
 
 
 def design_to_csv(design: Design, path: str | Path) -> None:
-    """Write the design as CSV plus a JSON sidecar.
+    """Write the design as CSV plus a JSON sidecar, staged together."""
+    with staged(*design_paths(path)) as pair:
+        write_design(design, *pair)
+
+
+def write_design(design: Design, rows_path: str | Path, sidecar_path: str | Path) -> None:
+    """Write the design's CSV and JSON sidecar where they are told.
 
     Header is ``x.<name>`` per variable plus ``y``, quoted where a name needs
     it; categorical cells are quoted labels; a missing objective is an empty
-    field.  The sidecar (``<stem>.meta.json``) carries the sampling meta and
-    the space document so the file round-trips without external context.
+    field.  The sidecar carries the sampling meta and the space document so
+    the file round-trips without external context.
     """
     header = [f"x.{name}" for name in design.space.names] + ["y"]
     if design.y is None:
         y = [""] * design.n
     else:  # one conversion of the whole column, exact or not
         y = [repr(v) for v in np.asarray(design.y, dtype=float).tolist()]
-    sidecar = {"meta": _jsonable_meta(design.meta), "space": space_to_obj(design.space)}
-    with staged(path, _sidecar_path(path)) as (rows_out, sidecar_out):
-        with open(rows_out, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(header)
-            for i in range(design.n):
-                cells = [_format_cell(design.columns[v.name][i], v.kind) for v in design.space.variables]
-                cells.append(y[i])
-                fh.write(",".join(cells) + "\n")
-        with open(sidecar_out, "w") as fh:
-            fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-
-
-def _jsonable_meta(meta: dict) -> dict:
-    return {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in meta.items()}
+    meta = {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in design.meta.items()}
+    sidecar = {"meta": meta, "space": space_to_obj(design.space)}
+    with open(rows_path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for i in range(design.n):
+            cells = [_format_cell(design.columns[v.name][i], v.kind) for v in design.space.variables]
+            cells.append(y[i])
+            fh.write(",".join(cells) + "\n")
+    with open(sidecar_path, "w") as fh:
+        fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def read_csv_rows(path: str | Path) -> list[list[str]]:
@@ -348,9 +351,8 @@ def design_from_csv(path: str | Path) -> Design:
     sidecar, and the line of a faulty row; the design's rows are read first,
     so a missing design is reported as itself, not as a missing sidecar.
     """
-    path = Path(path)
+    path, sidecar = design_paths(path)
     rows = read_csv_rows(path)
-    sidecar = _sidecar_path(path)
     try:
         doc = json.loads(sidecar.read_text())
         if not isinstance(doc, dict) or not isinstance(doc.get("meta", {}), dict):

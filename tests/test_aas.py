@@ -615,25 +615,40 @@ def direct_ert(runs) -> float:
     return sum(r.evaluations for r in runs) / successes if successes else math.inf
 
 
-def reference_predict(model, names, vector) -> str:
-    """The name-keyed per-vector rule that SelectorModel.select replaced:
-    missing features take the training median by name (``names`` is the
-    training matrix's column layout), neighbours come from a stable argsort
-    of the distances, knn votes count names and break ties with the smallest
-    name, centroids are keyed by (distance, name), and cost-sensitive votes
-    take the first minimum of the summed costs."""
+def reference_predict(model, names, train, erts, kind, k, cost_sensitive, vector) -> str:
+    """The name-keyed per-vector rule that SelectorModel.select replaced,
+    rebuilt from the fold's training vectors ``train`` and their imputed
+    ``erts`` (one row per vector, columns in ``model.algorithms`` order);
+    only the standardization is read off the model.  Missing features take
+    the training median by name (``names`` is the training matrix's column
+    layout), labels are name-keyed first minima, neighbours come from a
+    stable argsort of the distances, knn votes count names and break ties
+    with the smallest name, cost-sensitive votes take the first minimum of
+    the summed ERT-over-mean rows, and centroids (regret-weighted when
+    cost-sensitive) are keyed by (distance, name)."""
     kept = [names[c] for c in model.columns]
-    raw = np.array([model.medians[c] if vector.values.get(name) is None else vector.values[name]
-                    for c, name in enumerate(kept)])
-    z = (raw - model.center) / model.scale
-    labels = [model.algorithms[j] for j in model.labels]
-    if model.kind == "nearest_centroid":
-        centroids = dict(zip(sorted(set(labels)), model.centroids))
+
+    def standardize(v):
+        raw = [model.medians[c] if v.values.get(name) is None else v.values[name] for c, name in enumerate(kept)]
+        return (np.array(raw) - model.center) / model.scale
+
+    algorithms = model.algorithms
+    z, points = standardize(vector), np.array([standardize(v) for v in train])
+    labels = [min(algorithms, key=lambda a: (row[algorithms.index(a)], a)) for row in erts]
+    if kind == "nearest_centroid":
+        centroids = {}
+        for a in sorted(set(labels)):
+            members = [i for i, label in enumerate(labels) if label == a]
+            regrets = np.array([(erts[i].mean() - erts[i].min()) / erts[i].mean() for i in members])
+            if cost_sensitive and regrets.sum() > 0:
+                centroids[a] = (points[members] * regrets[:, None]).sum(axis=0) / regrets.sum()
+            else:
+                centroids[a] = points[members].mean(axis=0)
         return min(centroids, key=lambda a: (float(np.sqrt(((centroids[a] - z) ** 2).sum())), a))
-    idx = np.argsort(np.sqrt(((model.train_matrix - z) ** 2).sum(axis=1)), kind="stable")[: model.k]
-    if model.cost_sensitive:
-        sums = model.cost_matrix[idx].sum(axis=0)
-        return model.algorithms[int(np.flatnonzero(sums == sums.min())[0])]
+    idx = np.argsort(np.sqrt(((points - z) ** 2).sum(axis=1)), kind="stable")[:k]
+    if cost_sensitive:
+        sums = sum(erts[i] / erts[i].mean() for i in idx)
+        return algorithms[int(np.flatnonzero(sums == sums.min())[0])]
     votes: dict[str, int] = {}
     for i in idx:
         votes[labels[i]] = votes.get(labels[i], 0) + 1
@@ -673,9 +688,12 @@ def reference_cross_validate(records, features, scheme, kind, k, cost_sensitive,
         names = list(features[train[0]].values)
         matrix = np.array([[features[inst].values[name] for name in names] for inst in train], dtype=float)
         erts = np.array([[ert[inst, a] for a in algorithms] for inst in train])
-        model = _fit(matrix, erts, algorithms, kind, min(k, len(train)), cost_sensitive)
+        fold_k = min(k, len(train))
+        model = _fit(matrix, erts, algorithms, kind, fold_k, cost_sensitive)
+        vectors = [features[inst] for inst in train]
         for inst in folds[key]:
-            selections[inst] = reference_predict(model, names, features[inst])
+            selections[inst] = reference_predict(model, names, vectors, erts, kind, fold_k, cost_sensitive,
+                                                 features[inst])
 
     sbs_algorithm, best = None, math.inf
     for algorithm in algorithms:
@@ -778,7 +796,12 @@ class TestCrossValidateOracle:
             held = [r for r, inst in enumerate(instances) if inst[1] == iid]
             train = [r for r, inst in enumerate(instances) if inst[1] != iid]
             model = _fit(matrix[train], imputed.ert[train], imputed.algorithms, kind, k, cost_sensitive)
-            expected = [reference_predict(model, names, features[instances[r]]) for r in held]
+            vectors = [features[instances[r]] for r in train]
+            expected = [
+                reference_predict(model, names, vectors, imputed.ert[train], kind, k, cost_sensitive,
+                                  features[instances[r]])
+                for r in held
+            ]
             assert [model.algorithms[j] for j in model.select(matrix[held])] == expected
 
     @pytest.mark.parametrize("cost_sensitive", [False, True])
@@ -800,6 +823,21 @@ class TestCrossValidateOracle:
         assert json.dumps(report, sort_keys=True) == json.dumps(reference, sort_keys=True)
         picked = {inst: report["selections"][inst] for inst in ("fa:0", "fb:1", "fc:2")}
         assert picked == {"fa:0": "b", "fb:1": "a", "fc:2": "a"}
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("cost_sensitive", [False, True])
+    def test_many_tied_neighbours_go_to_the_earliest_training_rows(self, k, cost_sensitive):
+        # two far rows, then 18 rows at distance 0 from the held-out row.
+        # numpy's default argsort reorders such ties (with AVX-512 sorting),
+        # so only a stable sort lets the earliest tied rows, labelled c, b, c,
+        # decide: c at k = 1, and two votes or the least cost sum for c at k = 3
+        labels = ["a", "a", "c", "b", "c"] + ["a", "b"] * 7 + ["a"]
+        features = {("f", f"{i:02d}"): fv(g=1.0 if i < 2 else 0.0) for i in range(len(labels))}
+        erts = np.array([[100.0 if a == label else 900.0 for a in "abc"] for label in labels])
+        model = _fit(matrix_of(features, list(features)), erts, ["a", "b", "c"], "knn", k, cost_sensitive)
+        assert pick(model, 0.0) == "c"
+        train = list(features.values())
+        assert reference_predict(model, ["g"], train, erts, "knn", k, cost_sensitive, fv(g=0.0)) == "c"
 
     def test_corpus_has_the_edge_cases(self):
         features, records = self.corpus()

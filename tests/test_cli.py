@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landsel import aas, cli, ela, fitmap, preprocess, space
+from landsel import aas, cli, ela, fitmap, preprocess, sampling, space
 from landsel.sampling import (
     Design,
     create_initial_design,
@@ -580,10 +580,12 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
-def test_cli_aas_loads_no_numpy_ma(tmp_path):
-    # the selector's training medians are read off a sort; np.nanmedian
-    # would import numpy.ma (about 2 MiB) on every fit
-    argv = ["aas", TOY_FEATURES, TOY_PERFORMANCE, "--out", str(tmp_path / "report.json")]
+@pytest.mark.parametrize("command", ["aas {features} {performance}", "features {design}"])
+def test_cli_loads_no_numpy_ma(named_paths, command):
+    # the selector's training medians are read off a sort and the KDE
+    # bandwidth's quartiles off a partition; np.nanmedian and np.quantile
+    # would import numpy.ma (about 2 MiB) on every run
+    argv = [*command.format(**named_paths).split(), "--out", str(named_paths["tmp"] / "out.json")]
     code = f"import sys; from landsel import cli; print(cli.main({argv!r}), 'numpy.ma' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -704,10 +706,14 @@ def _no_work(*args, **kwargs):
 
 @pytest.mark.parametrize(
     "template, suffix",
-    [(template, suffix) for name, (template, suffix) in _WRITERS.items() if name.split("-")[0] in ("features", "fitmap", "aas")]
+    list(_WRITERS.values())
     + [(f"fitmap {{design}} --mode {mode} --resolution 8", ".pgm") for mode in ("pca", "pca-func", "rmc")],
 )
 def test_out_under_missing_parent_fails_before_any_work(named_paths, capsys, monkeypatch, template, suffix):
+    if "--mode mc" not in template:  # mc names its files from the processed width
+        monkeypatch.setattr(preprocess, "preprocess_pipeline", _no_work)
+    monkeypatch.setattr(sampling, "create_initial_design", _no_work)
+    monkeypatch.setattr(sampling, "evaluate_design", _no_work)
     monkeypatch.setattr(ela, "compute_all", _no_work)
     monkeypatch.setattr(aas, "cross_validate", _no_work)
     for name in ("rasterize_2d", "rasterize_projection", "reduce_mean", "knn_cloud"):

@@ -22,6 +22,7 @@ from landsel.ela import (
     _greedy_tour,
     _kde_density,
     _nearest_better,
+    _quartiles,
     compute_all,
     dispersion,
     ela_distr,
@@ -335,6 +336,17 @@ class TestElaDistr:
         y = np.random.default_rng(n).random(n) ** 3
         sd = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
         assert _kde_density(y, sd).tobytes() == whole_grid_density(y, sd).tobytes()
+
+    def test_quartiles_equal_numpy_quantile_bits(self):
+        # every fraction of (n - 1) / 4 and 3 (n - 1) / 4, with ties, a
+        # constant vector and magnitudes from 1e-300 to 1e300
+        rng = np.random.default_rng(5)
+        for n in [*range(4, 301), 1000, 4097, 10001]:
+            for y in (rng.random(n), np.round(rng.normal(size=n)), np.full(n, 0.3),
+                      rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, size=n)):
+                before = y.tobytes()
+                assert np.array(_quartiles(y)).tobytes() == np.quantile(y, (0.25, 0.75)).tobytes()
+                assert y.tobytes() == before
 
     def test_zero_iqr_equals_whole_grid_reference(self):
         y = np.zeros(100)
