@@ -7,8 +7,10 @@ and scaling of the raw objective:
 * ``ela_meta``   (9)  — goodness of fit and coefficient structure of linear and
   quadratic surrogate models, with and without pairwise interactions.  The
   two without interactions are ``np.linalg.lstsq`` fits; the two with them
-  share one Householder QR, which drops every column whose pivot is at most
-  ``_COLLAPSE_TOL`` (1e-10) of its norm as spanned by the columns before it.
+  share one Householder QR, factored in place in the design buffer, which
+  drops every column whose pivot is at most ``_COLLAPSE_TOL`` (1e-10) of its
+  norm as spanned by the columns before it.  All four run at one BLAS
+  thread, so no feature depends on the thread count.
 * ``ela_distr``  (3)  — skewness, excess kurtosis, and modality (kernel-density
   peak count on a 512-point grid) of the objective distribution.  The grid
   is summed in row blocks of at most 8Ki elements; each row is still one
@@ -50,9 +52,11 @@ both neighbors.
 from __future__ import annotations
 
 import bisect
+import ctypes
 import functools
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +85,11 @@ _SETTLING_THRESHOLD = 0.05
 
 # Points of the uniform density grid on which KDE peaks are counted.
 _KDE_GRID_POINTS = 512
+
+# Elements per block of a temporary (the density grid, the squares of the
+# interaction design's rows in ``_row_norms``): 64 KiB temporaries stay below glibc's 128 KiB
+# mmap threshold, so they are not mapped and returned on every call.
+_BLOCK = 8192
 
 
 class ElaConfig:
@@ -225,29 +234,144 @@ def fit_least_squares(Z: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
 _COLLAPSE_TOL = 1e-10
 
 
-def _prefix_residuals(M: np.ndarray, prefixes: list[int]) -> list[float]:
-    """Residual sum of squares of y regressed on the first k columns of W,
-    for each k in ``prefixes``, from one Householder QR of ``[W, y]``.
+@functools.cache
+def _openblas():
+    """numpy's own OpenBLAS (ILP64: ``scipy_`` prefix, ``64_`` suffix, 64-bit
+    LAPACK integers), the library ``np.linalg`` calls, or None where numpy is
+    built against another one.  ``dlsym`` on ``_umath_linalg`` searches that
+    extension's dependencies too.  Looked up on first use, so that importing
+    landsel loads nothing."""
+    from numpy.linalg import _umath_linalg
 
-    ``M`` is ``[W, y]`` transposed, one row per column with y last, so that
-    ``M.T`` is column-major, the layout LAPACK works in.  Row k of R's last
-    column is y's component along the k-th orthogonalised column, so the
-    residual of the first k columns is ``sum(R[k:, -1]**2)``.  Collapsed
-    columns (see ``_COLLAPSE_TOL``) are dropped and the kept ones factored
-    once more; dropping a spanned column can only enlarge the later pivots,
-    so that pass collapses nothing.  The kept rows are moved to the front of
-    ``M`` in place, which therefore holds no copy of the design.  Requires
-    more rows than columns.
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    try:
+        geqrf = lib.scipy_dgeqrf_64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    integer = ctypes.POINTER(ctypes.c_int64)
+    geqrf.argtypes = [integer, integer, ctypes.c_void_p, integer, ctypes.c_void_p, ctypes.c_void_p, integer, integer]
+    geqrf.restype = None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return lib
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, restoring its count on exit.
+
+    Blocked LAPACK routines split their sums by thread, so a fit's bits
+    would follow the thread count; at one thread they are those of a
+    one-thread process.  Without numpy's OpenBLAS nothing is pinned."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(threads)
+
+
+def _householder(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal and the last column of R in the Householder QR of
+    ``A.T``, for a C-contiguous ``A`` with no more rows than columns.
+
+    With numpy's OpenBLAS, ``dgeqrf`` factors ``A.T`` (column-major, with
+    ``lda`` = A's row length) in place, after the same workspace query that
+    ``np.linalg.qr`` makes, so R is bit-equal to ``np.linalg.qr(A.T,
+    mode="r")`` and is read out of ``A``: R[j, j] is ``A[j, j]`` and
+    R[:, -1] is ``A[-1, :k]``.  ``A`` is destroyed.  Elsewhere
+    ``np.linalg.qr`` returns both from its own copies and leaves ``A``.
     """
-    R = np.linalg.qr(M.T, mode="r")
-    kept = np.abs(np.diagonal(R)[:-1]) > _COLLAPSE_TOL * np.linalg.norm(M[:-1], axis=1)
+    lib = _openblas()
+    if lib is None:
+        R = np.linalg.qr(A.T, mode="r")
+        return np.diagonal(R), R[:, -1]
+    k, n = A.shape
+    if A.dtype != np.float64 or not A.flags.c_contiguous or k > n:
+        raise ValueError(f"need a C-contiguous float64 array with no more rows than columns, got {A.shape}")
+    rows, cols, lwork, info = ctypes.c_int64(n), ctypes.c_int64(k), ctypes.c_int64(-1), ctypes.c_int64(0)
+    a = A.ctypes.data
+
+    def geqrf(tau, work) -> None:
+        lib.scipy_dgeqrf_64_(rows, cols, a, rows, tau, work, lwork, info)
+        if info.value != 0:
+            raise RuntimeError(f"dgeqrf failed with info = {info.value}")
+
+    # the workspace query first: given less than it asks for, dgeqrf would
+    # take a smaller block than np.linalg.qr does
+    query = ctypes.c_double()
+    geqrf(ctypes.byref(query), ctypes.byref(query))
+    lwork.value = max(1, k, int(query.value))
+    buffer = np.empty(k + lwork.value)  # tau, then the workspace; named until the call returns
+    tau = buffer.ctypes.data
+    geqrf(tau, tau + 8 * k)
+    return np.diagonal(A), A[-1, :k]
+
+
+def _fill_interactions(M: np.ndarray, X: np.ndarray, y: np.ndarray) -> None:
+    """Write the interaction design into ``M`` transposed, one row per
+    column: 1, X, the products x_i * x_j (i < j, lexicographic), X**2 when
+    ``M`` has room for it, and y last."""
+    d = X.shape[1]
+    M[0] = 1.0
+    Xt = M[1 : d + 1]
+    Xt[:] = X.T
+    row = d + 1
+    for i in range(d - 1):
+        np.multiply(Xt[i], Xt[i + 1 :], out=M[row : row + d - 1 - i])
+        row += d - 1 - i
+    if row + d < len(M):
+        np.multiply(Xt, Xt, out=M[row : row + d])
+    M[-1] = y
+
+
+def _row_norms(W: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(W, axis=1)`` bit for bit, with no W-sized temporary:
+    the squares are summed in row blocks of at most ``_BLOCK`` elements, each
+    row still one sum over its own n terms."""
+    sums = np.empty(len(W))
+    rows = max(1, _BLOCK // W.shape[1])
+    for r0 in range(0, len(W), rows):
+        b = W[r0 : r0 + rows]
+        (b * b).sum(axis=1, out=sums[r0 : r0 + rows])
+    return np.sqrt(sums, out=sums)
+
+
+def _prefix_residuals(M: np.ndarray, X: np.ndarray, y: np.ndarray, prefixes: list[int]) -> list[float]:
+    """Residual sum of squares of y regressed on the first k columns of the
+    interaction design W of X (``_fill_interactions``), for each k in
+    ``prefixes``, from one Householder QR of ``[W, y]``.
+
+    ``M`` is the buffer for ``[W, y]`` transposed, one row per column with y
+    last, so that ``M.T`` is column-major, the layout LAPACK works in; it is
+    filled here and factored in place (``_householder``), so the design
+    exists once.  Row k of R's last column is y's component along the k-th
+    orthogonalised column, so the residual of the first k columns is
+    ``sum(R[k:, -1]**2)``.  Collapsed columns (see ``_COLLAPSE_TOL``) are
+    dropped: the design is written again, its kept rows are moved to the
+    front of ``M`` and factored once more; dropping a spanned column can
+    only enlarge the later pivots, so that pass collapses nothing.  The
+    column norms are taken before the factorization overwrites ``M``.
+    Requires more rows than columns.
+    """
+    _fill_interactions(M, X, y)
+    norms = _row_norms(M[:-1])
+    diagonal, last = _householder(M)
+    kept = np.abs(diagonal[:-1]) > _COLLAPSE_TOL * norms
     if not kept.all():
         rows = np.append(np.flatnonzero(kept), len(kept))  # y stays last
+        _fill_interactions(M, X, y)
         for dst, src in enumerate(rows.tolist()):  # dst <= src: nothing is overwritten before it is read
             M[dst] = M[src]
-        R = np.linalg.qr(M[: rows.size].T, mode="r")
+        diagonal, last = _householder(M[: rows.size])
     kept_before = np.concatenate(([0], np.cumsum(kept)))
-    return [float(np.sum(R[kept_before[k]:, -1] ** 2)) for k in prefixes]
+    return [float(np.sum(last[kept_before[k]:] ** 2)) for k in prefixes]
 
 
 _META_NAMES = (
@@ -270,41 +394,35 @@ def ela_meta(pd) -> _Emitter:
     with n <= p + 1 is missing.
 
     Memory: that design and y are written into one (p + 2)-by-n buffer,
-    cut to the widest fit and refused over ``space.MAX_BYTES``, and the QR
-    reads it in place; the fits allocate no n-by-n array.  As n > p + 1,
-    the buffer is never larger than the distance matrix, but ``compute_all``
-    runs this set first, before that matrix is capped or held.
+    cut to the widest fit and refused over ``space.MAX_BYTES``, which the
+    QR factors in place: the design exists once, and the fits allocate no
+    n-by-n array.  As n > p + 1, the buffer is never larger than the
+    distance matrix, but ``compute_all`` runs this set first, before that
+    matrix is capped or held.
+
+    All four fits run with OpenBLAS held at one thread
+    (``_one_blas_thread``), so their bits do not follow the process's BLAS
+    thread count.
     """
     out = _Emitter()
     X = pd.matrix
     y = pd.objective
     n, d = X.shape
-    fits = {
-        key: fit_least_squares(Z, y) if n > Z.shape[1] + 1 else None
-        for key, Z in (("lin", X), ("quad", np.column_stack([X, X**2])))
-    }
     pairs = d * (d - 1) // 2
     widths = [p for p in (d + pairs, 2 * d + pairs) if n > p + 1]
     interact_r2 = [None, None]
-    if widths:
-        check_bytes(8 * (widths[-1] + 2) * n, f"n = {n} rows of {widths[-1] + 2} interaction columns")
-        # rows 1, X, the products x_i * x_j (i < j, lexicographic), X**2, y;
-        # contiguous rows make M.T the column-major [W, y]
-        M = np.empty((widths[-1] + 2, n))
-        M[0] = 1.0
-        Xt = M[1 : d + 1]
-        Xt[:] = X.T
-        row = d + 1
-        for i in range(d - 1):
-            np.multiply(Xt[i], Xt[i + 1 :], out=M[row : row + d - 1 - i])
-            row += d - 1 - i
-        if len(widths) == 2:
-            np.multiply(Xt, Xt, out=M[row : row + d])
-        M[-1] = y
-        ssrs = _prefix_residuals(M, [p + 1 for p in widths])
-        sst = float(np.sum((y - float(y.mean())) ** 2))
-        for i, (p, ssr) in enumerate(zip(widths, ssrs)):
-            interact_r2[i] = _adjusted_r2(0.0 if sst == 0.0 else 1.0 - ssr / sst, n, p)
+    with _one_blas_thread():
+        fits = {
+            key: fit_least_squares(Z, y) if n > Z.shape[1] + 1 else None
+            for key, Z in (("lin", X), ("quad", np.column_stack([X, X**2])))
+        }
+        if widths:
+            check_bytes(8 * (widths[-1] + 2) * n, f"n = {n} rows of {widths[-1] + 2} interaction columns")
+            M = np.empty((widths[-1] + 2, n))
+            ssrs = _prefix_residuals(M, X, y, [p + 1 for p in widths])
+            sst = float(np.sum((y - float(y.mean())) ** 2))
+            for i, (p, ssr) in enumerate(zip(widths, ssrs)):
+                interact_r2[i] = _adjusted_r2(0.0 if sst == 0.0 else 1.0 - ssr / sst, n, p)
 
     lin = fits["lin"]
     if lin is None:
@@ -342,12 +460,6 @@ def ela_meta(pd) -> _Emitter:
 # ── objective-distribution features ──────────────────────────────────────────
 
 
-# Elements per block of the density grid: 64 KiB temporaries stay below
-# glibc's 128 KiB mmap threshold, so they are not mapped and returned on
-# every call.
-_KDE_BLOCK = 8192
-
-
 def _quartiles(y: np.ndarray) -> list[float]:
     """``np.quantile(y, (0.25, 0.75))`` bit for bit for a NaN-free ``y``, n >= 2,
     with no ``numpy.ma`` import: a copy partitioned at numpy's kth (both ends
@@ -365,7 +477,7 @@ def _quartiles(y: np.ndarray) -> list[float]:
 def _kde_density(y: np.ndarray, sd: float) -> np.ndarray:
     """Gaussian kernel density of ``y`` on the ``_KDE_GRID_POINTS`` grid.
 
-    The grid is evaluated in blocks of at most ``_KDE_BLOCK`` elements, whole
+    The grid is evaluated in blocks of at most ``_BLOCK`` elements, whole
     rows each; every row is still one sum over the same n terms, so the
     densities equal those of the whole 512-by-n grid.
     """
@@ -376,7 +488,7 @@ def _kde_density(y: np.ndarray, sd: float) -> np.ndarray:
     bandwidth = 0.9 * scale * n ** (-1 / 5)
     grid = np.linspace(0.0, 1.0, _KDE_GRID_POINTS)
     sums = np.empty(_KDE_GRID_POINTS)
-    rows = max(1, _KDE_BLOCK // n)
+    rows = max(1, _BLOCK // n)
     for g0 in range(0, _KDE_GRID_POINTS, rows):
         z = (grid[g0 : g0 + rows, None] - y[None, :]) / bandwidth
         np.exp(-0.5 * z * z).sum(axis=1, out=sums[g0 : g0 + rows])

@@ -17,6 +17,7 @@ are best when n is a power of two, but arbitrary n >= 2 is accepted.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import os
@@ -313,15 +314,20 @@ def staged(*paths: str | Path):
     A new or regular-file output gets an empty stand-in ``.<name>.<pid>`` beside
     it on entry, so a missing or unwritable directory fails first, naming the
     output; the stand-ins replace their outputs, in the order given, on a clean
-    exit, and are removed on an exception (a killed process leaves them).  Any
-    other output (a device, a FIFO, a symlink, a directory) is written in place.
+    exit, and are removed on an exception (a killed process leaves them).  An
+    output that is a directory can never be written: it raises
+    ``IsADirectoryError`` naming it on entry.  Any other output (a device, a
+    FIFO, a symlink) is written in place.
     """
     targets = [os.fspath(p) for p in paths]
     stand_ins: list[str] = []
     try:
         for target in targets:
             with suppress(FileNotFoundError):
-                if not stat.S_ISREG(os.lstat(target).st_mode):
+                mode = os.lstat(target).st_mode
+                if stat.S_ISDIR(mode):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+                if not stat.S_ISREG(mode):
                     stand_ins.append(target)
                     continue
             head, name = os.path.split(target)  # a plain string, not a Path

@@ -704,25 +704,53 @@ def _no_work(*args, **kwargs):
     raise AssertionError("work ran before the output was opened")
 
 
-@pytest.mark.parametrize(
-    "template, suffix",
-    list(_WRITERS.values())
-    + [(f"fitmap {{design}} --mode {mode} --resolution 8", ".pgm") for mode in ("pca", "pca-func", "rmc")],
-)
-def test_out_under_missing_parent_fails_before_any_work(named_paths, capsys, monkeypatch, template, suffix):
+def _forbid_work(monkeypatch, template):
+    """Make every work function of ``template`` raise, except what
+    ``fitmap --mode mc`` runs before it can name its files."""
     if "--mode mc" not in template:  # mc names its files from the processed width
         monkeypatch.setattr(preprocess, "preprocess_pipeline", _no_work)
     monkeypatch.setattr(sampling, "create_initial_design", _no_work)
     monkeypatch.setattr(sampling, "evaluate_design", _no_work)
     monkeypatch.setattr(ela, "compute_all", _no_work)
     monkeypatch.setattr(aas, "cross_validate", _no_work)
-    for name in ("rasterize_2d", "rasterize_projection", "reduce_mean", "knn_cloud"):
+    for name in ("rasterize_2d", "rasterize_projection", "reduce_mean", "knn_cloud", "write_pgm"):
         monkeypatch.setattr(fitmap, name, _no_work)
+
+
+@pytest.mark.parametrize(
+    "template, suffix",
+    list(_WRITERS.values())
+    + [(f"fitmap {{design}} --mode {mode} --resolution 8", ".pgm") for mode in ("pca", "pca-func", "rmc")],
+)
+def test_out_under_missing_parent_fails_before_any_work(named_paths, capsys, monkeypatch, template, suffix):
+    _forbid_work(monkeypatch, template)
     out = named_paths["tmp"] / "missing" / f"out{suffix}"
     assert run_cli(*template.format(**named_paths).split(), "--out", out) == 2
     err = capsys.readouterr().err
     assert str(out.with_suffix("")) in err
     assert "internal error" not in err
+
+
+# (writer, the directory's name beside --out dir/x<suffix>): the output
+# itself, the first file of an mc stack, or the sidecar of a pair
+_DIRECTORY_CASES = [
+    *((name, "x_c0_1.pgm" if name == "fitmap-mc" else f"x{suffix}") for name, (_, suffix) in _WRITERS.items()),
+    ("sample", "x.meta.json"),
+    ("evaluate", "x.meta.json"),
+    ("preprocess", "x.provenance.json"),
+]
+
+
+@pytest.mark.parametrize("name, directory", _DIRECTORY_CASES)
+def test_directory_output_fails_before_any_work(named_paths, capsys, monkeypatch, name, directory):
+    template, suffix = _WRITERS[name]
+    _forbid_work(monkeypatch, template)
+    tmp = named_paths["tmp"]
+    (tmp / directory).mkdir()
+    before = sorted(tmp.iterdir())
+    assert run_cli(*template.format(**named_paths).split(), "--out", tmp / f"x{suffix}") == 2
+    assert capsys.readouterr().err.endswith(f"{tmp / directory}: Is a directory\n")
+    assert sorted(tmp.iterdir()) == before  # no file is added, no stand-in is left
 
 
 def test_new_outputs_take_the_mode_of_a_plain_open(named_paths):

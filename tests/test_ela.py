@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +195,24 @@ class TestInteractionBufferCap:
             ela.ela_meta(pd)
 
 
+@pytest.fixture(params=["dgeqrf", "np.linalg.qr"])
+def qr_branch(request, monkeypatch):
+    """Each branch of ``ela._householder``: numpy's OpenBLAS ``dgeqrf`` in
+    place, and ``np.linalg.qr`` as in builds without that library."""
+    if request.param == "np.linalg.qr":
+        monkeypatch.setattr(ela, "_openblas", lambda: None)
+    return request.param
+
+
+def mixed_digest_design(encoding: str, n: int):
+    """The mixed design of ``scripts/output_digest.py``, seed 0, processed."""
+    mixed_problem = runpy.run_path(str(SCRIPTS / "output_digest.py"))["mixed_problem"]
+    problem = mixed_problem(0)
+    design = evaluate_design(problem, create_initial_design(problem.space, n, seed=0))
+    return preprocess_pipeline(design, encoding=encoding)
+
+
+@pytest.mark.usefixtures("qr_branch")
 class TestInteractionFitsMatchLstsq:
     """``lin_w_interact`` and ``quad_w_interact`` come from one QR; an
     ``lstsq`` fit per design is the reference."""
@@ -210,10 +231,7 @@ class TestInteractionFitsMatchLstsq:
         # one-hot indicators sum to the intercept, x**2 == x on them and two
         # indicators of one variable multiply to zero: 456 of the 1176
         # columns collapse at n = 1200
-        mixed_problem = runpy.run_path(str(SCRIPTS / "output_digest.py"))["mixed_problem"]
-        problem = mixed_problem(0)
-        design = evaluate_design(problem, create_initial_design(problem.space, n, seed=0))
-        assert interaction_deviation(preprocess_pipeline(design, encoding=encoding)) <= 1e-12
+        assert interaction_deviation(mixed_digest_design(encoding, n)) <= 1e-12
 
     def test_dependent_columns(self):
         rng = np.random.default_rng(21)
@@ -276,6 +294,70 @@ class TestInteractionFitsMatchLstsq:
         assert {name: values[name].hex() for name in expected} == {
             name: value.hex() for name, value in expected.items()
         }
+
+
+class TestInPlaceFactorization:
+    """``_householder`` factors the interaction buffer in place with numpy's
+    own ``dgeqrf``; its results are those of ``np.linalg.qr``, bit for bit,
+    and ``ela_meta`` holds OpenBLAS at one thread."""
+
+    @pytest.mark.parametrize(("n", "k"), [(7, 7), (100, 7), (500, 67), (300, 232)])
+    def test_r_equals_numpy_qr_bits(self, n, k):
+        A = np.random.default_rng(k).standard_normal((k, n))
+        R = np.linalg.qr(A.T, mode="r")
+        diagonal, last = ela._householder(A)
+        assert np.array_equal(diagonal, np.diagonal(R))
+        assert np.array_equal(last, R[:, -1])
+
+    @pytest.mark.parametrize("shape", [(7, 7), (11, 100), (46, 1200), (861, 2000)])
+    def test_row_norms_equal_numpy_norm_bits(self, shape):
+        rng = np.random.default_rng(shape[0])
+        W = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5.0, 5.0, (shape[0], 1))
+        assert np.array_equal(ela._row_norms(W), np.linalg.norm(W, axis=1))
+
+    @pytest.mark.parametrize("case", ["rastrigin-20-1000", "one_hot-300"])
+    def test_branches_give_equal_bytes(self, monkeypatch, case):
+        # the one-hot design collapses columns, so its buffer is written and
+        # factored twice
+        pd = builtin_processed("rastrigin", 20, 1000, seed=0) if case.startswith("rastrigin") \
+            else mixed_digest_design("one_hot", 300)
+        in_place = compute_all(pd).to_json()
+        with ela._one_blas_thread():  # np.linalg.qr pins nothing itself
+            monkeypatch.setattr(ela, "_openblas", lambda: None)
+            assert compute_all(pd).to_json() == in_place
+
+    def test_features_do_not_follow_the_blas_thread_count(self):
+        # rastrigin (20, 1000), seed 0: lin_w_interact.adj_r2 differed between
+        # one and two OpenBLAS threads while the fits ran unpinned
+        code = (
+            "from landsel.ela import compute_all\n"
+            "from landsel.preprocess import preprocess_pipeline\n"
+            "from landsel.sampling import create_initial_design, evaluate_design\n"
+            "from landsel.space import builtin_problem\n"
+            "p = builtin_problem('rastrigin', 0, 20)\n"
+            "print(compute_all(preprocess_pipeline(evaluate_design(p, create_initial_design(p.space, 1000, seed=0)))).to_json())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_thread_count_is_restored(self):
+        lib = ela._openblas()
+        if lib is None:
+            pytest.skip("numpy is not built against OpenBLAS")
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+        try:
+            with pytest.raises(RuntimeError), ela._one_blas_thread():
+                assert lib.scipy_openblas_get_num_threads64_() == 1
+                raise RuntimeError
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
 
 
 def whole_grid_density(y, sd):
@@ -762,7 +844,7 @@ class TestDistanceReadersMemory:
         n, d = built_distances.matrix.shape
         design_bytes = (2 * d + d * (d - 1) // 2 + 2) * n * 8  # [1, X, products, X**2, y]
         _, peak = traced_peak(lambda: ela_meta(built_distances))
-        assert peak < 3 * design_bytes
+        assert peak < 1.25 * design_bytes  # factored in place: no copy of the buffer
 
 
 class TestFitnessDistanceCorrelation:

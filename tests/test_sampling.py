@@ -375,6 +375,14 @@ class TestStaged:
         assert caught.value.filename == str(out)
         assert os.listdir(tmp_path) == []
 
+    def test_a_directory_fails_on_entry_naming_it(self, tmp_path):
+        out = tmp_path / "b.json"
+        out.mkdir()
+        with pytest.raises(IsADirectoryError) as caught, staged(tmp_path / "a.csv", out):
+            raise AssertionError("the block ran")
+        assert caught.value.filename == str(out)
+        assert os.listdir(tmp_path) == ["b.json"]  # the stand-in of a.csv is gone
+
     def test_a_fifo_or_a_symlink_is_written_in_place(self, tmp_path):
         fifo, link = tmp_path / "fifo", tmp_path / "link"
         os.mkfifo(fifo)
