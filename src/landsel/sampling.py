@@ -24,7 +24,7 @@ import os
 import stat
 import warnings
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,18 +94,16 @@ class Design:
     def evaluated(self) -> bool:
         return self.y is not None
 
-    def row(self, i: int) -> tuple:
-        """Cell values of row i in variable order, typed (int for integer cells)."""
-        out = []
-        for v in self.space.variables:
-            cell = self.columns[v.name][i]
-            if v.kind == "integer" and cell == cell:  # not NaN
-                out.append(int(cell))
-            elif v.kind == "continuous":
-                out.append(float(cell))
-            else:
-                out.append(cell)
-        return tuple(out)
+
+def _rows(design: Design):
+    """The design's rows as tuples in variable order, each column read once:
+    a float per continuous cell, an int per integer cell and the label per
+    categorical cell; a missing cell stays NaN or None."""
+    lists = []
+    for v in design.space.variables:
+        cells = design.columns[v.name].tolist()
+        lists.append([int(c) if c == c else c for c in cells] if v.kind == "integer" else cells)
+    return zip(*lists)
 
 
 def _objective_column(y, n: int) -> np.ndarray | ExactColumn:
@@ -217,14 +215,14 @@ def evaluate_design(problem: Problem, design: Design) -> Design:
     if design.evaluated:
         raise ValueError("design is already evaluated")
     y = np.empty(design.n, dtype=float)
-    for i in range(design.n):
-        value = float(problem.objective(design.row(i)))
+    for i, row in enumerate(_rows(design)):
+        value = float(problem.objective(row))
         if not math.isfinite(value):
             raise ValueError(f"objective returned a non-finite value at row {i}")
         y[i] = value
-    meta = dict(design.meta)
-    meta["evaluations_spent"] = meta.get("evaluations_spent", 0) + design.n
-    return replace(design, columns=dict(design.columns), y=y, meta=meta)
+    out = with_objective(design, y)
+    out.meta["evaluations_spent"] = out.meta.get("evaluations_spent", 0) + design.n
+    return out
 
 
 def with_objective(design: Design, y) -> Design:
@@ -248,15 +246,13 @@ def with_objective(design: Design, y) -> Design:
 
 
 def _format_cell(value, kind: str) -> str:
-    if kind == "categorical":
-        if value is None:
-            return ""
-        return '"' + str(value).replace('"', '""') + '"'
-    if value != value:  # NaN: missing
+    """A cell of a typed row: a quoted label or the number's repr; a missing
+    cell (None or NaN) is an empty field."""
+    if value is None or value != value:
         return ""
-    if kind == "integer":
-        return str(int(value))
-    return repr(float(value))
+    if kind == "categorical":
+        return '"' + value.replace('"', '""') + '"'
+    return repr(value)
 
 
 def design_paths(path: str | Path) -> tuple[Path, Path]:
@@ -288,10 +284,9 @@ def write_design(design: Design, rows_path: str | Path, sidecar_path: str | Path
     sidecar = {"meta": meta, "space": space_to_obj(design.space)}
     with open(rows_path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        for i in range(design.n):
-            cells = [_format_cell(design.columns[v.name][i], v.kind) for v in design.space.variables]
-            cells.append(y[i])
-            fh.write(",".join(cells) + "\n")
+        kinds = [v.kind for v in design.space.variables]
+        for row, y_cell in zip(_rows(design), y):
+            fh.write(",".join([*map(_format_cell, row, kinds), y_cell]) + "\n")
     with open(sidecar_path, "w") as fh:
         fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 

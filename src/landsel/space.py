@@ -75,8 +75,9 @@ def _finite(x: numbers.Real) -> bool:
 class VariableSpec:
     """One typed decision variable.
 
-    Continuous and integer variables carry box bounds; categorical variables
-    carry a non-empty tuple of distinct category labels.  ``condition`` makes
+    Continuous and integer variables carry box bounds (numbers, not bools);
+    categorical variables carry a non-empty tuple of distinct labels, each a
+    non-empty string, as a design file reads them back.  ``condition`` makes
     the variable hierarchical.
     """
 
@@ -98,6 +99,9 @@ class VariableSpec:
             if not self.categories:
                 raise ValueError(f"{self.name}: categories must be non-empty")
             cats = tuple(self.categories)
+            for c in cats:
+                if not isinstance(c, str) or not c:
+                    raise ValueError(f"{self.name}: a category label must be a non-empty string, got {c!r}")
             if len(set(cats)) != len(cats):
                 raise ValueError(f"{self.name}: categories must be pairwise distinct")
             object.__setattr__(self, "categories", cats)
@@ -107,7 +111,7 @@ class VariableSpec:
             if self.lower is None or self.upper is None:
                 raise ValueError(f"{self.name}: bounds are required")
             for label, bound in (("lower", self.lower), ("upper", self.upper)):
-                if not isinstance(bound, numbers.Real):
+                if isinstance(bound, bool) or not isinstance(bound, numbers.Real):
                     raise ValueError(f"{self.name}: {label} bound must be a number, got {bound!r}")
             if not (_finite(self.lower) and _finite(self.upper)):
                 raise ValueError(f"{self.name}: bounds must be finite")
@@ -468,10 +472,6 @@ def space_from_obj(obj: Sequence[dict]) -> SearchSpace:
         except ValueError as e:
             raise ValueError(f"variable {i}: {e}") from None
     return SearchSpace(tuple(variables))
-
-
-def space_to_json(space: SearchSpace) -> str:
-    return json.dumps(space_to_obj(space), indent=2)
 
 
 def space_from_json(text: str) -> SearchSpace:

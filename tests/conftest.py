@@ -73,17 +73,18 @@ def chain_doc(depth: int) -> list[dict]:
 
 
 @st.composite
-def hierarchy_docs(draw) -> list[dict]:
-    """A valid hierarchical space document in a drawn listing order, so that
+def hierarchy_docs(draw, labels=st.just(["r", "g"])) -> list[dict]:
+    """A hierarchical space document in a drawn listing order, so that
     conditioned variables often come before their parents.  Variable ``vk``
-    is an integer on [0, 2] or a categorical over r, g; it may condition on
+    is an integer on [0, 2] or a categorical over a drawn ``labels`` list
+    (r, g by default, which keeps the document valid); it may condition on
     one of v0 .. v(k-1) with one or two of that parent's values."""
     variables = []
     for k in range(draw(st.integers(1, 6))):
         if draw(st.booleans()):
             v = {"name": f"v{k}", "kind": "integer", "lower": 0, "upper": 2}
         else:
-            v = {"name": f"v{k}", "kind": "categorical", "categories": ["r", "g"]}
+            v = {"name": f"v{k}", "kind": "categorical", "categories": draw(labels)}
         if k and draw(st.booleans()):
             parent = variables[draw(st.integers(0, k - 1))]
             choices = parent.get("categories", [0, 1, 2])

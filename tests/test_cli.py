@@ -26,7 +26,7 @@ from landsel.space import (
     SearchSpace,
     VariableSpec,
     builtin_problem,
-    space_to_json,
+    space_to_obj,
 )
 
 from conftest import chain_doc
@@ -65,7 +65,7 @@ class TestSample:
                 VariableSpec(name="depth", kind="integer", lower=1, upper=9),
             )
         )
-        space_file.write_text(space_to_json(s))
+        space_file.write_text(json.dumps(space_to_obj(s), indent=2))
         out = tmp_path / "design.csv"
         assert run_cli("sample", space_file, "--n", 20, "--out", out) == 0
         lines = out.read_text().splitlines()
@@ -130,6 +130,25 @@ class TestSample:
         err = capsys.readouterr().err
         assert str(space_file) in err and "a: condition parents form a cycle" in err
 
+    @pytest.mark.parametrize(
+        "variable, reason",
+        [
+            ({"kind": "categorical", "categories": [1, 2, 3]}, "a category label must be a non-empty string, got 1"),
+            ({"kind": "categorical", "categories": [True, False]}, "a category label must be a non-empty string, got True"),
+            ({"kind": "categorical", "categories": [0.5, 1.5]}, "a category label must be a non-empty string, got 0.5"),
+            ({"kind": "categorical", "categories": ["a", ""]}, "a category label must be a non-empty string, got ''"),
+            ({"kind": "continuous", "lower": False, "upper": True}, "lower bound must be a number, got False"),
+            ({"kind": "integer", "lower": 0, "upper": True}, "upper bound must be a number, got True"),
+        ],
+    )
+    def test_space_a_design_file_cannot_read_back_exits_two(self, tmp_path, capsys, variable, reason):
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps([{"name": "x", "kind": "continuous", "lower": 0, "upper": 1},
+                                          {"name": "c", **variable}]))
+        assert run_cli("sample", space_file, "--n", 4, "--out", tmp_path / "d.csv") == 2
+        assert f"{space_file}: variable 1: c: {reason}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [space_file]
+
 
 class TestEvaluate:
     def test_round_trip(self, tmp_path):
@@ -147,7 +166,7 @@ class TestEvaluate:
         raw = tmp_path / "raw.csv"
         design_to_csv(create_initial_design(p.space, n=4), raw)
         space_file = tmp_path / "space.json"
-        space_file.write_text(space_to_json(p.space))
+        space_file.write_text(json.dumps(space_to_obj(p.space), indent=2))
         assert run_cli("evaluate", raw, "--source", space_file, "--out", tmp_path / "o.csv") == 2
         assert "builtin problem source" in capsys.readouterr().err
 
@@ -257,7 +276,7 @@ class TestFeatures:
 
     def test_unevaluated_design_rejected(self, tmp_path, capsys):
         space_file = tmp_path / "space.json"
-        space_file.write_text(space_to_json(builtin_problem("sphere", 0, 2).space))
+        space_file.write_text(json.dumps(space_to_obj(builtin_problem("sphere", 0, 2).space), indent=2))
         design = sample_design(tmp_path, source=space_file, n=10)
         assert run_cli("features", design, "--out", tmp_path / "f.json") == 2
         assert "evaluate" in capsys.readouterr().err

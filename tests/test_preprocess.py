@@ -164,16 +164,11 @@ class TestEncodings:
         ]
         assert pd.objective.tolist() == [0.0, 0.25, 0.75, 1.0]
 
-    def test_one_hot_rejects_row_without_indicator(self):
-        # a NaN label passes the design's membership test (the same object)
-        # but equals no category, so its row gets no indicator
-        nan = float("nan")
-        s = SearchSpace(
-            variables=(VariableSpec(name="c", kind="categorical", categories=("a", nan)),)
-        )
-        d = Design(space=s, columns={"c": np.array(["a", nan], dtype=object)}, y=[0.0, 1.0])
-        with pytest.raises(ValueError, match="sum to one"):
-            preprocess_pipeline(d, encoding="one_hot")
+    def test_nan_label_is_refused_before_one_hot(self):
+        # a NaN label would equal no cell, not even itself, and leave its row
+        # without an indicator; the space refuses it where it is declared
+        with pytest.raises(ValueError, match="^c: a category label must be a non-empty string, got nan$"):
+            VariableSpec(name="c", kind="categorical", categories=("a", float("nan")))
 
     def test_target_encoding_means(self):
         d = self.mixed_design()

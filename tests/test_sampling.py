@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from landsel.sampling import (
     STRATEGIES,
@@ -30,9 +33,10 @@ from landsel.space import (
     VariableSpec,
     apply_transform,
     builtin_problem,
+    space_from_obj,
 )
 
-from conftest import traced_peak, unit_space
+from conftest import hierarchy_docs, traced_peak, unit_space
 
 
 def mixed_space():
@@ -81,10 +85,6 @@ class TestCreateInitialDesign:
         assert k.min() >= 0 and k.max() <= 5
         assert np.all(k == np.round(k))
         assert set(d.columns["c"]) <= {"a", "b"}
-        row = d.row(0)
-        assert isinstance(row[0], float)
-        assert isinstance(row[1], int)
-        assert isinstance(row[2], str)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_same_seed_same_design(self, strategy):
@@ -168,6 +168,29 @@ class TestEvaluateDesign:
         out = evaluate_design(p, d)
         assert out.meta["evaluations_spent"] == 12
         assert d.meta["evaluations_spent"] == 0  # input untouched
+
+    def test_evaluations_spent_adds_up_over_two_evaluations(self):
+        p = builtin_problem("sphere", 0, 2)
+        first = evaluate_design(p, create_initial_design(p.space, n=12, seed=0))
+        again = Design(space=p.space, columns=dict(first.columns), meta=dict(first.meta))
+        assert evaluate_design(p, again).meta["evaluations_spent"] == 24
+        assert first.meta["evaluations_spent"] == again.meta["evaluations_spent"] == 12
+
+    def test_objective_sees_rows_typed_cell_by_cell(self):
+        d = create_initial_design(mixed_space(), n=12, seed=3)
+        rows = []
+        evaluate_design(Problem(space=d.space, objective=lambda row: rows.append(row) or 0.0), d)
+        x, k, c = (d.columns[name] for name in ("x", "k", "c"))
+        assert rows == [(float(x[i]), int(k[i]), c[i]) for i in range(d.n)]
+        assert all(type(row) is tuple and list(map(type, row)) == [float, int, str] for row in rows)
+
+    def test_objective_sees_missing_cells_as_nan_and_none(self):
+        s = mixed_space()
+        d = Design(space=s, columns={"x": [0.5, 1.0], "k": [np.nan, 2.0], "c": ["a", None]})
+        rows = []
+        evaluate_design(Problem(space=s, objective=lambda row: rows.append(row) or 0.0), d)
+        assert math.isnan(rows[0][1]) and rows[0][::2] == (0.5, "a")
+        assert rows[1] == (1.0, 2, None)
 
     def test_space_mismatch(self):
         p = builtin_problem("sphere", 0, 2)
@@ -275,6 +298,44 @@ class TestCsvRoundTrip:
         assert back.space == s
         assert all(np.array_equal(back.columns[n], d.columns[n]) for n in names)
         assert np.array_equal(back.y, d.y)
+
+    def test_blank_integer_and_categorical_cells_write_as_before(self, tmp_path):
+        # the bytes that the cell-by-cell writer wrote for this design
+        d = Design(
+            space=mixed_space(),
+            columns={"x": [-2.0, 0.1, 1e-05], "k": [0.0, np.nan, 5.0], "c": ["a", "b", None]},
+        )
+        path = tmp_path / "blank.csv"
+        design_to_csv(d, path)
+        assert path.read_text() == 'x.x,x.k,x.c,y\n-2.0,0,"a",\n0.1,,"b",\n1e-05,5,,\n'
+        design_to_csv(with_objective(d, [1.5, 0.0, -3.25]), path)
+        assert path.read_text() == 'x.x,x.k,x.c,y\n-2.0,0,"a",1.5\n0.1,,"b",0.0\n1e-05,5,,-3.25\n'
+
+    # categories that space_from_obj once accepted but a design file could not
+    # read back: numbers, booleans and the empty label
+    @given(
+        hierarchy_docs(
+            st.lists(
+                st.one_of(
+                    st.text(alphabet='rg ,"', max_size=2), st.integers(-2, 2), st.floats(-2, 2), st.booleans()
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    @example([{"name": "c", "kind": "categorical", "categories": [1, 2, 3]}])
+    def test_every_accepted_space_survives_a_design_file(self, tmp_path_factory, doc):
+        try:
+            s = space_from_obj(doc)
+        except ValueError:
+            return
+        d = create_initial_design(s, n=6, seed=0)
+        path = tmp_path_factory.mktemp("round_trip") / "design.csv"
+        design_to_csv(d, path)
+        back = design_from_csv(path)
+        assert back.space == s
+        assert all(list(back.columns[name]) == list(d.columns[name]) for name in s.names)
 
     def test_missing_file_names_the_path(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.csv"):

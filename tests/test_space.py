@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from landsel.space import (
     check_bytes,
     space_from_json,
     space_from_obj,
-    space_to_json,
+    space_to_obj,
 )
 
 from conftest import chain_doc, hierarchy_docs
@@ -52,6 +53,16 @@ class TestVariableSpec:
     def test_categories_must_be_nonempty(self):
         with pytest.raises(ValueError):
             VariableSpec(name="c", kind="categorical", categories=())
+
+    @pytest.mark.parametrize("label", [1, True, 0.5, ""])
+    def test_a_label_is_a_non_empty_string(self, label):
+        with pytest.raises(ValueError, match=f"^c: a category label must be a non-empty string, got {label!r}$"):
+            VariableSpec(name="c", kind="categorical", categories=("a", label))
+
+    @pytest.mark.parametrize("kind", ["continuous", "integer"])
+    def test_a_bool_bound_is_not_a_number(self, kind):
+        with pytest.raises(ValueError, match="^x: lower bound must be a number, got False$"):
+            VariableSpec(name="x", kind=kind, lower=False, upper=True)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -120,7 +131,7 @@ class TestSearchSpace:
             condition=Condition(parent="opt", values=("sgd",)),
         )
         s = SearchSpace(variables=(parent, child, VariableSpec(name="k", kind="integer", lower=1, upper=8)))
-        assert space_from_json(space_to_json(s)) == s
+        assert space_from_json(json.dumps(space_to_obj(s), indent=2)) == s
 
     def test_json_unknown_key_rejected(self):
         text = '[{"name": "x", "kind": "continuous", "lower": 0, "upper": 1, "scale": "log"}]'
