@@ -9,11 +9,13 @@ found.  The minor page faults (``ru_minflt``) of the second plain call show
 per-call churn: a temporary that the allocator maps, or trims off the heap,
 and returns to the system on every call faults its pages in each time.
 The ``design`` row runs nothing: its ``ru_maxrss`` is the baseline once the
-distance matrix exists.  The feature sets come in ``compute_all`` order,
-then the map stages of ``landsel fitmap``: ``knn_cloud`` (k = 8),
-``cloud_to_csv`` (of a cloud built before the stage), ``rmc``
-(``reduce_mean`` of ``multichannel``, written as PGM) and ``pca_func``
-(the PCA raster with the objective, written as PGM), both at resolution 224.
+distance matrix exists.  The ``evaluate`` row evaluates the design as it was
+sampled, before it had an objective.  The feature sets come in
+``compute_all`` order, then the map stages of ``landsel fitmap``:
+``knn_cloud`` (k = 8), ``cloud_to_csv`` (of a cloud built before the stage),
+``rmc`` (``reduce_mean`` of ``multichannel``, written as PGM) and
+``pca_func`` (the PCA raster with the objective, written as PGM), both at
+resolution 224.
 
 ``ru_maxrss`` is read as KiB, as Linux reports it.
 
@@ -40,7 +42,7 @@ from landsel.sampling import create_initial_design, evaluate_design
 from landsel.space import BUILTIN_FUNCTIONS, builtin_problem
 
 STAGES = (
-    "design", "ela_meta", "ela_distr", "dispersion", "information_content",
+    "design", "evaluate", "ela_meta", "ela_distr", "dispersion", "information_content",
     "nearest_better_clustering", "fitness_distance_correlation",
     "knn_cloud", "cloud_to_csv", "rmc", "pca_func",
 )
@@ -71,11 +73,14 @@ def stage_call(name: str, pd, out: Path):
 def measure(args) -> dict:
     """Run one stage in this process; its peak RSS and traced peak in MiB."""
     problem = builtin_problem(args.fid, args.seed % 5, args.d)
-    design = evaluate_design(problem, create_initial_design(problem.space, args.n, seed=args.seed))
-    pd = preprocess_pipeline(design)
+    raw = create_initial_design(problem.space, args.n, seed=args.seed)
+    pd = preprocess_pipeline(evaluate_design(problem, raw))
     pd.distances
     with tempfile.TemporaryDirectory() as tmp:
-        call = stage_call(args.stage, pd, Path(tmp))
+        if args.stage == "evaluate":
+            call = lambda: evaluate_design(problem, raw)
+        else:
+            call = stage_call(args.stage, pd, Path(tmp))
         call()
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         call()

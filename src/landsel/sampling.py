@@ -65,6 +65,7 @@ class Design:
         (n,) = lengths
         if n < 1:
             raise ValueError("a design needs at least one row")
+        columns = {}  # the caller's dict and arrays stay as they were
         for v in self.space.variables:
             col = np.asarray(self.columns[v.name])
             if v.kind == "categorical":
@@ -82,7 +83,8 @@ class Design:
                 if v.kind == "integer" and finite.size and np.any(finite != np.round(finite)):
                     raise ValueError(f"{v.name}: integer cells must be integral")
             col.setflags(write=False)
-            self.columns[v.name] = col
+            columns[v.name] = col
+        object.__setattr__(self, "columns", columns)
         if self.y is not None:
             object.__setattr__(self, "y", _objective_column(self.y, n))
 
@@ -206,20 +208,29 @@ def create_initial_design(
 def evaluate_design(problem: Problem, design: Design) -> Design:
     """Evaluate every row of an unevaluated design against the problem.
 
-    Returns a new design carrying y and an evaluations_spent count; the input
-    rows are unchanged.  A non-finite objective value aborts with the
-    offending row index.
+    A problem with a ``batch`` (every built-in) scores the whole (n, D) array
+    of columns in space order in one call, with the bits its row objective
+    gives; any other problem's ``objective`` is called once per row, on the
+    typed tuples of ``_rows``.  Returns a new design carrying y and an
+    evaluations_spent count; the input rows are unchanged.  A non-finite
+    objective value aborts with the first offending row index.
     """
     if problem.space != design.space:
         raise ValueError("design space does not match problem space")
     if design.evaluated:
         raise ValueError("design is already evaluated")
-    y = np.empty(design.n, dtype=float)
-    for i, row in enumerate(_rows(design)):
-        value = float(problem.objective(row))
-        if not math.isfinite(value):
-            raise ValueError(f"objective returned a non-finite value at row {i}")
-        y[i] = value
+    if problem.batch is not None:
+        y = problem.batch(np.column_stack([design.columns[name] for name in design.space.names]))
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise ValueError(f"objective returned a non-finite value at row {bad[0]}")
+    else:
+        y = np.empty(design.n, dtype=float)
+        for i, row in enumerate(_rows(design)):
+            value = float(problem.objective(row))
+            if not math.isfinite(value):
+                raise ValueError(f"objective returned a non-finite value at row {i}")
+            y[i] = value
     out = with_objective(design, y)
     out.meta["evaluations_spent"] = out.meta.get("evaluations_spent", 0) + design.n
     return out

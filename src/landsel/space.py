@@ -289,7 +289,9 @@ class Problem:
     ``objective`` maps a row of cell values (a tuple in variable order) to a
     real number.  ``fid``/``iid`` identify built-in benchmark instances;
     ``shift`` and ``transform`` expose the seeded instance parameters for
-    built-ins and are None for user problems.
+    built-ins and are None for user problems.  ``batch``, set for built-ins
+    only, maps an (m, D) float array of rows in variable order to their m
+    values, each with the bits ``objective`` gives that row.
     """
 
     space: SearchSpace
@@ -299,6 +301,7 @@ class Problem:
     known_optimum: float | None = None
     shift: np.ndarray | None = None
     transform: ObjectiveTransform | None = None
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.shift is not None:
@@ -307,29 +310,34 @@ class Problem:
             object.__setattr__(self, "shift", arr)
 
 
-def _sphere(z: np.ndarray) -> float:
-    return float(np.dot(z, z))
+# Each base function maps an (m, D) array of rows to m values.  A row sum is
+# ``.sum(axis=1)`` of a fresh C-contiguous array, which numpy reduces row by
+# row with the same pairwise summation that ``np.sum`` runs on one row, and a
+# dot product is ``np.vecdot``, one BLAS ``ddot`` per row as ``np.dot`` calls
+# it; so every row's value has the same bits in a batch of any size.
+def _sphere(z: np.ndarray) -> np.ndarray:
+    return np.vecdot(z, z)
 
 
-def _ellipsoid(z: np.ndarray) -> float:
-    d = z.size
+def _ellipsoid(z: np.ndarray) -> np.ndarray:
+    d = z.shape[1]
     if d == 1:
-        return float(z[0] * z[0])
+        return z[:, 0] * z[:, 0]
     weights = 10.0 ** (6.0 * np.arange(d) / (d - 1))
-    return float(np.sum(weights * z * z))
+    return (weights * z * z).sum(axis=1)
 
 
-def _rastrigin(z: np.ndarray) -> float:
-    return float(10.0 * (z.size - np.sum(np.cos(2.0 * np.pi * z))) + np.dot(z, z))
+def _rastrigin(z: np.ndarray) -> np.ndarray:
+    return 10.0 * (z.shape[1] - np.cos(2.0 * np.pi * z).sum(axis=1)) + np.vecdot(z, z)
 
 
-def _rosenbrock(z: np.ndarray) -> float:
+def _rosenbrock(z: np.ndarray) -> np.ndarray:
     # classic sum over adjacent pairs; constant zero in one dimension
-    return float(np.sum(100.0 * (z[:-1] ** 2 - z[1:]) ** 2 + (z[:-1] - 1.0) ** 2))
+    return (100.0 * (z[:, :-1] ** 2 - z[:, 1:]) ** 2 + (z[:, :-1] - 1.0) ** 2).sum(axis=1)
 
 
-def _linear_slope(z: np.ndarray) -> float:
-    return float(np.sum(z))
+def _linear_slope(z: np.ndarray) -> np.ndarray:
+    return z.sum(axis=1)
 
 
 _BASE_FUNCTIONS = {
@@ -363,6 +371,10 @@ def builtin_problem(fid: str, iid: int, dimension: int) -> Problem:
     [-1000, 1000].  The objective is scale * f(x - shift) + offset.  The same
     (fid, iid, dimension) triple reproduces the same instance on every run
     and platform.
+
+    The problem's ``batch`` is that definition over an (m, D) array of rows,
+    and its ``objective`` is ``batch`` of the one row, so a row has the same
+    bits whether it is scored alone or in a design of any size.
     """
     if fid not in _BASE_FUNCTIONS:
         raise ValueError(f"unknown builtin function {fid!r}; choose from {BUILTIN_FUNCTIONS}")
@@ -388,11 +400,16 @@ def builtin_problem(fid: str, iid: int, dimension: int) -> Problem:
     shift_arr.setflags(write=False)
     a, b = transform.scale, transform.shift
 
+    def batch(x: np.ndarray) -> np.ndarray:
+        if x.ndim != 2 or x.shape[1] != dimension:
+            raise ValueError(f"expected rows of {dimension} values, got shape {x.shape}")
+        return a * base(x - shift_arr) + b
+
     def objective(row: tuple) -> float:
         x = np.asarray(row, dtype=float)
         if x.shape != (dimension,):
             raise ValueError(f"expected a row of {dimension} values, got shape {x.shape}")
-        return a * base(x - shift_arr) + b
+        return float(batch(x[None, :])[0])
 
     if fid == "rosenbrock":
         argmin = shift_arr + 1.0
@@ -404,6 +421,7 @@ def builtin_problem(fid: str, iid: int, dimension: int) -> Problem:
     return Problem(
         space=space,
         objective=objective,
+        batch=batch,
         fid=fid,
         iid=iid,
         known_optimum=known_optimum,

@@ -103,6 +103,11 @@ def ert_table(records: list[PerformanceRecord]) -> ErtTable:
         return read_performance_csv(path)
 
 
+# dimensions on both sides of numpy's 8-element unrolled and 128-element
+# pairwise summation blocks, for the batched builtin objectives
+BATCH_DIMENSIONS = (1, 2, 3, 7, 8, 9, 16, 127, 128, 129, 300)
+
+
 def unit_space(width: int) -> SearchSpace:
     """A continuous search space with ``width`` variables on [0, 1]."""
     return SearchSpace(

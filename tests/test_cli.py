@@ -161,6 +161,19 @@ class TestEvaluate:
         evaluated = out.read_text().splitlines()
         assert all(line.split(",")[2] != "" for line in evaluated[1:])
 
+    def test_blank_cell_exits_two_naming_its_row(self, tmp_path, capsys):
+        p = builtin_problem("rastrigin", 0, 2)
+        cols = dict(create_initial_design(p.space, n=6, seed=0).columns)
+        cols["x1"] = cols["x1"].copy()
+        cols["x1"][3] = np.nan
+        raw = tmp_path / "raw.csv"
+        design_to_csv(Design(space=p.space, columns=cols), raw)
+        assert raw.read_text().splitlines()[4].split(",")[1:] == ["", ""]  # row 3: x1 and y blank
+        out = tmp_path / "o.csv"
+        assert run_cli("evaluate", raw, "--source", "builtin:rastrigin:d2", "--out", out) == 2
+        assert capsys.readouterr().err.rstrip().endswith("objective returned a non-finite value at row 3")
+        assert not out.exists()
+
     def test_bare_space_source_rejected(self, tmp_path, capsys):
         p = builtin_problem("sphere", 0, 2)
         raw = tmp_path / "raw.csv"

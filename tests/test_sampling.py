@@ -26,6 +26,7 @@ from landsel.sampling import (
 )
 from landsel.preprocess import preprocess_pipeline
 from landsel.space import (
+    BUILTIN_FUNCTIONS,
     ExactColumn,
     ObjectiveTransform,
     Problem,
@@ -36,7 +37,7 @@ from landsel.space import (
     space_from_obj,
 )
 
-from conftest import hierarchy_docs, traced_peak, unit_space
+from conftest import BATCH_DIMENSIONS, hierarchy_docs, traced_peak, unit_space
 
 
 def mixed_space():
@@ -142,8 +143,68 @@ class TestDesignValidation:
         with pytest.raises(ValueError):
             Design(space=s, columns={"x0": np.array([0.0, 1.0])}, y=np.array([0.0, np.inf]))
 
+    def test_the_callers_dict_and_arrays_stay_theirs(self):
+        s = mixed_space()
+        cols = {"c": np.array(["a", "b"], dtype=object), "x": np.array([0.5, 1.0]), "k": [np.nan, 2.0]}
+        before = dict(cols)
+        d = Design(space=s, columns=cols)
+        assert d.columns is not cols
+        assert all(cols[name] is before[name] for name in before) and list(cols) == ["c", "x", "k"]
+        assert cols["x"].flags.writeable
+        assert list(d.columns) == ["x", "k", "c"]
+        assert all(not col.flags.writeable for col in d.columns.values())
+
+
+def counting(fn, calls: list):
+    def wrapped(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapped
+
 
 class TestEvaluateDesign:
+    @pytest.mark.parametrize("fid", BUILTIN_FUNCTIONS)
+    def test_builtin_design_is_one_batch_call_with_the_row_bits(self, fid):
+        for d in BATCH_DIMENSIONS:
+            for iid in (0, 3):
+                p = builtin_problem(fid, iid, d)
+                design = create_initial_design(p.space, n=30, seed=d)
+                batches, rows = [], []
+                counted = Problem(space=p.space, objective=counting(p.objective, rows),
+                                  batch=counting(p.batch, batches))
+                y = evaluate_design(counted, design).y
+                assert len(batches) == 1 and rows == []
+                (x,) = batches[0]
+                assert x.shape == (30, d)
+                assert x.tolist() == [[design.columns[f"x{j}"][i] for j in range(d)] for i in range(30)]
+                assert y.tobytes() == p.batch(x).tobytes(), (d, iid)
+                assert y.tobytes() == np.array([p.objective(tuple(row)) for row in x]).tobytes(), (d, iid)
+
+    def test_builtin_objective_bits_are_pinned(self):
+        # the sha256 of these y columns before evaluation was batched, taken
+        # on x86-64 with numpy 2.4 and its OpenBLAS 0.3.31; another libm or
+        # BLAS ddot kernel may round differently, and the pin is then retaken
+        # there from the last commit that scored builtin rows one at a time
+        h = hashlib.sha256()
+        for fid in BUILTIN_FUNCTIONS:
+            for d in BATCH_DIMENSIONS:
+                for iid in (0, 3):
+                    p = builtin_problem(fid, iid, d)
+                    design = create_initial_design(p.space, n=40, strategy="uniform", seed=d)
+                    h.update(evaluate_design(p, design).y.tobytes())
+        assert h.hexdigest() == "5b83fb4d7bb544d8ed1a523b5f268585d3b739c7810a75bcc28931428b38de34"
+
+    def test_batch_names_the_first_non_finite_row(self):
+        p = builtin_problem("rastrigin", 1, 2)
+        x = create_initial_design(p.space, n=6, seed=0).columns
+        cols = {"x0": x["x0"].copy(), "x1": x["x1"]}
+        cols["x0"][[3, 5]] = np.nan  # a missing cell
+        design = Design(space=p.space, columns=cols)
+        rows_only = Problem(space=p.space, objective=p.objective)
+        for problem in (p, rows_only):
+            with pytest.raises(ValueError, match=r"non-finite value at row 3$"):
+                evaluate_design(problem, design)
+
     def test_sphere_values(self):
         p = builtin_problem("sphere", 0, 2)
         d = Design(

@@ -46,10 +46,12 @@ def test_stage_memory_smoke(capsys):
     assert lines[0].startswith("sphere d=3 n=60 seed=0: distance matrix")
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == [
-        "design", "ela_meta", "ela_distr", "dispersion", "information_content", "nearest_better_clustering",
+        "design", "evaluate", "ela_meta", "ela_distr", "dispersion", "information_content", "nearest_better_clustering",
         "fitness_distance_correlation", "knn_cloud", "cloud_to_csv", "rmc", "pca_func",
     ]
     assert all(float(row[1]) > 0.0 and float(row[2]) >= 0.0 and int(row[4]) >= 0 for row in rows)
+    # evaluating the sampled design holds a few n x d arrays, less than the n x n matrix
+    assert float(rows[1][3]) < 1.0
 
 
 def test_make_map_gallery_smoke(tmp_path, capsys):

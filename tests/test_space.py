@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,17 +17,19 @@ from landsel.space import (
     Condition,
     ExactColumn,
     ObjectiveTransform,
+    Problem,
     SearchSpace,
     VariableSpec,
     apply_transform,
     builtin_problem,
+    builtin_space,
     check_bytes,
     space_from_json,
     space_from_obj,
     space_to_obj,
 )
 
-from conftest import chain_doc, hierarchy_docs
+from conftest import BATCH_DIMENSIONS, chain_doc, hierarchy_docs
 
 
 def cont(name, lower=-5.0, upper=5.0, condition=None):
@@ -204,6 +207,60 @@ class TestBuiltinProblems:
         monkeypatch.setattr(space, "VariableSpec", no_variable)
         with pytest.raises(ValueError, match=r"^the variables of dimension D = 4 need 1 MiB, over the 0 MiB cap$"):
             builtin_problem("sphere", 1, 4)
+
+
+def reference_addends(fid: str, z: list[float]) -> list[float]:
+    """The signed terms whose sum is the base function at the row ``z``,
+    in plain Python floats."""
+    d = len(z)
+    if fid == "sphere":
+        return [v * v for v in z]
+    if fid == "ellipsoid":
+        return [10.0 ** (6.0 * i / (d - 1) if d > 1 else 0.0) * v * v for i, v in enumerate(z)]
+    if fid == "rastrigin":
+        return [t for v in z for t in (10.0, -10.0 * math.cos(2.0 * math.pi * v), v * v)]
+    if fid == "rosenbrock":
+        return [t for u, v in zip(z, z[1:]) for t in (100.0 * (u * u - v) ** 2, (u - 1.0) ** 2)]
+    assert fid == "linear_slope"
+    return list(z)
+
+
+class TestBatchedBuiltins:
+    @pytest.mark.parametrize("fid", BUILTIN_FUNCTIONS)
+    def test_batch_rows_and_reference_agree(self, fid):
+        rng = np.random.default_rng(BUILTIN_FUNCTIONS.index(fid))
+        for d in BATCH_DIMENSIONS:
+            for iid in (0, 3):
+                p = builtin_problem(fid, iid, d)
+                x = rng.uniform(-5.0, 5.0, size=(24, d))
+                y = p.batch(x)
+                assert y.shape == (24,)
+                # one m-row call and m one-row calls give the same bits
+                rows = np.array([p.objective(tuple(row)) for row in x])
+                assert y.tobytes() == rows.tobytes(), (d, iid)
+                a, b = p.transform.scale, p.transform.shift
+                for row, value in zip(x - p.shift, y.tolist()):
+                    addends = reference_addends(fid, row.tolist())
+                    magnitude = a * sum(map(abs, addends)) + abs(b)
+                    assert abs(value - (a * math.fsum(addends) + b)) <= 1e-13 * magnitude, (d, iid)
+
+    def test_objective_is_one_row_of_batch(self):
+        p = builtin_problem("rastrigin", 2, 3)
+        row = (0.5, -4.25, 3.0)
+        assert type(p.objective(row)) is float
+        assert p.objective(row) == p.batch(np.array([row]))[0]
+        assert p.known_optimum == p.transform.shift
+
+    def test_wrong_shapes_are_refused(self):
+        p = builtin_problem("sphere", 0, 3)
+        for bad in (np.zeros(3), np.zeros((2, 4)), np.zeros((2, 3, 1))):
+            with pytest.raises(ValueError, match="expected rows of 3 values"):
+                p.batch(bad)
+        with pytest.raises(ValueError, match="expected a row of 3 values"):
+            p.objective((0.0, 1.0))
+
+    def test_user_problems_have_no_batch(self):
+        assert Problem(space=builtin_space(2), objective=lambda row: 0.0).batch is None
 
 
 class TestCheckBytes:
