@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sampling import Design, staged
+from .sampling import Design
 from .space import ExactColumn, SearchSpace, check_bytes
 
 ENCODINGS = ("none", "one_hot", "target")
@@ -324,12 +324,6 @@ def processed_paths(path: str | Path) -> tuple[Path, Path]:
     """The processed CSV and its ``<stem>.provenance.json`` sidecar."""
     p = Path(path)
     return p, p.with_name(p.stem + ".provenance.json")
-
-
-def processed_to_csv(pd: ProcessedDesign, path: str | Path) -> None:
-    """Write the processed CSV plus its provenance sidecar, staged together."""
-    with staged(*processed_paths(path)) as pair:
-        write_processed(pd, *pair)
 
 
 def write_processed(pd: ProcessedDesign, rows_path: str | Path, sidecar_path: str | Path) -> None:

@@ -6,7 +6,8 @@ and asserts the stated tolerance.  Covered: exact invariance of the feature
 stack under affine objective rescaling, gap-closure arithmetic against a
 published solver-benchmark summary, the ERT definition, analytic feature
 values on constructed landscapes, raster and preprocessing contracts, the
-selector cross-validation protocol, and byte-level CLI determinism.
+selector cross-validation protocol, and byte-level CLI determinism.  One
+unit test checks the per-feature text of criterion 01's failure line.
 """
 
 from __future__ import annotations
@@ -52,6 +53,51 @@ def _report(label: str, ok: bool, detail: str) -> None:
 # ── 1: affine invariance of the full feature stack ───────────────────────────
 
 
+class _Mismatches:
+    """Feature-by-feature comparison of transformed against untransformed
+    feature vectors. A feature that differs is recorded with its largest
+    |deviation| and its count of missing-versus-present flips; an equal one
+    costs one comparison and records nothing."""
+
+    def __init__(self):
+        self.comparisons = self.count = 0
+        self.moved: dict[str, tuple[float, int]] = {}
+
+    def compare(self, base: FeatureVector, other: FeatureVector) -> None:
+        self.comparisons += len(base.values)
+        for name, u in base.values.items():
+            v = other.values[name]
+            if u != v:
+                self.count += 1
+                dev, flips = self.moved.get(name, (0.0, 0))
+                if u is None or v is None:
+                    self.moved[name] = (dev, flips + 1)
+                else:
+                    self.moved[name] = (max(dev, abs(u - v)), flips)
+
+    def detail(self, elapsed: float) -> str:
+        moved = "".join(
+            f"; {name}: max |dev| {dev:.1e}, missing flips {flips}"
+            for name, (dev, flips) in sorted(self.moved.items())
+        )
+        return f"{self.count}/{self.comparisons} mismatches, {elapsed:.1f} s{moved}"
+
+
+def test_criterion_01_names_each_moved_feature():
+    base = FeatureVector(values={"a": 1.0, "b": 2.0, "c": None}, reasons={"c": "undefined"}, meta={})
+    other = FeatureVector(
+        values={"a": 1.0 + 2.0**-40, "b": None, "c": None}, reasons={"b": "undefined", "c": "undefined"}, meta={}
+    )
+    mismatches = _Mismatches()
+    mismatches.compare(base, base)
+    assert (mismatches.count, mismatches.moved) == (0, {})
+    mismatches.compare(base, other)
+    mismatches.compare(base, other)
+    assert mismatches.detail(1.0) == (
+        "4/9 mismatches, 1.0 s; a: max |dev| 9.1e-13, missing flips 0; b: max |dev| 0.0e+00, missing flips 2"
+    )
+
+
 def test_criterion_01_invariance_under_affine_rescaling():
     """200 random (problem, seed) pairs x 50 random transforms each: the
     feature vector after scale * y + shift must be bit-equal to the original,
@@ -59,8 +105,7 @@ def test_criterion_01_invariance_under_affine_rescaling():
     rng = np.random.default_rng(20260822)
     fids = sorted(BUILTIN_FUNCTIONS)
     pairs, transforms_each = 200, 50
-    comparisons = mismatches = 0
-    max_dev = 0.0
+    mismatches = _Mismatches()
     start = time.perf_counter()
     for _ in range(pairs):
         problem = builtin_problem(
@@ -82,22 +127,9 @@ def test_criterion_01_invariance_under_affine_rescaling():
                 shift=float(rng.uniform(-1e6, 1e6)),
             )
             rescaled = with_objective(design, apply_transform(transform, design.y))
-            other = compute_all(preprocess_pipeline(rescaled), seed=feature_seed)
-            for name in base.names():
-                comparisons += 1
-                u, v = base[name], other[name]
-                if (u is None) != (v is None):
-                    mismatches += 1
-                elif u is not None and u != v:
-                    mismatches += 1
-                    max_dev = max(max_dev, abs(u - v))
+            mismatches.compare(base, compute_all(preprocess_pipeline(rescaled), seed=feature_seed))
     elapsed = time.perf_counter() - start
-    ok = mismatches == 0 and elapsed < 60.0
-    _report(
-        "criterion 01 invariance",
-        ok,
-        f"{mismatches}/{comparisons} mismatches, max |dev| {max_dev:.1e}, {elapsed:.1f} s",
-    )
+    _report("criterion 01 invariance", mismatches.count == 0 and elapsed < 60.0, mismatches.detail(elapsed))
 
 
 # ── 2: gap-closure arithmetic against published benchmark means ──────────────

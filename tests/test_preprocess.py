@@ -20,8 +20,9 @@ from landsel.preprocess import (
     minmax_unit,
     pairwise_distances,
     preprocess_pipeline,
-    processed_to_csv,
+    processed_paths,
     relax_hierarchy,
+    write_processed,
 )
 from landsel.sampling import Design, create_initial_design, evaluate_design, with_objective
 from landsel.space import (
@@ -349,7 +350,7 @@ class TestPipeline:
         d = evaluate_design_on_mixed(seed=2)
         pd = preprocess_pipeline(d, encoding="one_hot")
         path = tmp_path / "processed.csv"
-        processed_to_csv(pd, path)
+        write_processed(pd, *processed_paths(path))
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(list(pd.column_names) + ["y"])
         assert len(lines) == pd.n + 1
@@ -372,7 +373,7 @@ class TestPipeline:
         )
         pd = preprocess_pipeline(d, encoding="one_hot")
         path = tmp_path / "processed.csv"
-        processed_to_csv(pd, path)
+        write_processed(pd, *processed_paths(path))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["c=x,y", 'c=q"r', "k", "y"]

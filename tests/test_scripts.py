@@ -31,14 +31,6 @@ def test_run_selector_benchmark_on_the_toy_corpus(capsys, scheme):
     assert all(row[3] == gap for row in rows)
 
 
-def test_run_invariance_sweep_smoke(capsys):
-    main = runpy.run_path(str(ROOT / "scripts" / "run_invariance_sweep.py"))["main"]
-    assert main(["--instances", "2", "--transforms", "3", "--n", "30"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0].startswith("2 instances x 3 transforms (6 feature vectors")
-    assert "invariance holds" in out
-
-
 def test_stage_memory_smoke(capsys):
     main = runpy.run_path(str(ROOT / "scripts" / "stage_memory.py"))["main"]
     assert main(["--fid", "sphere", "--d", "3", "--n", "60"]) == 0
