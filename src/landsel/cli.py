@@ -17,8 +17,9 @@ default, choices and help.  The rows build the parser (``landsel <command>
 --help`` lists each option with its default), check a JSON config file
 (``--config``), whose keys are the options' names, and supply the defaults: a
 flag overrides the config file, which overrides the default.  Unknown config
-keys, and values of the wrong type or outside their choices, are refused
-naming the file and the key.  ``groups`` can be set only in a config file.
+keys, values of the wrong type or outside their choices, and ``groups`` keys
+not of the form ``fid:iid`` are refused naming the file and the key.
+``groups`` can be set only in a config file.
 
 Every command is deterministic given its flags and inputs: all randomness
 flows through explicit ``--seed`` values and outputs carry no timestamps, so
@@ -129,6 +130,11 @@ def _load_config(path: str | None, command: str) -> dict:
             raise ValueError(
                 f"{p}: config key {key!r} must be one of {', '.join(choices)}, got {json.dumps(value)}"
             )
+        if kind is dict:  # groups, the only object: 'fid:iid' keys to group labels
+            bad = [k for k in value if ":" not in k]
+            if bad:
+                raise ValueError(f"{p}: config key {key!r} needs 'fid:iid' keys, got {json.dumps(bad[0])}")
+            value = {tuple(k.split(":", 1)): str(label) for k, label in value.items()}
         try:
             config[key] = kind(value)
         except OverflowError:  # an integer beyond the float range
@@ -246,14 +252,6 @@ def cmd_aas(cfg: dict) -> int:
         raise ValueError("aas needs --feature-cost >= 0")
     if not 1 <= cfg["penalty"] < math.inf:
         raise ValueError("aas needs --penalty >= 1 and finite")
-    groups = None
-    if cfg["groups"] is not None:
-        groups = {}
-        for key, label in cfg["groups"].items():
-            fid, sep, iid = key.partition(":")
-            if not sep:
-                raise ValueError(f"bad groups key {key!r}; expected 'fid:iid'")
-            groups[(fid, iid)] = str(label)
     with sampling.staged(cfg["out"]) as (stand_in,):
         report = aas_mod.cross_validate(
             aas_mod.read_features_csv(cfg["features"]),
@@ -262,7 +260,7 @@ def cmd_aas(cfg: dict) -> int:
             kind=cfg["selector"],
             k=cfg["k"],
             cost_sensitive=cfg["cost_sensitive"],
-            groups=groups,
+            groups=cfg["groups"],
             feature_cost=cfg["feature_cost"],
             penalty=cfg["penalty"],
         )

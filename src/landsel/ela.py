@@ -37,8 +37,10 @@ read the design's one shared distance matrix, ``ProcessedDesign.distances``,
 which is computed on first use and then reused (also by ``fitmap.knn_cloud``);
 each reads it by rows or row blocks and builds no second n-by-n array.
 
-Missing values never appear as NaN or infinity: a feature that is undefined on
-the given sample is reported as an explicit missing entry with a reason code.
+Each feature set fills one ``FeatureVector`` with its names in canonical
+order, and ``compute_all`` joins the six.  Missing values never appear as NaN
+or infinity: a feature that is undefined on the given sample is put as an
+explicit missing entry with a reason code.
 
 Estimator conventions: skewness and kurtosis use biased (population) moment
 estimators; standard deviations and covariances elsewhere are sample
@@ -57,7 +59,7 @@ import functools
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,12 +106,14 @@ class FeatureVector:
 
     ``values`` maps feature name to a finite float or None; every None has a
     reason string in ``reasons``.  ``meta`` records the sample size, processed
-    dimension, tour seed, and estimator conventions.
+    dimension, tour seed, and estimator conventions.  Each feature set fills
+    one through ``put``, which routes a None, NaN or infinite result to an
+    explicit missing entry.
     """
 
-    values: dict[str, float | None]
-    reasons: dict[str, str]
-    meta: dict
+    values: dict[str, float | None] = field(default_factory=dict)
+    reasons: dict[str, str] = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name, v in self.values.items():
@@ -125,29 +129,15 @@ class FeatureVector:
     def __getitem__(self, name: str) -> float | None:
         return self.values[name]
 
-    def to_obj(self) -> dict:
-        out: dict = dict(self.values)
-        out["_meta"] = dict(self.meta)
-        out["_meta"]["missing_reasons"] = dict(self.reasons)
-        return out
-
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2, sort_keys=False)
+        meta = {**self.meta, "missing_reasons": dict(self.reasons)}
+        return json.dumps({**self.values, "_meta": meta}, indent=2, sort_keys=False)
 
     def to_csv(self) -> str:
         """Header line plus one value row; missing features are empty fields."""
         header = ",".join(self.values)
         row = ",".join("" if v is None else repr(float(v)) for v in self.values.values())
         return header + "\n" + row + "\n"
-
-
-class _Emitter:
-    """Collects feature values, routing non-finite or undefined results to
-    explicit missing entries."""
-
-    def __init__(self):
-        self.values: dict[str, float | None] = {}
-        self.reasons: dict[str, str] = {}
 
     def put(self, name: str, value, reason: str = "undefined") -> None:
         if value is None:
@@ -164,10 +154,6 @@ class _Emitter:
     def put_all_missing(self, names: tuple[str, ...] | list[str], reason: str) -> None:
         for name in names:
             self.put(name, None, reason)
-
-    def merge(self, other: "_Emitter") -> None:
-        self.values.update(other.values)
-        self.reasons.update(other.reasons)
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float | None:
@@ -191,9 +177,7 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float | None:
 class LeastSquaresFit:
     coefficients: np.ndarray
     intercept: float
-    r2: float
     adjusted_r2: float
-    rank_deficient: bool
 
 
 def _adjusted_r2(r2: float, n: int, p: int) -> float:
@@ -203,7 +187,7 @@ def _adjusted_r2(r2: float, n: int, p: int) -> float:
 def fit_least_squares(Z: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
     """Ordinary least squares with intercept.
 
-    Rank-deficient systems are solved in the minimum-norm sense and flagged.
+    Rank-deficient systems are solved in the minimum-norm sense.
     Adjusted R^2 = 1 - (1 - R^2)(n - 1)/(n - p - 1); a constant response gives
     R^2 = 0 with zero coefficients.  Requires n > p + 1.
     """
@@ -215,13 +199,11 @@ def fit_least_squares(Z: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
     ybar = float(y.mean())
     sst = float(np.sum((y - ybar) ** 2))
     X = np.column_stack([np.ones(n), Z])
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    rank_deficient = rank < p + 1
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
     if sst == 0.0:
-        return LeastSquaresFit(np.zeros(p), ybar, 0.0, _adjusted_r2(0.0, n, p), rank_deficient)
+        return LeastSquaresFit(np.zeros(p), ybar, _adjusted_r2(0.0, n, p))
     ssr = float(np.sum((y - X @ beta) ** 2))
-    r2 = 1.0 - ssr / sst
-    return LeastSquaresFit(beta[1:], float(beta[0]), r2, _adjusted_r2(r2, n, p), rank_deficient)
+    return LeastSquaresFit(beta[1:], float(beta[0]), _adjusted_r2(1.0 - ssr / sst, n, p))
 
 
 # A column w_j whose Householder pivot |R[j, j]| is at most this fraction of
@@ -381,7 +363,7 @@ _META_NAMES = (
 )
 
 
-def ela_meta(pd) -> _Emitter:
+def ela_meta(pd) -> FeatureVector:
     """Surrogate-model features: four OLS fits on the processed sample.
 
     ``lin`` (on X) and ``quad`` (on X and X**2) report coefficients and go
@@ -404,7 +386,7 @@ def ela_meta(pd) -> _Emitter:
     (``_one_blas_thread``), so their bits do not follow the process's BLAS
     thread count.
     """
-    out = _Emitter()
+    out = FeatureVector()
     X = pd.matrix
     y = pd.objective
     n, d = X.shape
@@ -498,9 +480,9 @@ def _kde_density(y: np.ndarray, sd: float) -> np.ndarray:
 _DISTR_NAMES = ("ela_distr.skewness", "ela_distr.kurtosis", "ela_distr.number_of_peaks")
 
 
-def ela_distr(pd) -> _Emitter:
+def ela_distr(pd) -> FeatureVector:
     """Skewness, excess kurtosis (population estimators), and KDE peak count."""
-    out = _Emitter()
+    out = FeatureVector()
     y = pd.objective
     if y.size < 4:
         out.put_all_missing(_DISTR_NAMES, "insufficient_sample")
@@ -571,7 +553,7 @@ def _median(v: np.ndarray) -> float:
     return float((v[k - 1] + v[k]) / 2)
 
 
-def dispersion(pd) -> _Emitter:
+def dispersion(pd) -> FeatureVector:
     """Best-subset versus full-sample pairwise-distance statistics.
 
     For each quantile q the subset holds the ceil(q*n) rows with the smallest
@@ -580,7 +562,7 @@ def dispersion(pd) -> _Emitter:
     differences are subset - full.  Distances are read from the shared
     matrix ``pd.distances``.
     """
-    out = _Emitter()
+    out = FeatureVector()
     y = pd.objective
     n = pd.n
     if n < 2:
@@ -728,7 +710,7 @@ def _deletion_states(phi: np.ndarray, events: list[int], n: int) -> tuple[list[f
 _IC_NAMES = ("ic.h.max", "ic.eps.s", "ic.eps.max", "ic.eps.ratio", "ic.m0")
 
 
-def information_content(pd, seed: int = 0) -> _Emitter:
+def information_content(pd, seed: int = 0) -> FeatureVector:
     """Information content of the slope-sign sequence along a seeded tour.
 
     Rows are first sorted canonically (lexicographically by coordinates, then
@@ -757,7 +739,7 @@ def information_content(pd, seed: int = 0) -> _Emitter:
     deleting every slope with |phi| <= eps.  The tour walks the shared
     matrix ``pd.distances`` in canonical order.
     """
-    out = _Emitter()
+    out = FeatureVector()
     n = pd.n
     if n < 3:
         out.put_all_missing(_IC_NAMES, "insufficient_sample")
@@ -784,10 +766,8 @@ def information_content(pd, seed: int = 0) -> _Emitter:
     h_values = np.asarray(h_states)[reached]
     m_values = np.asarray(m_states)[reached]
 
-    h_max = float(h_values.max())
-    out.put("ic.h.max", h_max)
+    out.put("ic.h.max", float(h_values.max()))
     m0 = float(m_values[0])
-    out.put("ic.m0", m0)
 
     positive = grid[1:]
     h_pos = h_values[1:]
@@ -810,6 +790,7 @@ def information_content(pd, seed: int = 0) -> _Emitter:
         out.put("ic.eps.ratio", None, "no_half_decay")
     else:
         out.put("ic.eps.ratio", math.log10(positive[half[0]]))
+    out.put("ic.m0", m0)
     return out
 
 
@@ -844,7 +825,7 @@ def _nearest_better(pd, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return dnn, dnb, nb_target
 
 
-def nearest_better_clustering(pd) -> _Emitter:
+def nearest_better_clustering(pd) -> FeatureVector:
     """Nearest-neighbor versus nearest-better distance structure.
 
     "Better" is strict on the objective with ties broken by row index, so
@@ -853,7 +834,7 @@ def nearest_better_clustering(pd) -> _Emitter:
     all points.  Distances come from the shared matrix ``pd.distances``, read
     in row blocks (``_nearest_better``): no second n-by-n array is allocated.
     """
-    out = _Emitter()
+    out = FeatureVector()
     y = pd.objective
     n = pd.n
     if n < 3:
@@ -890,12 +871,8 @@ def nearest_better_clustering(pd) -> _Emitter:
     if np.any(dnn_nb == 0.0):
         out.put("nbc.dist_ratio.coeff_var", None, "duplicate_points")
     else:
-        ratio = dnb_nb / dnn_nb
-        rmean = float(ratio.mean())
-        if rmean == 0.0:
-            out.put("nbc.dist_ratio.coeff_var", None, "zero_mean")
-        else:
-            out.put("nbc.dist_ratio.coeff_var", float(np.std(ratio, ddof=1)) / rmean)
+        ratio = dnb_nb / dnn_nb  # dnb >= dnn > 0 here, so every ratio is at least 1
+        out.put("nbc.dist_ratio.coeff_var", float(np.std(ratio, ddof=1)) / float(ratio.mean()))
 
     indegree = np.bincount(nb_target[nonbest], minlength=n).astype(float)
     out.put("nbc.nb_fitness.cor", _pearson(y, indegree), "zero_variance")
@@ -911,9 +888,9 @@ _FDC_NAMES = (
 )
 
 
-def fitness_distance_correlation(pd) -> _Emitter:
+def fitness_distance_correlation(pd) -> FeatureVector:
     """Correlation between objective value and distance to the sample best."""
-    out = _Emitter()
+    out = FeatureVector()
     X = pd.matrix
     y = pd.objective
     n = X.shape[0]
@@ -943,22 +920,19 @@ def feature_names() -> list[str]:
 
 
 def compute_all(pd, seed: int = 0) -> FeatureVector:
-    """All feature sets on one processed design, in canonical order.
+    """All feature sets on one processed design, in canonical order: each
+    set puts its names in their ``feature_names`` order, so the six are
+    joined as they come, with no re-sort.
 
     Deterministic given (pd, seed); the seed steers only the
     information-content tour.
     """
-    merged = _Emitter()
-    merged.merge(ela_meta(pd))
-    merged.merge(ela_distr(pd))
-    merged.merge(dispersion(pd))
-    merged.merge(information_content(pd, seed))
-    merged.merge(nearest_better_clustering(pd))
-    merged.merge(fitness_distance_correlation(pd))
-    ordered = feature_names()
-    values = {name: merged.values[name] for name in ordered}
-    reasons = {name: merged.reasons[name] for name in ordered if name in merged.reasons}
-    meta = {
+    fv = ela_meta(pd)
+    for features in (ela_distr(pd), dispersion(pd), information_content(pd, seed),
+                     nearest_better_clustering(pd), fitness_distance_correlation(pd)):
+        fv.values.update(features.values)
+        fv.reasons.update(features.reasons)
+    fv.meta = {
         "n": pd.n,
         "dimension": pd.width,
         "seed": seed,
@@ -970,4 +944,4 @@ def compute_all(pd, seed: int = 0) -> FeatureVector:
             "bandwidth": "silverman rule of thumb",
         },
     }
-    return FeatureVector(values=values, reasons=reasons, meta=meta)
+    return fv

@@ -41,17 +41,17 @@ DEFAULT_RESOLUTION = 224
 
 @dataclass(frozen=True)
 class FitnessMap:
-    """A single-channel raster: R-by-R float grid, NaN marks empty pixels,
-    filled pixels hold normalized objective values in [0, 1] (0 = best)."""
+    """A single-channel raster: a read-only copy of an R-by-R float grid,
+    whose shape gives R.  NaN marks empty pixels; filled pixels hold
+    normalized objective values in [0, 1] (0 = best).  A stack's channel k
+    covers the column pair ``stack.pairs[k]``."""
 
     pixels: np.ndarray
-    resolution: int
-    channel: tuple[int, int] | None = None
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=float)
-        if px.shape != (self.resolution, self.resolution):
-            raise ValueError("pixel grid must be resolution x resolution")
+        px = np.array(self.pixels, dtype=float)  # a copy: the caller's array stays writable
+        if px.ndim != 2 or px.shape[0] != px.shape[1]:
+            raise ValueError(f"pixel grid must be square, got shape {px.shape}")
         filled = px[~np.isnan(px)]
         if filled.size and (filled.min() < 0 or filled.max() > 1):
             raise ValueError("filled pixels must lie in [0, 1]")
@@ -96,7 +96,7 @@ def _pixel_cells(coords: np.ndarray, resolution: int) -> np.ndarray:
     return np.minimum((coords * resolution).astype(int), resolution - 1)
 
 
-def _raster(points: np.ndarray, columns: tuple[int, int], objective, resolution: int, channel) -> FitnessMap:
+def _raster(points: np.ndarray, columns: tuple[int, int], objective, resolution: int) -> FitnessMap:
     """Map two columns of ``points`` (in [0, 1]); shared pixels keep the smaller objective."""
     check_bytes(8 * resolution * resolution, f"the pixels of one grid at resolution {resolution}")
     if len(columns) != 2:
@@ -107,7 +107,7 @@ def _raster(points: np.ndarray, columns: tuple[int, int], objective, resolution:
     cells = (_pixel_cells(points[:, c0], resolution), _pixel_cells(points[:, c1], resolution))
     grid = np.full((resolution, resolution), np.nan)
     np.fmin.at(grid, cells, np.asarray(objective, dtype=float))
-    return FitnessMap(pixels=grid, resolution=resolution, channel=channel)
+    return FitnessMap(pixels=grid)
 
 
 def rasterize_2d(
@@ -121,7 +121,7 @@ def rasterize_2d(
     coordinates exactly at 1.0 fall into the last cell.  Collisions keep the
     smaller objective value.
     """
-    return _raster(pd.matrix, columns, pd.objective, resolution, tuple(columns))
+    return _raster(pd.matrix, columns, pd.objective, resolution)
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ class PcaProjection:
     explained: tuple[float, float]
 
     def __post_init__(self):
-        coords = np.asarray(self.coordinates, dtype=float)
+        coords = np.array(self.coordinates, dtype=float)  # a copy: the caller's array stays writable
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ValueError("coordinates must be n x 2")
         coords.setflags(write=False)
@@ -186,7 +186,7 @@ def rasterize_projection(
     projection: PcaProjection, objective: np.ndarray, resolution: int = DEFAULT_RESOLUTION
 ) -> FitnessMap:
     """Rasterize PCA coordinates with their objective values."""
-    return _raster(projection.coordinates, (0, 1), objective, resolution, None)
+    return _raster(projection.coordinates, (0, 1), objective, resolution)
 
 
 def multichannel(pd: ProcessedDesign, resolution: int = DEFAULT_RESOLUTION) -> MapStack:
@@ -228,7 +228,7 @@ def reduce_mean(stack: MapStack) -> FitnessMap:
     acc[first] = acc0  # replaces the base-1 sums made there
     mean = np.clip(base + acc / len(stack.channels), 0.0, 1.0)
     mean[all_empty] = np.nan
-    return FitnessMap(pixels=mean.reshape(R, R), resolution=R, channel=None)
+    return FitnessMap(pixels=mean.reshape(R, R))
 
 
 # ── fitness clouds ───────────────────────────────────────────────────────────

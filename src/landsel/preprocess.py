@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .sampling import Design
-from .space import ExactColumn, SearchSpace, check_bytes
+from .space import ExactColumn, check_bytes
 
 ENCODINGS = ("none", "one_hot", "target")
 
@@ -69,7 +69,6 @@ class ProcessedDesign:
     column_names: tuple[str, ...]
     column_map: dict[str, tuple[int, ...]]
     encoding: str
-    space: SearchSpace
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -301,7 +300,6 @@ def preprocess_pipeline(
         column_names=tuple(names),
         column_map=column_map,
         encoding=encoding,
-        space=design.space,
         provenance={
             "stages": [
                 "relax_hierarchy", "normalize_objective", f"encode_{encoding}", "normalize_decision"

@@ -287,17 +287,16 @@ class Problem:
     """An objective over a search space.
 
     ``objective`` maps a row of cell values (a tuple in variable order) to a
-    real number.  ``fid``/``iid`` identify built-in benchmark instances;
-    ``shift`` and ``transform`` expose the seeded instance parameters for
-    built-ins and are None for user problems.  ``batch``, set for built-ins
-    only, maps an (m, D) float array of rows in variable order to their m
-    values, each with the bits ``objective`` gives that row.
+    real number.  ``known_optimum``, ``shift`` and ``transform`` expose a
+    built-in instance's optimum value and seeded parameters and are None for
+    user problems; ``shift`` is held as a read-only copy, so the caller's
+    array stays writable.  ``batch``, set for built-ins only, maps an (m, D)
+    float array of rows in variable order to their m values, each with the
+    bits ``objective`` gives that row.
     """
 
     space: SearchSpace
     objective: Callable[[tuple], float]
-    fid: str | None = None
-    iid: int | None = None
     known_optimum: float | None = None
     shift: np.ndarray | None = None
     transform: ObjectiveTransform | None = None
@@ -305,7 +304,7 @@ class Problem:
 
     def __post_init__(self):
         if self.shift is not None:
-            arr = np.asarray(self.shift, dtype=float)
+            arr = np.array(self.shift, dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, "shift", arr)
 
@@ -396,14 +395,12 @@ def builtin_problem(fid: str, iid: int, dimension: int) -> Problem:
             float(10.0 ** log_a), float(rng.uniform(_OFFSET_RANGE[0], _OFFSET_RANGE[1]))
         )
     base = _BASE_FUNCTIONS[fid]
-    shift_arr = shift.copy()
-    shift_arr.setflags(write=False)
     a, b = transform.scale, transform.shift
 
     def batch(x: np.ndarray) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != dimension:
             raise ValueError(f"expected rows of {dimension} values, got shape {x.shape}")
-        return a * base(x - shift_arr) + b
+        return a * base(x - shift) + b
 
     def objective(row: tuple) -> float:
         x = np.asarray(row, dtype=float)
@@ -412,20 +409,18 @@ def builtin_problem(fid: str, iid: int, dimension: int) -> Problem:
         return float(batch(x[None, :])[0])
 
     if fid == "rosenbrock":
-        argmin = shift_arr + 1.0
+        argmin = shift + 1.0
     elif fid == "linear_slope":
         argmin = np.full(dimension, BUILTIN_LOWER)
     else:
-        argmin = shift_arr
+        argmin = shift
     known_optimum = objective(tuple(argmin))
     return Problem(
         space=space,
         objective=objective,
         batch=batch,
-        fid=fid,
-        iid=iid,
         known_optimum=known_optimum,
-        shift=shift_arr,
+        shift=shift,
         transform=transform,
     )
 

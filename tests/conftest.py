@@ -154,7 +154,6 @@ def make_processed(X, y, encoding: str = "none") -> ProcessedDesign:
         column_names=names,
         column_map={name: (j,) for j, name in enumerate(names)},
         encoding=encoding,
-        space=unit_space(X.shape[1]),
         provenance={"stages": ["handmade"]},
     )
 

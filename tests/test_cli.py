@@ -139,6 +139,11 @@ class TestSample:
             ({"kind": "categorical", "categories": ["a", ""]}, "a category label must be a non-empty string, got ''"),
             ({"kind": "continuous", "lower": False, "upper": True}, "lower bound must be a number, got False"),
             ({"kind": "integer", "lower": 0, "upper": True}, "upper bound must be a number, got True"),
+            ({"kind": "categorical", "categories": ["a", "b"], "lower": 0}, "categorical variables take no bounds"),
+            ({"kind": "continuous", "lower": 0, "upper": 1, "categories": ["a"]},
+             "only categorical variables take categories"),
+            ({"kind": "continuous", "lower": 0}, "bounds are required"),
+            ({"kind": "integer", "lower": 3, "upper": 1}, "integer bounds need lower <= upper"),
         ],
     )
     def test_space_a_design_file_cannot_read_back_exits_two(self, tmp_path, capsys, variable, reason):
@@ -390,6 +395,13 @@ class TestFitmap:
         assert code == 2
         assert "--k >= 1" in capsys.readouterr().err
 
+    def test_projection_of_two_rows_exits_two(self, tmp_path, capsys):
+        design = sample_design(tmp_path, n=2)
+        out = tmp_path / "pca.pgm"
+        assert run_cli("fitmap", design, "--mode", "pca", "--out", out) == 2
+        assert "landsel fitmap: projection needs more than two points" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["pca", "pca-func"])
     @pytest.mark.parametrize("resolution", [0, 1])
     def test_projection_below_two_pixels_exits_two(self, tmp_path, capsys, mode, resolution):
@@ -500,6 +512,15 @@ class TestAas:
         assert report["scheme"] == "leave_group_out"
         assert {f["fold"] for f in report["per_fold"]} == {"even", "odd"}
 
+    def test_bad_groups_key_names_file_and_key(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scheme": "leave_group_out", "groups": {"fa:0": "g", "f1": "g"}}))
+        out = tmp_path / "report.json"
+        assert run_cli("aas", TOY_FEATURES, TOY_PERFORMANCE, "--config", config, "--out", out) == 2
+        message = f"landsel aas: {config}: config key 'groups' needs 'fid:iid' keys, got \"f1\""
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--feature-cost", -1, "aas needs --feature-cost >= 0"),
@@ -534,6 +555,61 @@ class TestAas:
         report = json.loads(out.read_text())
         assert report["selector"]["cost_sensitive"] is True
         assert report["selector"]["k"] == 2
+
+
+def _conditioned_space(parent, condition, message):
+    """A space file whose second variable ``c`` has ``condition``, with the
+    refusal that names the file."""
+    def build(tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(
+            [parent, {"name": "c", "kind": "continuous", "lower": 0, "upper": 1, "condition": condition}]
+        ))
+        return ["sample", path, "--n", 4, "--out", tmp_path / "d.csv"], f"{path}: {message}"
+    return build
+
+
+def _partial_objective(tmp_path):
+    design = sample_design(tmp_path, n=6)
+    lines = design.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ","  # row 1's y blank, the others filled
+    design.write_text("\n".join(lines) + "\n")
+    return ["features", design, "--out", tmp_path / "f.json"], f"{design}: objective column must be all present or all missing"
+
+
+def _no_feature_columns(tmp_path):
+    features = tmp_path / "features.csv"
+    features.write_text("fid,iid\nfa,0\nfa,1\n")
+    return ["aas", features, TOY_PERFORMANCE, "--out", tmp_path / "r.json"], f"{features}: no feature columns"
+
+
+_INT_PARENT = {"name": "k", "kind": "integer", "lower": 0, "upper": 3}
+_UNIT = {"name": "x", "kind": "continuous", "lower": 0, "upper": 1}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_conditioned_space(_INT_PARENT, {"parent": "k", "values": []},
+                        "variable 1: condition needs at least one activating value"),
+     _conditioned_space(_INT_PARENT, {"parent": "k", "values": [1, 1]}, "variable 1: condition values must be distinct"),
+     _conditioned_space(_UNIT, {"parent": "c", "values": [1]}, "c: variable cannot condition on itself"),
+     _conditioned_space(_INT_PARENT, {"parent": "k", "values": ["a"]},
+                        "c: integer parent needs integer activating values"),
+     _conditioned_space(_INT_PARENT, {"parent": "k", "values": [7]}, "c: activating value 7 outside parent bounds"),
+     _conditioned_space(_UNIT, [1], "variable 1: condition must be an object with keys parent, values"),
+     _partial_objective,
+     _no_feature_columns,
+     lambda tmp_path: (["aas", TOY_FEATURES, TOY_PERFORMANCE, "--k", 0, "--out", tmp_path / "r.json"],
+                       "aas needs --k >= 1")],
+    ids=["no-activating-value", "repeated-activating-value", "self-condition", "string-on-integer-parent",
+         "outside-parent-bounds", "condition-not-an-object", "partial-objective", "no-feature-columns", "k-zero"],
+)
+def test_outside_input_refused_exits_two_naming_it(tmp_path, capsys, case):
+    argv, message = case(tmp_path)
+    out = Path(argv[argv.index("--out") + 1])
+    assert run_cli(*argv) == 2
+    assert f"landsel {argv[0]}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import os
 import runpy
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from landsel.ela import (
     nearest_better_clustering,
 )
 from landsel.preprocess import preprocess_pipeline
-from landsel.sampling import create_initial_design, evaluate_design
+from landsel.sampling import Design, create_initial_design, design_from_csv, design_to_csv, evaluate_design
 from landsel.space import BUILTIN_FUNCTIONS, builtin_problem
 
 from conftest import make_processed, tied_lattice, traced_peak
@@ -67,7 +68,7 @@ class TestFitLeastSquares:
         assert np.allclose(fit.coefficients, beta[1:], atol=1e-10)
         resid = y - A @ beta
         sst = float(np.sum((y - y.mean()) ** 2))
-        assert abs(fit.r2 - (1 - float(resid @ resid) / sst)) < 1e-10
+        assert abs(fit.adjusted_r2 - (1 - float(resid @ resid) / sst * 29 / 26)) < 1e-10
 
     def test_exact_linear_recovery(self):
         rng = np.random.default_rng(2)
@@ -76,20 +77,19 @@ class TestFitLeastSquares:
         fit = fit_least_squares(Z, y)
         assert np.allclose(fit.coefficients, [2.0, 3.0], atol=1e-9)
         assert abs(fit.intercept) < 1e-9
-        assert fit.r2 > 1 - 1e-12
-        assert not fit.rank_deficient
+        assert fit.adjusted_r2 > 1 - 1e-12
 
-    def test_rank_deficiency_flagged(self):
+    def test_dependent_columns_take_the_minimum_norm(self):
         rng = np.random.default_rng(3)
         z = rng.random(20)
         Z = np.column_stack([z, 2.0 * z])
         fit = fit_least_squares(Z, rng.random(20))
-        assert fit.rank_deficient
+        assert fit.coefficients[1] == pytest.approx(2.0 * fit.coefficients[0], rel=1e-10)
 
     def test_constant_response(self):
         Z = np.random.default_rng(4).random((10, 1))
         fit = fit_least_squares(Z, np.full(10, 0.5))
-        assert fit.r2 == 0.0
+        assert fit.adjusted_r2 == 1.0 - 9 / 8  # R^2 = 0 at n = 10, p = 1
         assert fit.coefficients.tolist() == [0.0]
         assert fit.intercept == 0.5
 
@@ -948,3 +948,70 @@ class TestComputeAll:
                 assert cell == ""
             else:
                 assert float(cell) == fv.values[name]
+
+
+def tiny_design(n: int, tmp_path):
+    """An n-row sphere design read back from its CSV, processed: n = 1 comes
+    only from a file, since ``create_initial_design`` draws at least two."""
+    problem = builtin_problem("sphere", 1, 2)
+    X = np.array([[0.5, -1.0], [2.0, 3.5], [-4.0, 1.0]])[:n]
+    design = Design(space=problem.space, columns={"x0": X[:, 0], "x1": X[:, 1]})
+    path = tmp_path / "tiny.csv"
+    design_to_csv(evaluate_design(problem, design), path)
+    return preprocess_pipeline(design_from_csv(path))
+
+
+FEATURE_SETS = {
+    "ela_meta": ela_meta,
+    "ela_distr": ela_distr,
+    "disp": dispersion,
+    "ic": information_content,
+    "nbc": nearest_better_clustering,
+    "fdc": fitness_distance_correlation,
+}
+
+
+class TestDegenerateDesigns:
+    @pytest.mark.parametrize("n, defined, reasons", [
+        (1, 0, {"insufficient_sample": 45}),
+        (2, 0, {"insufficient_sample": 29, "subset_too_small": 16}),
+        (3, 16, {"insufficient_sample": 12, "subset_too_small": 16, "maximum_at_zero": 1}),
+    ])
+    def test_tiny_design_reasons(self, tmp_path, n, defined, reasons):
+        """At n = 2 only ``disp`` reads its subsets (all too small); at n = 3
+        ``ic``, ``nbc`` and ``fdc`` are defined and the rest are not."""
+        fv = compute_all(tiny_design(n, tmp_path))
+        assert sum(v is not None for v in fv.values.values()) == defined
+        assert dict(Counter(fv.reasons.values())) == reasons
+        by_set = {prefix: set() for prefix in FEATURE_SETS}
+        for name, reason in fv.reasons.items():
+            by_set[name.split(".")[0]].add(reason)
+        if n == 2:
+            assert by_set["disp"] == {"subset_too_small"}
+        if n == 3:
+            assert by_set["nbc"] == by_set["fdc"] == set() and by_set["ic"] == {"maximum_at_zero"}
+
+    def test_coincident_points(self):
+        out = nearest_better_clustering(make_processed(np.full((5, 2), 0.5), np.linspace(0.0, 1.0, 5)))
+        assert {name: out.reasons.get(name) for name in out.names()} == {
+            "nbc.nn_nb.mean_ratio": "zero_distances",
+            "nbc.nn_nb.sd_ratio": "zero_variance",
+            "nbc.nn_nb.cor": "zero_variance",
+            "nbc.dist_ratio.coeff_var": "duplicate_points",
+            "nbc.nb_fitness.cor": None,
+        }
+
+    @pytest.mark.parametrize("build", [
+        lambda tmp_path: tiny_design(1, tmp_path),
+        lambda tmp_path: tiny_design(2, tmp_path),
+        lambda tmp_path: tiny_design(3, tmp_path),
+        lambda tmp_path: make_processed(np.full((5, 2), 0.5), np.linspace(0.0, 1.0, 5)),
+        lambda tmp_path: make_processed(np.random.default_rng(42).random((20, 3)), np.full(20, 0.5)),
+        lambda tmp_path: make_processed(np.random.default_rng(43).random((50, 2)), np.random.default_rng(44).random(50)),
+    ], ids=["n1", "n2", "n3", "coincident", "constant_objective", "random"])
+    def test_each_set_puts_its_names_in_canonical_order(self, tmp_path, build):
+        """``compute_all`` joins the sets as they come, with no re-sort."""
+        pd = build(tmp_path)
+        for prefix, feature_set in FEATURE_SETS.items():
+            block = [name for name in feature_names() if name.split(".")[0] == prefix]
+            assert list(feature_set(pd).names()) == block, prefix

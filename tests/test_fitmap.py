@@ -15,6 +15,7 @@ from landsel import fitmap, space
 from landsel.fitmap import (
     DEFAULT_RESOLUTION,
     FitnessMap,
+    PcaProjection,
     cloud_to_csv,
     knn_cloud,
     multichannel,
@@ -32,10 +33,8 @@ from landsel.space import BUILTIN_FUNCTIONS, builtin_problem
 from conftest import evaluate_design_on_mixed, make_processed, tied_lattice, traced_peak
 
 
-def grid_map(values, resolution=None):
-    px = np.asarray(values, dtype=float)
-    r = resolution or px.shape[0]
-    return FitnessMap(pixels=px, resolution=r)
+def grid_map(values):
+    return FitnessMap(pixels=np.asarray(values, dtype=float))
 
 
 class TestRasterize2d:
@@ -85,7 +84,7 @@ class TestMultichannel:
         rng = np.random.default_rng(4)
         pd = make_processed(rng.random((10, 3)), rng.random(10))
         stack = multichannel(pd, resolution=8)
-        assert [ch.channel for ch in stack.channels] == [(0, 1), (0, 2), (1, 2)]
+        assert list(zip(*stack.pairs)) == [(0, 1), (0, 2), (1, 2)]
 
     @pytest.mark.parametrize("width,count", [(2, 1), (3, 3), (4, 6), (5, 10)])
     def test_channel_count(self, width, count):
@@ -280,7 +279,7 @@ def assert_point_backed_stack_exact(pd, resolution):
     assert len(stack.channels) == len(pairs)
     for k, pair in enumerate(pairs):
         ch = stack.channels[k]
-        assert ch.channel == pair
+        assert (stack.pairs[0][k], stack.pairs[1][k]) == pair
         assert ch.pixels.tobytes() == rasterize_2d(pd, pair, resolution).pixels.tobytes()
     expected = reference_reduce_mean(stack).tobytes()
     assert reduce_mean(stack).pixels.tobytes() == expected
@@ -310,8 +309,10 @@ class TestPointBackedStack:
         rng = np.random.default_rng(14)
         pd = make_processed(rng.random((20, 4)), rng.random(20))
         channels = multichannel(pd, resolution=8).channels
-        assert [ch.channel for ch in channels[1:3]] == [(0, 2), (0, 3)]
-        assert channels[-1].channel == (2, 3)
+        assert [ch.pixels.tobytes() for ch in channels[1:3]] == [
+            rasterize_2d(pd, pair, 8).pixels.tobytes() for pair in [(0, 2), (0, 3)]
+        ]
+        assert channels[-1].pixels.tobytes() == rasterize_2d(pd, (2, 3), 8).pixels.tobytes()
         with pytest.raises(IndexError):
             channels[6]
 
@@ -571,8 +572,20 @@ class TestPgmExport:
 class TestFitnessMapValidation:
     def test_shape_must_match_resolution(self):
         with pytest.raises(ValueError):
-            FitnessMap(pixels=np.zeros((2, 3)), resolution=2)
+            FitnessMap(pixels=np.zeros((2, 3)))
 
     def test_filled_pixels_must_be_normalized(self):
         with pytest.raises(ValueError):
-            FitnessMap(pixels=np.full((2, 2), 1.5), resolution=2)
+            FitnessMap(pixels=np.full((2, 2), 1.5))
+
+    @pytest.mark.parametrize("build, read", [
+        (lambda a: FitnessMap(pixels=a), lambda obj: obj.pixels),
+        (lambda a: PcaProjection(coordinates=a, explained=(0.5, 0.5)), lambda obj: obj.coordinates),
+    ], ids=["FitnessMap", "PcaProjection"])
+    def test_array_is_a_read_only_copy(self, build, read):
+        caller = np.zeros((2, 2))
+        held = read(build(caller))
+        assert caller.flags.writeable
+        assert not held.flags.writeable
+        caller[0, 0] = 0.5
+        assert held.tolist() == [[0.0, 0.0], [0.0, 0.0]]

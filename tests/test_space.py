@@ -262,6 +262,14 @@ class TestBatchedBuiltins:
     def test_user_problems_have_no_batch(self):
         assert Problem(space=builtin_space(2), objective=lambda row: 0.0).batch is None
 
+    def test_shift_is_a_read_only_copy(self):
+        s = np.array([1.0, -2.0])
+        p = Problem(space=builtin_space(2), objective=lambda row: 0.0, shift=s)
+        assert s.flags.writeable
+        assert not p.shift.flags.writeable
+        s[0] = 3.0
+        assert p.shift.tolist() == [1.0, -2.0]
+
 
 class TestCheckBytes:
     def test_admits_exactly_the_cap_and_refuses_one_byte_more(self):
